@@ -22,7 +22,7 @@ FUZZ_TARGETS = \
 	FuzzStepRun:./internal/core
 FUZZTIME ?= 10s
 
-.PHONY: build vet lint test race fuzz snapshot-check trace-check farm-check usecase-check soak soak-short check bench bench-compare
+.PHONY: build vet lint test race fuzz snapshot-check trace-check farm-check usecase-check soak soak-short check bench bench-compare bench-test
 
 # Seed for the chaos/soak harness: one seed determines the entire chaos
 # schedule (which cells get killed/hung/OOMed, restart and clock-skew
@@ -57,8 +57,8 @@ fuzz:
 	done
 
 # snapshot-check proves the checkpoint/restore guarantee in isolation:
-# run → save → load → run is bit-identical to an uninterrupted run at
-# every worker count, the invariant auditor stays quiet on clean runs,
+# run → save → load → run is bit-identical to an uninterrupted run with
+# fast-forward on or off, the invariant auditor stays quiet on clean runs,
 # and malformed blobs surface structured errors instead of panicking.
 snapshot-check:
 	$(GO) test ./internal/snapshot
@@ -107,16 +107,24 @@ usecase-check:
 	$(GO) test -run 'TestStrideTable|TestPrefetchUsefulnessRing|TestMemoCache|TestMemoKey' ./internal/gpu
 	$(GO) test -run 'TestFig14Hooked' ./experiments
 
+# bench-test runs the repo benchmark's own tests (BENCHMARK.json, bench/).
+# bench/ is a separate Go module, so the root `go test ./...` never
+# reaches it, yet it compiles against the simulator's public API.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # check is the tier-1 gate: everything must pass before a commit.
-check: build vet lint snapshot-check trace-check farm-check usecase-check test race fuzz
+check: build vet lint snapshot-check trace-check farm-check usecase-check test race bench-test fuzz
 
 # bench refreshes BENCH_sim.json with the simulator hot-loop and event
 # queue numbers (ns/op, B/op, allocs/op).
 bench:
 	./scripts/bench.sh
 
-# bench-compare reruns the two sentinel hot-loop benchmarks and fails if
-# either regressed more than 10% against the ns/op recorded in
-# BENCH_sim.json (catch perf regressions without rewriting the baseline).
+# bench-compare reruns the sentinel hot-loop benchmarks and fails if any
+# regressed more than 10% against the ns/op recorded in BENCH_sim.json
+# (catch perf regressions without rewriting the baseline). It exits 2
+# without gating on a host whose fingerprint differs from the recorded
+# one.
 bench-compare:
 	./scripts/bench_compare.sh

@@ -302,31 +302,6 @@ func BenchmarkSimCABASSSP(b *testing.B) { benchOneApp(b, "sssp", caba.CABABDI) }
 // hot-loop sentinels: the per-miss training cost must stay flat.
 func BenchmarkSimPrefetchPVC(b *testing.B) { benchOneApp(b, "PVC", caba.CABAPrefetch) }
 
-// BenchmarkSimParallelPVC measures the two-phase parallel tick engine:
-// the same CABA-BDI PVC run at increasing SM worker counts. Results are
-// bit-identical at every worker count (TestParallelGoldenEquivalence);
-// only wall-clock may differ. Scaling is bounded by the host's core count
-// — on a single-core host every sub-benchmark degenerates to roughly
-// serial speed plus barrier overhead.
-func BenchmarkSimParallelPVC(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := caba.QuickConfig()
-			cfg.Scale = 0.05
-			cfg.SMWorkers = w
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := caba.Run(cfg, caba.CABABDI, "PVC", int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.IPC, "ipc")
-				b.ReportMetric(float64(res.Cycles), "gpu-cycles")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationDeployBW sweeps the AWC's deployment bandwidth — the
 // structure that bounds how fast assist warps can be fed into the
 // pipelines (Section 3.3). Starving it (1 instr/cycle) shows decompression

@@ -154,7 +154,7 @@ type Result struct {
 
 	// DecompMismatches counts assist-warp decompressions whose output no
 	// longer matched the backing store (a later write raced the
-	// compressed copy); the parallel-equivalence tests assert it too.
+	// compressed copy).
 	DecompMismatches uint64
 	// FaultsInjected / FaultsDetected / FaultsRecovered summarize the
 	// fault-injection campaign (Config.Faults): faults placed, faults the
@@ -268,7 +268,7 @@ func prepareApp(cfg *Config, design Design, appName string, seed int64) (*gpu.Si
 // ckptPath already holds a snapshot from an earlier killed, interrupted
 // or crashed invocation, the run resumes from it mid-flight instead of
 // starting over — the resumed run is bit-identical to an uninterrupted
-// one, including across changes to SMWorkers and FastForward.
+// one, including across a change to FastForward.
 //
 // On success the checkpoint (and any stale crash report) is removed. On
 // failure the last checkpoint is kept for postmortem resumption and a
@@ -301,8 +301,8 @@ func RunCheckpointed(ctx context.Context, cfg Config, design Design, appName str
 	}
 	if err := runSim(ctx, sim, maxCycles); err != nil {
 		err = fmt.Errorf("caba: %s/%s: %w", appName, design.Name, err)
-		repro := fmt.Sprintf("app=%s design=%s seed=%d scale=%g smworkers=%d fastforward=%v checkpoint_every=%d resume=%s",
-			appName, design.Name, seed, cfg.Scale, cfg.SMWorkers, cfg.FastForward, cfg.CheckpointEvery, ckptPath)
+		repro := fmt.Sprintf("app=%s design=%s seed=%d scale=%g fastforward=%v checkpoint_every=%d resume=%s",
+			appName, design.Name, seed, cfg.Scale, cfg.FastForward, cfg.CheckpointEvery, ckptPath)
 		writeCrashReport(ckptPath+".crash", repro, err, sim)
 		return nil, err
 	}

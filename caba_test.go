@@ -80,6 +80,45 @@ func TestPublicRunKernel(t *testing.T) {
 	}
 }
 
+// TestAtomicAddUniqueAcrossSMs pins the cross-SM memory contract: SMs
+// tick one at a time in index order, and an SM's same-cycle stores,
+// atomics and Domain writes are visible to higher-indexed SMs in the same
+// cycle. Every SM issues its atomics on one counter in the same cycles
+// here, so each of the 256 threads must still get back a distinct old
+// value, exactly as a real atomic returns.
+func TestAtomicAddUniqueAcrossSMs(t *testing.T) {
+	prog, err := caba.Assemble("atomuniq", `
+  movi r6, 1
+  atom.add.u32 r7, [%p1], r6
+  mov r0, %gtid
+  shl r0, r0, 2
+  add r1, r0, %p0
+  st.global.u32 [r1], r7
+  exit`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const out, counter, threads = 0x10000, 0x1000, 256
+	cfg := caba.QuickConfig()
+	cfg.NumSMs = 4
+	cfg.MaxThreadsPerSM = 64
+	k := &caba.Kernel{Prog: prog, GridCTAs: 8, CTAThreads: 32, Params: [4]uint64{out, counter}}
+	var sim *caba.Simulator
+	if _, err := caba.RunKernel(cfg, caba.Base, k, func(s *caba.Simulator) { sim = s }); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Mem.ReadU(counter, 4); got != threads {
+		t.Errorf("counter = %d, want %d", got, threads)
+	}
+	seen := make(map[uint64]bool, threads)
+	for i := 0; i < threads; i++ {
+		seen[sim.Mem.ReadU(out+uint64(4*i), 4)] = true
+	}
+	if len(seen) != threads {
+		t.Errorf("atom.add returned %d distinct old values across %d threads, want %d", len(seen), threads, threads)
+	}
+}
+
 func TestApplicationsPool(t *testing.T) {
 	apps := caba.Applications()
 	// 30 paper apps plus the two Section 7 use-case studies (STRD, TBL).

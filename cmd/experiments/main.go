@@ -43,8 +43,6 @@ func realMain() int {
 	full := flag.Bool("full", false, "shorthand for -scale 1.0")
 	seed := flag.Int64("seed", 1, "synthetic data seed")
 	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	parallelism := flag.Int("parallelism", 0,
-		"total worker-goroutine budget: concurrent simulations x SM workers per simulation (0 = GOMAXPROCS)")
 	checkpoint := flag.String("checkpoint", "",
 		"JSONL file persisting completed runs; an interrupted sweep resumes from it (parameters must match), and in-flight cells snapshot mid-run state under <file>.d/ for bit-identical resume")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0,
@@ -100,7 +98,6 @@ func realMain() int {
 	}
 	o.Seed = *seed
 	o.Parallel = *parallel
-	o.Parallelism = *parallelism
 	o.Checkpoint = *checkpoint
 	o.CheckpointEvery = *checkpointEvery
 	o.RunTimeout = *runTimeout

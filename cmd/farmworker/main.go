@@ -32,7 +32,6 @@ func realMain() int {
 	name := flag.String("name", "", "worker name in leases and logs (default: host-pid)")
 	cellTimeout := flag.Duration("cell-timeout", 0,
 		"wall-clock bound per cell; an overrun is a transient failure the coordinator may retry (0 = none)")
-	smWorkers := flag.Int("sm-workers", 0, "SM-tick workers per simulation (0 = GOMAXPROCS; results identical either way)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0,
 		"checkpoint-upload cadence in simulated cycles for cells that do not set their own (0 = default)")
 	exitWhenDrained := flag.Bool("exit-when-drained", false,
@@ -62,7 +61,6 @@ func realMain() int {
 		MemLimit:        *memLimitMB << 20,
 		CPUTime:         *cpuTimeLimit,
 		MinDiskFree:     *minDiskFreeMB << 20,
-		SMWorkers:       *smWorkers,
 		CheckpointEvery: *checkpointEvery,
 		PollInterval:    200 * time.Millisecond,
 		ExitWhenDrained: *exitWhenDrained,

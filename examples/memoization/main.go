@@ -41,7 +41,6 @@ func main() {
 	// while preserving the SFU-bound regime.
 	cfg := caba.Baseline()
 	cfg.Scale = 0.03
-	cfg.SMWorkers = 1
 	cfg.MaxThreadsPerSM = 512
 
 	base, err := caba.Run(cfg, caba.Base, "TBL", 1)

@@ -36,7 +36,6 @@ func main() {
 	// few warps to hide memory latency, so covering misses early pays.
 	cfg := caba.Baseline()
 	cfg.Scale = 0.03
-	cfg.SMWorkers = 1
 
 	base, err := caba.Run(cfg, caba.Base, "STRD", 1)
 	if err != nil {

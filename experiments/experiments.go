@@ -40,12 +40,6 @@ type Options struct {
 	Seed int64
 	// Parallel bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallel int
-	// Parallelism caps the sweep's total worker-goroutine budget:
-	// concurrent simulations times SM-tick workers per simulation (0 =
-	// GOMAXPROCS). Without the cap, every concurrent simulation would
-	// start its own GOMAXPROCS-sized SM worker pool and a grid sweep
-	// would run GOMAXPROCS² goroutines.
-	Parallelism int
 	// Out receives the rendered tables (nil = discard).
 	Out io.Writer
 
@@ -83,8 +77,8 @@ type Options struct {
 	// fleet is attached to the coordinator, deduped through its
 	// content-addressed result store, and collected here. Scale, Seed and
 	// per-cell bandwidth scaling travel inside each cell; Parallel,
-	// Parallelism, RunTimeout and Retries are local execution knobs and
-	// do not apply (the coordinator's lease/retry policy governs).
+	// RunTimeout and Retries are local execution knobs and do not apply
+	// (the coordinator's lease/retry policy governs).
 	FarmURL string
 
 	// runHook replaces the simulation entry point in tests.
@@ -133,33 +127,6 @@ func (o *Options) workers() int {
 		return o.Parallel
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// plan splits the Parallelism budget between sweep-level concurrency and
-// per-simulation SM workers so their product never exceeds the budget.
-// Independent simulations scale better than intra-simulation ticking (no
-// cycle barriers), so the sweep level is filled first; leftover budget
-// goes to SM workers only when the grid has fewer jobs than budget.
-func (o *Options) plan(jobs int) (sims, smWorkers int) {
-	budget := o.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	sims = o.workers()
-	if sims > budget {
-		sims = budget
-	}
-	if jobs > 0 && sims > jobs {
-		sims = jobs
-	}
-	if sims < 1 {
-		sims = 1
-	}
-	smWorkers = budget / sims
-	if smWorkers < 1 {
-		smWorkers = 1
-	}
-	return sims, smWorkers
 }
 
 // runKey identifies one simulation in a sweep.
@@ -223,13 +190,12 @@ func (o *Options) sweep(apps []string, designs []caba.Design, bws []float64) (ma
 	var mu sync.Mutex
 	var errs []error
 	var wg sync.WaitGroup
-	sims, smWorkers := o.plan(len(apps)*len(designs)*len(bws) - len(results))
-	for w := 0; w < sims; w++ {
+	for w := 0; w < o.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				res, err := o.runOne(ctx, j.design, j.key, smWorkers)
+				res, err := o.runOne(ctx, j.design, j.key)
 				mu.Lock()
 				if err != nil {
 					errs = append(errs, fmt.Errorf("%s: %w", j.key, err))
@@ -274,7 +240,7 @@ dispatch:
 
 // runOne executes a single grid cell with retry-with-backoff around the
 // panic-isolated, deadline-bounded attempt.
-func (o *Options) runOne(ctx context.Context, design caba.Design, key runKey, smWorkers int) (*caba.Result, error) {
+func (o *Options) runOne(ctx context.Context, design caba.Design, key runKey) (*caba.Result, error) {
 	backoff := o.RetryBackoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
@@ -282,7 +248,7 @@ func (o *Options) runOne(ctx context.Context, design caba.Design, key runKey, sm
 	var res *caba.Result
 	var err error
 	for attempt := 0; ; attempt++ {
-		res, err = o.attemptOne(ctx, design, key, smWorkers)
+		res, err = o.attemptOne(ctx, design, key)
 		// A wedge is a deterministic outcome of the cell's fault stream,
 		// not a transient failure: retrying replays the exact same wedge,
 		// so it is reported immediately with its retry budget unspent.
@@ -305,7 +271,7 @@ func (o *Options) runOne(ctx context.Context, design caba.Design, key runKey, sm
 // points already convert internal panics to errors, and this guard keeps
 // a worker goroutine alive even if the conversion itself has a bug (or a
 // test runHook panics).
-func (o *Options) attemptOne(ctx context.Context, design caba.Design, key runKey, smWorkers int) (res *caba.Result, err error) {
+func (o *Options) attemptOne(ctx context.Context, design caba.Design, key runKey) (res *caba.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("experiments: run panicked: %v", r)
@@ -318,7 +284,6 @@ func (o *Options) attemptOne(ctx context.Context, design caba.Design, key runKey
 	}
 	cfg := o.cfg()
 	cfg.BWScale = key.bwScale
-	cfg.SMWorkers = smWorkers
 	run := o.runHook
 	if run == nil {
 		run = func(ctx context.Context, cfg caba.Config, design caba.Design, app string, seed int64) (*caba.Result, error) {

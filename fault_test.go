@@ -3,7 +3,6 @@ package caba_test
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,10 +14,9 @@ import (
 // faultConfig is a small CABA run with bit-flip, metadata-corruption and
 // response-delay injection active. Response DROPS are deliberately absent
 // here: they wedge warps by design and belong to the wedge tests below.
-func faultConfig(smWorkers int) caba.Config {
+func faultConfig() caba.Config {
 	cfg := caba.Baseline()
 	cfg.Scale = 0.03
-	cfg.SMWorkers = smWorkers
 	cfg.Faults = faults.Config{
 		Seed:              42,
 		BitFlipRate:       0.05,
@@ -30,18 +28,16 @@ func faultConfig(smWorkers int) caba.Config {
 
 // TestFaultInjectionDeterminism: the same fault seed and config must
 // produce the identical fault campaign — same injected/detected/recovered
-// counts and bit-identical statistics — regardless of how many SM-tick
-// workers run the simulation.
+// counts and bit-identical statistics — with the fast-forward engine on
+// or off.
 func TestFaultInjectionDeterminism(t *testing.T) {
-	workerCounts := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
-		workerCounts = append(workerCounts, n)
-	}
 	var ref *caba.Result
-	for _, w := range workerCounts {
-		res, err := caba.Run(faultConfig(w), caba.CABABDI, "PVC", 1)
+	for _, ff := range []bool{true, false} {
+		cfg := faultConfig()
+		cfg.FastForward = ff
+		res, err := caba.Run(cfg, caba.CABABDI, "PVC", 1)
 		if err != nil {
-			t.Fatalf("SMWorkers=%d: %v", w, err)
+			t.Fatalf("ff=%v: %v", ff, err)
 		}
 		if ref == nil {
 			ref = res
@@ -59,60 +55,52 @@ func TestFaultInjectionDeterminism(t *testing.T) {
 		if res.FaultsInjected != ref.FaultsInjected ||
 			res.FaultsDetected != ref.FaultsDetected ||
 			res.FaultsRecovered != ref.FaultsRecovered {
-			t.Errorf("SMWorkers=%d: campaign diverged: injected %d/%d detected %d/%d recovered %d/%d",
-				w, res.FaultsInjected, ref.FaultsInjected,
+			t.Errorf("ff=%v: campaign diverged: injected %d/%d detected %d/%d recovered %d/%d",
+				ff, res.FaultsInjected, ref.FaultsInjected,
 				res.FaultsDetected, ref.FaultsDetected,
 				res.FaultsRecovered, ref.FaultsRecovered)
 		}
 		for _, d := range ref.Stats.Diff(res.Stats) {
-			t.Errorf("SMWorkers=%d: stats diverge: %s", w, d)
+			t.Errorf("ff=%v: stats diverge: %s", ff, d)
 		}
 	}
 }
 
 // TestDroppedResponsesWedge: with every memory response dropped, the
 // waiting warps can never make progress. The wedge detector must convert
-// the would-be infinite hang into a structured error — under parallel
-// ticking too — rather than spinning to the cycle limit.
+// the would-be infinite hang into a structured error rather than spinning
+// to the cycle limit.
 func TestDroppedResponsesWedge(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		cfg := faultConfig(w)
-		cfg.Faults = faults.Config{Seed: 7, ResponseDropRate: 1.0}
-		_, err := caba.Run(cfg, caba.Base, "PVC", 1)
-		if err == nil {
-			t.Fatalf("SMWorkers=%d: run completed despite dropping every response", w)
-		}
-		if !strings.Contains(err.Error(), "wedged") {
-			t.Fatalf("SMWorkers=%d: err = %v, want a wedge diagnosis", w, err)
-		}
-		if !strings.Contains(err.Error(), "dropped") {
-			t.Errorf("SMWorkers=%d: err = %v, want it to count dropped responses", w, err)
-		}
+	cfg := faultConfig()
+	cfg.Faults = faults.Config{Seed: 7, ResponseDropRate: 1.0}
+	_, err := caba.Run(cfg, caba.Base, "PVC", 1)
+	if err == nil {
+		t.Fatal("run completed despite dropping every response")
+	}
+	if !strings.Contains(err.Error(), "wedged") {
+		t.Fatalf("err = %v, want a wedge diagnosis", err)
+	}
+	if !strings.Contains(err.Error(), "dropped") {
+		t.Errorf("err = %v, want it to count dropped responses", err)
 	}
 }
 
 // TestWedgeErrorDeterminism: the wedge diagnosis itself is part of the
-// determinism contract — same seed, same error, same cycle, at any
-// worker count and with the fast-forward engine on or off.
+// determinism contract — same seed, same error, same cycle, with the
+// fast-forward engine on or off.
 func TestWedgeErrorDeterminism(t *testing.T) {
-	msg := func(w int, ff bool) string {
-		cfg := faultConfig(w)
+	msg := func(ff bool) string {
+		cfg := faultConfig()
 		cfg.FastForward = ff
 		cfg.Faults = faults.Config{Seed: 7, ResponseDropRate: 0.5}
 		_, err := caba.Run(cfg, caba.Base, "PVC", 1)
 		if err == nil {
-			t.Fatalf("SMWorkers=%d ff=%v: expected a wedge", w, ff)
+			t.Fatalf("ff=%v: expected a wedge", ff)
 		}
 		return err.Error()
 	}
-	ref := msg(1, false)
-	for _, v := range []struct {
-		w  int
-		ff bool
-	}{{4, false}, {1, true}, {4, true}} {
-		if got := msg(v.w, v.ff); got != ref {
-			t.Errorf("wedge error differs at SMWorkers=%d ff=%v:\n  ref %s\n  got %s", v.w, v.ff, ref, got)
-		}
+	if ref, got := msg(false), msg(true); got != ref {
+		t.Errorf("wedge error differs with fast-forward on:\n  ref %s\n  got %s", ref, got)
 	}
 }
 
@@ -121,7 +109,6 @@ func TestWedgeErrorDeterminism(t *testing.T) {
 func TestRunContextDeadline(t *testing.T) {
 	cfg := caba.Baseline()
 	cfg.Scale = 0.05
-	cfg.SMWorkers = 1
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	_, err := caba.RunContext(ctx, cfg, caba.CABABDI, "PVC", 1)
@@ -135,42 +122,35 @@ func TestRunContextDeadline(t *testing.T) {
 
 // TestFaultInjectionBatchDeterminism: the block-batched issue engine
 // must replay the identical fault campaign the unbatched engine does —
-// same injected/detected/recovered counts and bit-identical statistics —
-// at any SM-tick worker count. Batching reorders work within a cycle,
-// never across the fault stream.
+// same injected/detected/recovered counts and bit-identical statistics.
+// Batching reorders work within a cycle, never across the fault stream.
 func TestFaultInjectionBatchDeterminism(t *testing.T) {
-	run := func(batch bool, workers int) *caba.Result {
+	run := func(batch bool) *caba.Result {
 		t.Helper()
-		cfg := faultConfig(workers)
+		cfg := faultConfig()
 		cfg.BatchIssue = batch
 		res, err := caba.Run(cfg, caba.CABABDI, "PVC", 1)
 		if err != nil {
-			t.Fatalf("BatchIssue=%v SMWorkers=%d: %v", batch, workers, err)
+			t.Fatalf("BatchIssue=%v: %v", batch, err)
 		}
 		return res
 	}
-	ref := run(false, 1)
+	ref := run(false)
 	if ref.FaultsInjected == 0 || ref.FaultsDetected == 0 || ref.FaultsRecovered == 0 {
 		t.Fatalf("reference campaign inactive: injected=%d detected=%d recovered=%d",
 			ref.FaultsInjected, ref.FaultsDetected, ref.FaultsRecovered)
 	}
-	for _, v := range []struct {
-		batch   bool
-		workers int
-	}{{true, 1}, {true, 4}, {false, 4}} {
-		res := run(v.batch, v.workers)
-		if res.FaultsInjected != ref.FaultsInjected ||
-			res.FaultsDetected != ref.FaultsDetected ||
-			res.FaultsRecovered != ref.FaultsRecovered {
-			t.Errorf("BatchIssue=%v SMWorkers=%d: campaign diverged: injected %d/%d detected %d/%d recovered %d/%d",
-				v.batch, v.workers,
-				res.FaultsInjected, ref.FaultsInjected,
-				res.FaultsDetected, ref.FaultsDetected,
-				res.FaultsRecovered, ref.FaultsRecovered)
-		}
-		for _, d := range ref.Stats.Diff(res.Stats) {
-			t.Errorf("BatchIssue=%v SMWorkers=%d: stats diverge: %s", v.batch, v.workers, d)
-		}
+	res := run(true)
+	if res.FaultsInjected != ref.FaultsInjected ||
+		res.FaultsDetected != ref.FaultsDetected ||
+		res.FaultsRecovered != ref.FaultsRecovered {
+		t.Errorf("BatchIssue=true: campaign diverged: injected %d/%d detected %d/%d recovered %d/%d",
+			res.FaultsInjected, ref.FaultsInjected,
+			res.FaultsDetected, ref.FaultsDetected,
+			res.FaultsRecovered, ref.FaultsRecovered)
+	}
+	for _, d := range ref.Stats.Diff(res.Stats) {
+		t.Errorf("BatchIssue=true: stats diverge: %s", d)
 	}
 }
 
@@ -178,24 +158,17 @@ func TestFaultInjectionBatchDeterminism(t *testing.T) {
 // block-batched issue on or off — the deterministic error string is part
 // of what makes a wedge safely non-retryable for the sweep layers.
 func TestWedgeErrorBatchDeterminism(t *testing.T) {
-	msg := func(batch bool, workers int) string {
-		cfg := faultConfig(workers)
+	msg := func(batch bool) string {
+		cfg := faultConfig()
 		cfg.BatchIssue = batch
 		cfg.Faults = faults.Config{Seed: 7, ResponseDropRate: 0.5}
 		_, err := caba.Run(cfg, caba.Base, "PVC", 1)
 		if err == nil {
-			t.Fatalf("BatchIssue=%v SMWorkers=%d: expected a wedge", batch, workers)
+			t.Fatalf("BatchIssue=%v: expected a wedge", batch)
 		}
 		return err.Error()
 	}
-	ref := msg(false, 1)
-	for _, v := range []struct {
-		batch   bool
-		workers int
-	}{{true, 1}, {true, 4}} {
-		if got := msg(v.batch, v.workers); got != ref {
-			t.Errorf("wedge error differs at BatchIssue=%v SMWorkers=%d:\n  ref %s\n  got %s",
-				v.batch, v.workers, ref, got)
-		}
+	if ref, got := msg(false), msg(true); got != ref {
+		t.Errorf("wedge error differs with BatchIssue on:\n  ref %s\n  got %s", ref, got)
 	}
 }

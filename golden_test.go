@@ -30,7 +30,6 @@ var goldenRuns = []struct {
 func goldenConfig() caba.Config {
 	cfg := caba.Baseline()
 	cfg.Scale = 0.03
-	cfg.SMWorkers = 1
 	return cfg
 }
 

@@ -101,14 +101,7 @@ type Config struct {
 	// benches. 1.0 is paper scale.
 	Scale float64
 
-	// SMWorkers bounds the worker goroutines that tick SMs concurrently
-	// within one simulation (the two-phase tick): in phase A the workers
-	// advance their SMs and stage all outbound memory traffic into
-	// per-SM outboxes; in phase B the main goroutine commits the staged
-	// traffic in fixed SM-index order. 1 forces the serial path; 0 (the
-	// default) uses runtime.GOMAXPROCS(0); values above NumSMs are
-	// clamped. Results are bit-identical at every setting — the staging
-	// and ordered commit run identically regardless of worker count.
+	// Deprecated: ignored; SMs always tick serially.
 	SMWorkers int
 
 	// FastForward enables the cycle-skipping engine: when every SM is
@@ -128,7 +121,7 @@ type Config struct {
 
 	// Faults configures deterministic fault injection (zero value =
 	// disabled). Same seed + same rates produce bit-identical fault
-	// sites and statistics at every SMWorkers setting.
+	// sites and statistics.
 	Faults faults.Config
 
 	// CheckpointEvery takes a full simulator snapshot every N cycles and
@@ -154,11 +147,10 @@ type Config struct {
 	// SampleEvery records a metrics time-series sample (IPC, issue-slot
 	// breakdown, hit rates, MSHR/assist-warp occupancy, DRAM bus busy
 	// fraction, compression ratio) every N core cycles into
-	// Result.Series. Sampling reads counters after the phase-B commit on
-	// the main goroutine, so the series is identical at every SMWorkers
-	// setting; fast-forwarded windows synthesize the flat samples the
-	// per-cycle path would have recorded; snapshot/restore carries the
-	// sampler state so resumed runs emit identical series. 0 disables
+	// Result.Series. Sampling reads counters after every SM has ticked;
+	// fast-forwarded windows synthesize the flat samples the per-cycle
+	// path would have recorded; snapshot/restore carries the sampler
+	// state so resumed runs emit identical series. 0 disables
 	// sampling and adds zero overhead. Simulated statistics are
 	// bit-identical either way.
 	SampleEvery uint64
@@ -175,7 +167,7 @@ type Config struct {
 	// bursts. Empty disables tracing and adds zero overhead. Pure
 	// output: it does not affect simulation and is excluded from the
 	// snapshot config hash. Simulated statistics are bit-identical
-	// either way, at every SMWorkers setting.
+	// either way.
 	TraceFile string
 
 	// Interpreter routes warp and assist-warp execution through the
@@ -210,8 +202,8 @@ type Config struct {
 	// LSU/SFU/ALU port contention, store-buffer full, MSHR full, assist
 	// priority, or empty SM — summed into Result.Stalls. The totals are
 	// pinned to the issue-slot counters: sum == total slots − issued
-	// slots, in every FastForward/SMWorkers combination. false disables
-	// attribution and adds zero overhead.
+	// slots, with FastForward on or off. false disables attribution and
+	// adds zero overhead.
 	AttributeStalls bool
 }
 
@@ -298,8 +290,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: Scale %v out of (0,1]", c.Scale)
 	case c.NumSchedulers <= 0:
 		return fmt.Errorf("config: NumSchedulers must be positive")
-	case c.SMWorkers < 0:
-		return fmt.Errorf("config: SMWorkers must be non-negative (0 = GOMAXPROCS)")
 	case c.FlightRecorderDepth < 0:
 		return fmt.Errorf("config: FlightRecorderDepth must be non-negative")
 	case c.MetricsFile != "" && c.SampleEvery == 0:

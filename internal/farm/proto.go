@@ -31,10 +31,10 @@ import (
 )
 
 // Cell is one sweep grid cell: everything that determines the simulated
-// result. Strategy knobs inside Config (SMWorkers, FastForward,
-// Interpreter, BatchIssue, checkpoint/audit cadence, output paths) do not
-// affect results — the engine is bit-identical across them — so Key
-// zeroes them and workers are free to override them locally.
+// result. Strategy knobs inside Config (FastForward, Interpreter,
+// BatchIssue, checkpoint/audit cadence, output paths) and the ignored
+// SMWorkers do not affect results — the engine is bit-identical across
+// them — so Key zeroes them and workers are free to override them locally.
 type Cell struct {
 	App    string      `json:"app"`
 	Seed   int64       `json:"seed"`
@@ -48,7 +48,7 @@ type Cell struct {
 // result store's address and the dedupe identity.
 func (c Cell) Key() (uint64, error) {
 	cfg := c.Config
-	cfg.SMWorkers = 0
+	cfg.SMWorkers = 0 // ignored; zeroed so keys from older stores stay valid
 	cfg.FastForward = false
 	cfg.Interpreter = false
 	cfg.BatchIssue = false

@@ -23,8 +23,7 @@ type WorkerConfig struct {
 	// is reported as a transient failure (the coordinator retries it
 	// under the attempt cap). 0 disables the deadline.
 	CellTimeout time.Duration
-	// SMWorkers is the per-simulation SM-tick worker count (0 =
-	// GOMAXPROCS). Pure strategy: results are bit-identical either way.
+	// Deprecated: ignored; SMs always tick serially.
 	SMWorkers int
 	// CheckpointEvery overrides the mid-run checkpoint-upload cadence in
 	// simulated cycles when the cell's own config leaves it unset
@@ -259,7 +258,6 @@ func (w *Worker) runCell(ctx context.Context, lr *LeaseResponse) {
 	}()
 
 	cfg := cell.Config
-	cfg.SMWorkers = w.cfg.SMWorkers
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = w.cfg.CheckpointEvery
 	}

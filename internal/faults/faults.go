@@ -7,12 +7,11 @@
 // path: single-bit flips in compressed payloads on DRAM fill, corrupted
 // metadata-cache entries, and dropped or delayed memory responses. Every
 // decision is drawn from a per-site splitmix64 stream seeded from
-// Config.Seed, and every injection site executes on the simulator's main
-// goroutine (event delivery or the phase-B commit of the two-phase tick),
-// so the decision sequence is a pure function of the seed and the
-// simulated schedule: same seed + same config ⇒ bit-identical fault
-// sites, recovery counters and final statistics at every Config.SMWorkers
-// setting, preserving the PR 1/2 equivalence contracts. A zero-value
+// Config.Seed, and every injection site executes at a fixed point of the
+// simulated schedule (SM ticks in index order, then event delivery), so
+// the decision sequence is a pure function of the seed and the schedule:
+// same seed + same config ⇒ bit-identical fault sites, recovery counters
+// and final statistics, with fast-forward on or off. A zero-value
 // Config disables injection entirely and leaves the simulator's behavior
 // untouched.
 package faults

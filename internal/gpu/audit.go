@@ -17,9 +17,8 @@ import (
 // cycles later as a wedge or silently wrong statistics.
 //
 // The flight recorder (Config.FlightRecorderDepth) keeps a bounded ring
-// of recent notable events per SM plus one simulator-level ring. Phase-A
-// workers only ever touch their own SM's ring, so recording needs no
-// synchronization; wedges and violations attach the merged trail.
+// of recent notable events per SM plus one simulator-level ring; wedges
+// and violations attach the merged trail.
 
 // flightRing is one bounded event ring. A nil ring records nothing, so
 // the zero-depth configuration costs one nil check per hook.
@@ -59,8 +58,7 @@ func (fr *flightRing) dump() []audit.Record {
 	return out
 }
 
-// record adds an SM-level event (safe from phase-A workers: each SM owns
-// its ring).
+// record adds an SM-level event to the SM's own ring.
 func (sm *SM) record(event string, ln uint64) {
 	if sm.fr == nil {
 		return
@@ -68,7 +66,7 @@ func (sm *SM) record(event string, ln uint64) {
 	sm.fr.add(audit.Record{Cycle: sm.cycle, SM: sm.id, Event: event, Line: ln})
 }
 
-// record adds a simulator-level event (main goroutine only).
+// record adds a simulator-level event.
 func (sim *Simulator) record(event string, ln uint64) {
 	if sim.frSim == nil {
 		return
@@ -78,7 +76,7 @@ func (sim *Simulator) record(event string, ln uint64) {
 
 // FlightRecord returns the merged recent-event trail across all rings in
 // chronological order, or nil when the recorder is disabled. Call it only
-// between cycles (no phase-A tick in flight).
+// between cycles (no SM tick in flight).
 func (sim *Simulator) FlightRecord() []audit.Record {
 	var out []audit.Record
 	out = append(out, sim.frSim.dump()...)

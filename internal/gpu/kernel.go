@@ -101,7 +101,6 @@ func ComputeOccupancy(cfg *config.Config, k *Kernel, assistRegs int) Occupancy {
 	return occ
 }
 
-// Warps access global memory through their SM's write buffer, which
-// implements the executor's functional interface with staged (phase-A
-// safe) semantics.
-var _ core.GlobalMem = (*mem.WriteBuffer)(nil)
+// Warps access the backing memory directly through the executor's
+// functional interface.
+var _ core.GlobalMem = (*mem.Memory)(nil)

@@ -4,8 +4,8 @@ package gpu
 // and trace-span recording for the simulator. Everything here is a pure
 // observer — nil-gated at every call site, reading machine state without
 // mutating it — so the simulated statistics are bit-identical whether
-// the knobs are on or off, at every SMWorkers setting, with or without
-// fast-forward, and across snapshot/restore.
+// the knobs are on or off, with or without fast-forward, and across
+// snapshot/restore.
 
 import (
 	"fmt"
@@ -225,7 +225,7 @@ type obsTotals struct {
 }
 
 // sampler drives the metrics time-series: it closes a window every
-// `every` cycles (on the main goroutine, after the phase-B commit) and
+// `every` cycles (after every SM has ticked the boundary cycle) and
 // appends one Sample of windowed rates and instantaneous gauges. prev
 // carries the previous boundary's totals; next is the next boundary
 // cycle. All fields serialize into snapshots so a resumed run emits the

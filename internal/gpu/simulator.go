@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync/atomic"
 
 	"github.com/caba-sim/caba/internal/compress"
@@ -251,13 +250,10 @@ func (sim *Simulator) dispatch(sm *SM) {
 // provably unable to act, the skipped ticks are credited in bulk instead
 // of executed — the statistics are bit-identical either way.
 //
-// Each cycle runs as a two-phase tick. Phase A ticks every SM — serially
-// or on the worker pool, per Config.SMWorkers — with all shared-state
-// effects staged per SM (outbox, write buffer, stat shard). Phase B, on
-// the main goroutine, commits each SM's staged effects in ascending
-// SM-index order and then lets the event queue deliver memory responses
-// at the top of the next iteration. Staging runs identically at every
-// worker count, so results are bit-identical regardless of SMWorkers.
+// Each cycle delivers the memory events due, then ticks the SMs in index
+// order. An SM's effects on shared state apply as it ticks, so its
+// same-cycle stores, atomics and Domain writes are visible to
+// higher-indexed SMs in that cycle.
 func (sim *Simulator) Run(maxCycles uint64) (err error) {
 	if maxCycles == 0 {
 		maxCycles = 200_000_000
@@ -281,9 +277,9 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 			sim.S.AddShard(&sm.stat)
 		}
 	}()
-	// Backstop for main-goroutine panics (event callbacks, commit): a
+	// Backstop for panics outside an SM tick (event callbacks): a
 	// simulator bug must surface as a structured error, never escape
-	// caba.Run. Worker-goroutine panics are caught by tickSafe.
+	// caba.Run. Tick panics are caught by tickSafe.
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("gpu: internal panic at cycle %d: %v", sim.cycle, r)
@@ -292,18 +288,6 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 	wedgeLimit := int(sim.Cfg.WedgeLimit)
 	if wedgeLimit <= 0 {
 		wedgeLimit = defaultWedgeLimit
-	}
-	workers := sim.Cfg.SMWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sim.sms) {
-		workers = len(sim.sms)
-	}
-	var pool *smPool
-	if workers > 1 {
-		pool = newSMPool(sim.sms, workers)
-		defer pool.stop()
 	}
 	ff := sim.Cfg.FastForward
 	if !sim.restored {
@@ -361,7 +345,7 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 		// the event queue and memory system are empty and no SM can ever
 		// act again on its own, the hang is converted into a structured
 		// wedge error at the first such cycle — identical with
-		// fast-forward on or off and at every SMWorkers setting.
+		// fast-forward on or off.
 		if sim.Sys.Inj != nil && busy && sim.Q.Len() == 0 && sim.Sys.Drained() &&
 			sim.allWedged() {
 			return sim.wedged(&WedgeError{Cycle: sim.cycle,
@@ -400,23 +384,15 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 				continue
 			}
 		}
-		if pool != nil {
-			pool.tick(sim.cycle) // phase A, concurrent
-		} else {
-			for _, sm := range sim.sms {
-				sm.tickSafe(sim.cycle)
-			}
-		}
 		for _, sm := range sim.sms {
-			sim.commit(sm) // phase B, fixed SM-index order
+			sm.tickSafe(sim.cycle)
 		}
 		if err := sim.firstFatal(); err != nil {
 			return err
 		}
 		// Close the metrics window ending at the boundary this tick just
-		// reached (cycle+1 cycles are now complete). Runs after the
-		// commit barrier, on the main goroutine, reading only — obs on or
-		// off cannot perturb the simulated statistics.
+		// reached (cycle+1 cycles are now complete). Sampling only reads,
+		// so obs on or off cannot perturb the simulated statistics.
 		if sim.smp != nil && sim.cycle+1 == sim.smp.next {
 			sim.sample(sim.smp.next, 0)
 		}
@@ -472,8 +448,6 @@ func (sim *Simulator) wedged(we *WedgeError) error {
 }
 
 // firstFatal returns the lowest-indexed SM's recorded fatal error, if any.
-// The fixed scan order keeps the surfaced error identical at every
-// SMWorkers setting.
 func (sim *Simulator) firstFatal() error {
 	for _, sm := range sim.sms {
 		if sm.fatal != nil {
@@ -502,24 +476,6 @@ func (sim *Simulator) allWedged() bool {
 		}
 	}
 	return true
-}
-
-// commit is phase B for one SM: flush its staged functional stores, replay
-// its outbox into the crossbar/Domain/event queue, and run any deferred
-// CTA dispatch. Called in ascending SM-index order — that fixed order is
-// the crossbar's port-arbitration order, and it reproduces the schedule of
-// a fully serial tick loop exactly.
-func (sim *Simulator) commit(sm *SM) {
-	if !sm.wbuf.Empty() {
-		sm.wbuf.Flush()
-	}
-	if !sm.outbox.Empty() {
-		sim.Sys.CommitOutbox(&sm.outbox)
-	}
-	if sm.wantDispatch {
-		sm.wantDispatch = false
-		sim.dispatch(sm)
-	}
 }
 
 // ffWake computes the fast-forward wake cycle: the earliest future cycle

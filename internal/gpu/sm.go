@@ -11,7 +11,6 @@ import (
 	"github.com/caba-sim/caba/internal/mem"
 	"github.com/caba-sim/caba/internal/obs"
 	"github.com/caba-sim/caba/internal/stats"
-	"github.com/caba-sim/caba/internal/timing"
 )
 
 // Store-buffer tuning: the dedicated L1 sets / shared-memory space used to
@@ -110,19 +109,8 @@ type SM struct {
 	pf   *prefetcher
 	memo *memoCache
 
-	// Two-phase tick state. inTick is true while tick() runs (phase A,
-	// possibly on a worker goroutine): shared-state operations are then
-	// staged into outbox/wbuf instead of applied, and the simulator
-	// commits them at the cycle barrier in SM-index order. Outside
-	// tick() — event callbacks delivered from the queue (phase B) — the
-	// same helpers apply operations directly.
-	inTick       bool
-	wantDispatch bool // CTA retirement requested a dispatch; run at commit
-	outbox       mem.Outbox
-	wbuf         *mem.WriteBuffer
-
 	// stat is this SM's shard of the run counters; folded into sim.S at
-	// the end of the run so phase-A workers never contend.
+	// the end of the run.
 	stat stats.Shard
 
 	// execPool recycles assist-warp execution contexts (registers +
@@ -267,12 +255,12 @@ type SM struct {
 	fatal error
 
 	// fr is this SM's flight-recorder ring (nil when the recorder is
-	// off). Only this SM writes it, even during phase-A worker ticks.
+	// off). Only this SM writes it.
 	fr *flightRing
 
 	// attr is this SM's per-warp stall attribution table (nil when
 	// Config.AttributeStalls is off). Like stat and fr, it is written
-	// only by its owning SM, so phase-A workers never contend.
+	// only by its owning SM.
 	attr *obs.Attr
 	// qBlameW/qBlameC cache the attribution target alongside the
 	// quiescence verdict (qKind): the tick fast path and the
@@ -282,10 +270,10 @@ type SM struct {
 	qBlameC obs.Cause
 
 	// tr is this SM's trace shard (nil when Config.TraceFile is empty);
-	// written only by this SM, so phase-A workers never contend. The
-	// trAW*/trMSHR* maps and free lists allocate stable per-entity
-	// track ids (warp slots occupy [0, MaxWarpsPerSM); assist warps and
-	// MSHR lines get recycled tracks in disjoint ranges above).
+	// written only by this SM. The trAW*/trMSHR* maps and free lists
+	// allocate stable per-entity track ids (warp slots occupy
+	// [0, MaxWarpsPerSM); assist warps and MSHR lines get recycled tracks
+	// in disjoint ranges above).
 	tr         *obs.TraceShard
 	trAW       map[*core.Entry]int
 	trAWFree   []int
@@ -327,114 +315,28 @@ func (sm *SM) fail(err error) {
 	sm.touch()
 }
 
-// tickSafe runs one tick with a panic backstop: a panic on a phase-A
-// worker goroutine cannot be recovered by Run's own defer, so it is
-// converted here into the SM's fatal error and surfaced at the cycle
-// barrier.
+// tickSafe runs one tick with a panic backstop that converts a panic into
+// the SM's fatal error, so the surfaced error names the SM that failed.
 func (sm *SM) tickSafe(cycle uint64) {
 	defer func() {
 		if r := recover(); r != nil {
-			sm.inTick = false
 			sm.fail(fmt.Errorf("gpu: sm%d: internal panic at cycle %d: %v", sm.id, cycle, r))
 		}
 	}()
 	sm.tick(cycle)
 }
 
-// --- Staged shared-state access (two-phase tick) ---
-//
-// Every touch of state shared across SMs — the crossbar, the event queue,
-// the compression Domain, the functional backing memory — goes through
-// these helpers. During tick() (phase A, concurrent across SMs) they
-// stage into the per-SM outbox/write buffer; in event contexts (phase B,
-// main goroutine only) they apply directly. Reads always overlay the SM's
-// own staged writes, so within a tick the SM observes its own effects
-// exactly as it would on a fully serial schedule.
-
-// sysReadLine requests a line from the memory system.
-func (sm *SM) sysReadLine(ln uint64, user any) {
-	if sm.inTick {
-		sm.outbox.ReadLine(ln, user)
-		return
-	}
-	sm.sim.Sys.ReadLine(sm.id, ln, user)
-}
-
-// sysReadLineRaw requests the uncompressed copy of a line (fault
-// recovery).
-func (sm *SM) sysReadLineRaw(ln uint64, user any) {
-	if sm.inTick {
-		sm.outbox.ReadLineRaw(ln, user)
-		return
-	}
-	sm.sim.Sys.ReadLineRaw(sm.id, ln, user)
-}
-
-// sysWriteLine sends a line writeback toward L2.
-func (sm *SM) sysWriteLine(ln uint64) {
-	if sm.inTick {
-		sm.outbox.WriteLine(ln)
-		return
-	}
-	sm.sim.Sys.WriteLine(sm.id, ln)
-}
-
-// qAt schedules act on the global event queue at absolute time at.
-func (sm *SM) qAt(at float64, act timing.Action) {
-	if sm.inTick {
-		sm.outbox.Event(at, act)
-		return
-	}
-	sm.sim.Q.Push(at, act)
-}
-
-// domState returns the line's compression state, seeing this SM's staged
-// same-cycle Domain writes first.
-func (sm *SM) domState(ln uint64) compress.Compressed {
-	if st, ok := sm.outbox.StagedState(ln); ok {
-		return st
-	}
-	return sm.sim.Dom.State(ln)
-}
-
-// domSetCompressed records the line as stored compressed.
-func (sm *SM) domSetCompressed(ln uint64, st compress.Compressed) {
-	if sm.inTick {
-		sm.outbox.SetCompressed(ln, st)
-		return
-	}
-	sm.sim.Dom.SetCompressed(ln, st)
-}
-
-// domSetRaw records the line as stored uncompressed.
-func (sm *SM) domSetRaw(ln uint64) {
-	if sm.inTick {
-		sm.outbox.SetRaw(ln)
-		return
-	}
-	sm.sim.Dom.SetRaw(ln)
-}
-
-// domReadRaw copies the line's uncompressed truth into buf: the committed
-// bytes overlaid with this SM's staged functional stores.
-func (sm *SM) domReadRaw(ln uint64, buf []byte) {
-	sm.sim.Dom.ReadRaw(ln, buf)
-	sm.wbuf.OverlayLine(ln, buf)
-}
-
-// domCompressLine compresses the line's current (overlay-visible) bytes
-// with the domain algorithm and records the result. The compressed image
-// is computed here, in phase A, from a stable snapshot — not recomputed at
-// commit — so the result is independent of other SMs' same-cycle stores.
+// domCompressLine compresses the line's current bytes with the domain
+// algorithm and records the result.
 func (sm *SM) domCompressLine(ln uint64) {
 	var line [compress.LineSize]byte
-	sm.domReadRaw(ln, line[:])
+	sm.sim.Dom.ReadRaw(ln, line[:])
 	c, err := compress.Compress(sm.sim.Dom.Alg, line[:])
 	if err != nil {
 		sm.fail(fmt.Errorf("gpu: %w", err)) // impossible: line is LineSize
 		return
 	}
-	sm.domSetCompressed(ln, c)
+	sm.sim.Dom.SetCompressed(ln, c)
 }
 
 // newAssistExec builds an assist-warp execution context, recycling a
@@ -466,10 +368,8 @@ func newSM(id int, sim *Simulator) *SM {
 		warps: make([]*warpCtx, cfg.MaxWarpsPerSM),
 		l1:    mem.NewCache(cfg.L1Size, cfg.L1Assoc, cfg.LineSize, 1, sim.Design.L1TagMult),
 		mshr:  mem.NewMSHR(cfg.L1MSHRs),
-		wbuf:  mem.NewWriteBuffer(sim.Mem),
 		fr:    newFlightRing(cfg.FlightRecorderDepth),
 	}
-	sm.outbox.SM = id
 	for i := range sm.warps {
 		sm.warps[i] = &warpCtx{id: i}
 	}
@@ -611,7 +511,7 @@ func (sm *SM) placeCTA(ctaID int) {
 			ex = core.NewExec(k.Prog, mask)
 		}
 		ex.Interp = cfg.Interpreter
-		ex.Mem = sm.wbuf
+		ex.Mem = sm.sim.Mem
 		ex.Shared = cta.shared
 		for lane := 0; lane < cfg.WarpSize; lane++ {
 			tid := placed*cfg.WarpSize + lane
@@ -663,15 +563,14 @@ func (sm *SM) freeWarps() int {
 	return n
 }
 
-// retireCTAIfDone frees a finished CTA and asks the dispatcher for more
-// work.
-func (sm *SM) retireCTAIfDone(cta *ctaCtx) {
+// retireCTAIfDone frees a finished CTA and reports whether it did.
+func (sm *SM) retireCTAIfDone(cta *ctaCtx) bool {
 	if cta.liveWarps > 0 {
-		return
+		return false
 	}
 	for _, w := range cta.warps {
 		if w.inFlight > 0 || w.pendingLoads > 0 || w.replay != nil {
-			return
+			return false
 		}
 	}
 	for _, w := range cta.warps {
@@ -694,30 +593,15 @@ func (sm *SM) retireCTAIfDone(cta *ctaCtx) {
 	if sm.fr != nil {
 		sm.record(fmt.Sprintf("CTA %d retired", cta.id), 0)
 	}
-	// Dispatch pulls from the shared CTA counter; during a concurrent tick
-	// the request is deferred and the simulator runs it at the cycle
-	// barrier in SM-index order, reproducing the serial tick's dispatch
-	// order (a placed CTA cannot issue until the next tick either way).
-	if sm.inTick {
-		sm.wantDispatch = true
-		return
-	}
-	sm.sim.dispatch(sm)
+	return true
 }
 
 // --- Per-cycle tick ---
 
-// tick runs one SM cycle (phase A of the two-phase tick). It may execute
-// on a worker goroutine: inTick routes every shared-state effect into the
-// SM's outbox/write buffer, and the simulator commits them at the cycle
-// barrier in SM-index order.
+// tick runs one SM cycle. Its effects on shared state — crossbar
+// requests, events, Domain updates, functional stores and atomics, CTA
+// dispatch — apply immediately; the simulator ticks SMs in index order.
 func (sm *SM) tick(cycle uint64) {
-	sm.inTick = true
-	sm.tickCompute(cycle)
-	sm.inTick = false
-}
-
-func (sm *SM) tickCompute(cycle uint64) {
 	// Quiescence fast path: replay (or establish) a proven stall
 	// classification without touching the pipeline. Bit-identical to the
 	// full tick below — quiescent() guarantees the tick would be a pure
@@ -810,8 +694,16 @@ func (sm *SM) tickCompute(cycle uint64) {
 	// liveWarps==0 population, so the common steady-state tick skips the
 	// walk entirely).
 	if sm.drainingCTAs > 0 {
+		retired := false
 		for i := len(sm.ctas) - 1; i >= 0; i-- {
-			sm.retireCTAIfDone(sm.ctas[i])
+			if sm.retireCTAIfDone(sm.ctas[i]) {
+				retired = true
+			}
+		}
+		// One dispatch after the sweep: CTAs retiring in the same tick free
+		// their warp slots together, and new CTAs fill the lowest ones.
+		if retired {
+			sm.sim.dispatch(sm)
 		}
 	}
 }
@@ -2101,7 +1993,7 @@ func (sm *SM) l1Lookup(ln uint64, req *loadReq) bool {
 	// Figure 13: L1-resident compressed lines pay decompression on every
 	// hit.
 	if sm.sim.Design.L1TagMult > 1 {
-		if st := sm.domState(ln); st.IsCompressed() && sm.l1.LineSizeOf(ln) < sm.sim.Cfg.LineSize {
+		if st := sm.sim.Dom.State(ln); st.IsCompressed() && sm.l1.LineSizeOf(ln) < sm.sim.Cfg.LineSize {
 			switch sm.sim.Design.Decomp {
 			case config.DecompHW:
 				d, _ := compress.HWLatency(sm.sim.Design.Alg)
@@ -2130,7 +2022,7 @@ func (sm *SM) fetchOrReplay(req *loadReq, ln uint64) {
 			if sm.tr != nil {
 				sm.traceMSHRBegin(ln)
 			}
-			sm.sysReadLine(ln, &fillCtx{kind: fillLoad, load: req})
+			sm.sim.Sys.ReadLine(sm.id, ln, &fillCtx{kind: fillLoad, load: req})
 		}
 		return
 	}
@@ -2153,7 +2045,7 @@ func (sm *SM) processReplays() {
 					if sm.tr != nil {
 						sm.traceMSHRBegin(ln)
 					}
-					sm.sysReadLine(ln, &fillCtx{kind: fillLoad, load: req})
+					sm.sim.Sys.ReadLine(sm.id, ln, &fillCtx{kind: fillLoad, load: req})
 				}
 				continue
 			}
@@ -2248,9 +2140,9 @@ func (sm *SM) evictOldestStore() {
 		sm.storeBuf = append(sm.storeBuf[:i], sm.storeBuf[i+1:]...)
 		sm.stat.StoreBufferFlushes++
 		if sm.sim.Design.Scope == config.ScopeL2 {
-			sm.domSetRaw(se.lineAddr)
+			sm.sim.Dom.SetRaw(se.lineAddr)
 		}
-		sm.sysWriteLine(se.lineAddr)
+		sm.sim.Sys.WriteLine(sm.id, se.lineAddr)
 		return
 	}
 }
@@ -2276,9 +2168,9 @@ func (sm *SM) drainStores() {
 // line is compressed per the design and sent to L2.
 func (sm *SM) beginDrain(se *storeEntry) {
 	full := se.coverage == 0xFFFFFFFF
-	if !full && sm.sim.Design.Compressing() && sm.domState(se.lineAddr).IsCompressed() {
+	if !full && sm.sim.Design.Compressing() && sm.sim.Dom.State(se.lineAddr).IsCompressed() {
 		se.state = sbRMW
-		sm.sysReadLine(se.lineAddr, &fillCtx{kind: fillRMW, se: se})
+		sm.sim.Sys.ReadLine(sm.id, se.lineAddr, &fillCtx{kind: fillRMW, se: se})
 		return
 	}
 	sm.compressAndWrite(se)
@@ -2300,10 +2192,10 @@ func (sm *SM) compressAndWrite(se *storeEntry) {
 	case config.DecompHW:
 		se.state = sbCompress
 		_, lat := compress.HWLatency(design.Alg)
-		sm.qAt(float64(sm.cycle+uint64(lat)), actHWCompress{sm: sm, se: se})
+		sm.sim.Q.Push(float64(sm.cycle+uint64(lat)), actHWCompress{sm: sm, se: se})
 	case config.DecompCABA:
 		if sm.compDisabled {
-			sm.domSetRaw(se.lineAddr)
+			sm.sim.Dom.SetRaw(se.lineAddr)
 			sm.releaseStore(se)
 			return
 		}
@@ -2319,7 +2211,7 @@ func (sm *SM) releaseStore(se *storeEntry) {
 	sm.touch()
 	se.released = true
 	sm.removeStore(se)
-	sm.sysWriteLine(se.lineAddr)
+	sm.sim.Sys.WriteLine(sm.id, se.lineAddr)
 }
 
 // --- CABA integration ---
@@ -2359,11 +2251,11 @@ func (sm *SM) beginCABACompression(se *storeEntry) {
 		// (Section 6.3): pick the oracle's best algorithm, then pay that
 		// algorithm's assist-warp cost.
 		var line [compress.LineSize]byte
-		sm.domReadRaw(se.lineAddr, line[:])
+		sm.sim.Dom.ReadRaw(se.lineAddr, line[:])
 		best, _ := compress.Compress(compress.AlgBest, line[:])
 		se.alg = best.Alg
 		if se.alg == compress.AlgNone {
-			sm.domSetRaw(se.lineAddr)
+			sm.sim.Dom.SetRaw(se.lineAddr)
 			sm.releaseStore(se)
 			return
 		}
@@ -2383,7 +2275,7 @@ func (sm *SM) stepCompressionChain(se *storeEntry) {
 		if sm.compFailStreak >= 3 {
 			sm.compDisabled = true
 		}
-		sm.domSetRaw(se.lineAddr)
+		sm.sim.Dom.SetRaw(se.lineAddr)
 		sm.releaseStore(se)
 		return
 	}
@@ -2405,7 +2297,7 @@ func (sm *SM) tryCompressStep(se *storeEntry) bool {
 		return false
 	}
 	ex := sm.newAssistExec(rt)
-	sm.domReadRaw(se.lineAddr, ex.StageIn[:compress.LineSize])
+	sm.sim.Dom.ReadRaw(se.lineAddr, ex.StageIn[:compress.LineSize])
 	e := sm.awc.Trigger(rt, se.warp, ex, se, sm.assistOnComplete(se, rt.ID))
 	if e == nil {
 		sm.releaseAssistExec(ex)
@@ -2493,7 +2385,7 @@ func (sm *SM) finishCompressionStep(se *storeEntry, e *core.Entry) {
 			st := compress.Compressed{Alg: alg, Enc: 0,
 				Data: append([]byte(nil), ex.StageOut[:size]...)}
 			sm.compFailStreak = 0
-			sm.domSetCompressed(se.lineAddr, st)
+			sm.sim.Dom.SetCompressed(se.lineAddr, st)
 			sm.stat.LinesCompressed++
 			sm.releaseStore(se)
 			return
@@ -2510,7 +2402,7 @@ func (sm *SM) installCompressed(se *storeEntry, enc compress.BDIEncoding, ex *co
 	size := enc.CompressedSize()
 	st := compress.Compressed{Alg: compress.AlgBDI, Enc: uint8(enc),
 		Data: append([]byte(nil), ex.StageOut[:size]...)}
-	sm.domSetCompressed(se.lineAddr, st)
+	sm.sim.Dom.SetCompressed(se.lineAddr, st)
 	sm.stat.LinesCompressed++
 	sm.releaseStore(se)
 }
@@ -2619,7 +2511,7 @@ func (sm *SM) verifyDecompression(ln uint64, ex *core.Exec) {
 		return
 	}
 	var truth [compress.LineSize]byte
-	sm.domReadRaw(ln, truth[:])
+	sm.sim.Dom.ReadRaw(ln, truth[:])
 	if !bytes.Equal(ex.StageOut[:compress.LineSize], truth[:]) {
 		sm.stat.DecompMismatches++
 	}
@@ -2688,7 +2580,7 @@ func (sm *SM) finishECCCheck(dc *decompCtx, ex *core.Exec) {
 		return
 	}
 	var truth [compress.LineSize]byte
-	sm.domReadRaw(dc.ln, truth[:])
+	sm.sim.Dom.ReadRaw(dc.ln, truth[:])
 	if bytes.Equal(dc.buf[:], truth[:]) {
 		sm.runCont(dc.done)
 		return
@@ -2708,7 +2600,7 @@ func (sm *SM) finishECCCheck(dc *decompCtx, ex *core.Exec) {
 func (sm *SM) refetchRaw(ln uint64, after cont) {
 	sm.touch()
 	sm.record("fault detected; refetching raw line", ln)
-	sm.sysReadLineRaw(ln, &fillCtx{kind: fillRefetch, after: after})
+	sm.sim.Sys.ReadLineRaw(sm.id, ln, &fillCtx{kind: fillRefetch, after: after})
 }
 
 // --- Assist-warp instruction issue ---
@@ -2776,7 +2668,7 @@ func (sm *SM) tryIssueAssist(e *core.Entry) (ok, dep, memS, compS bool) {
 					if sm.pf != nil {
 						sm.pf.lines++ // prefetch-held MSHR entry until its fill
 					}
-					sm.sysReadLine(ln, &fillCtx{kind: fillAssist})
+					sm.sim.Sys.ReadLine(sm.id, ln, &fillCtx{kind: fillAssist})
 				}
 			}
 		}
@@ -2888,7 +2780,7 @@ func (sm *SM) completeFill(ln uint64, ctx *fillCtx) {
 	case fillLoad:
 		size := sm.sim.Cfg.LineSize
 		if sm.sim.Design.L1TagMult > 1 {
-			if st := sm.domState(ln); st.IsCompressed() {
+			if st := sm.sim.Dom.State(ln); st.IsCompressed() {
 				size = st.Size()
 			}
 		}

@@ -17,8 +17,7 @@ import (
 // blob. LoadState restores it into a freshly built Simulator with the same
 // configuration. The contract is bit-identical resume: run(N cycles),
 // Save, Load into a new sim, run(M−N more) produces exactly the stats and
-// error behavior of run(M) straight through, at any SMWorkers setting and
-// with fast-forward on or off.
+// error behavior of run(M) straight through, with fast-forward on or off.
 //
 // Pending work is held in pointer-linked structures (loadReq, storeEntry,
 // fillCtx, decompCtx, decompPlain) that are shared between warps, MSHR
@@ -421,14 +420,14 @@ func loadComp(r *snapshot.Reader) compress.Compressed {
 // configHash binds a snapshot to the run it came from: configuration,
 // design and kernel identity, with the observability knobs (checkpoint /
 // audit cadence, flight-recorder depth, output paths) and the
-// execution-strategy knobs (worker count, fast-forward) zeroed — those
+// execution-strategy knobs (fast-forward, engine choice) zeroed — those
 // may differ between the saving and resuming process without affecting
 // simulated state. SampleEvery and AttributeStalls stay hashed: they
 // determine the snapshot's obs payload geometry, and a resumed run can
 // only emit the identical metrics series under the identical cadence.
 func (sim *Simulator) configHash() (uint64, error) {
 	cfg := *sim.Cfg
-	cfg.SMWorkers = 0
+	cfg.SMWorkers = 0 // ignored; zeroed so older checkpoint blobs stay valid
 	cfg.FastForward = false
 	cfg.Interpreter = false
 	cfg.BatchIssue = false
@@ -443,14 +442,11 @@ func (sim *Simulator) configHash() (uint64, error) {
 }
 
 // SaveState serializes the complete simulator state into a sealed blob.
-// It must be called at a cycle boundary with per-cycle staging committed —
-// Run's checkpoint hook satisfies this; callers between Run invocations
-// (a finished or interrupted sim) do too, provided no SM has failed.
+// It must be called at a cycle boundary — Run's checkpoint hook satisfies
+// this; callers between Run invocations (a finished or interrupted sim) do
+// too, provided no SM has failed.
 func (sim *Simulator) SaveState() ([]byte, error) {
 	for _, sm := range sim.sms {
-		if !sm.outbox.Empty() || !sm.wbuf.Empty() || sm.wantDispatch {
-			return nil, fmt.Errorf("gpu: snapshot at cycle %d: SM %d has uncommitted staged state", sim.cycle, sm.id)
-		}
 		if sm.fatal != nil {
 			return nil, fmt.Errorf("gpu: snapshot at cycle %d: SM %d has a fatal error: %w", sim.cycle, sm.id, sm.fatal)
 		}
@@ -1318,7 +1314,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 			return err
 		}
 		wp.exec.Shared = wp.cta.shared
-		wp.exec.Mem = sm.wbuf
+		wp.exec.Mem = sm.sim.Mem
 	}
 
 	// Assist-warp controller.

@@ -18,8 +18,8 @@ import (
 // values, so architected state is exact and the model measures only when
 // the use case pays off, never whether it computes correctly.
 //
-// Both structures are per-SM, touched only by their owning SM (phase A)
-// or the main goroutine, and serialize with the SM snapshot section so
+// Both structures are per-SM, touched only by their owning SM, and
+// serialize with the SM snapshot section so
 // resumed runs stay bit-identical. They are nil unless the design's
 // UseCase enables them, which keeps every existing design's behavior and
 // golden outputs untouched.

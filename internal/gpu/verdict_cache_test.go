@@ -17,7 +17,7 @@ import (
 // donor's setting — finishes bit-identical to the uninterrupted run.
 func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 	const maxCycles = 20_000_000
-	c := snapMatrixCase{name: "w1-ff-clean", workers: 1, ff: true}
+	c := snapMatrixCase{name: "w1-ff-clean", ff: true}
 
 	straight := newSnapSim(t, c, true)
 	if err := straight.Run(maxCycles); err != nil {

@@ -84,3 +84,18 @@ func (m *Memory) WriteU(addr uint64, v uint64, width uint8) {
 	binary.LittleEndian.PutUint64(buf[:], v)
 	m.Write(addr, buf[:width])
 }
+
+// LoadGlobal is the executor's functional load (core.GlobalMem).
+func (m *Memory) LoadGlobal(addr uint64, width uint8) uint64 { return m.ReadU(addr, width) }
+
+// StoreGlobal is the executor's functional store (core.GlobalMem).
+func (m *Memory) StoreGlobal(addr, v uint64, width uint8) { m.WriteU(addr, v, width) }
+
+// AtomicAdd adds v to the width-byte value at addr and returns the old
+// value (core.GlobalMem). SMs tick one at a time, so a plain
+// read-modify-write is atomic with respect to every other warp.
+func (m *Memory) AtomicAdd(addr, v uint64, width uint8) uint64 {
+	old := m.ReadU(addr, width)
+	m.WriteU(addr, old+v, width)
+	return old
+}

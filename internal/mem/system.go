@@ -24,10 +24,9 @@ type System struct {
 	parts  []*Partition
 
 	// Inj draws deterministic fault-injection decisions; nil when the
-	// campaign is disabled. Every site that consults it runs on the main
-	// goroutine (event delivery / phase-B commit), so the decision
-	// sequence — and therefore every injected fault — is identical at
-	// every SMWorkers setting.
+	// campaign is disabled. Its sites run in the simulator's fixed order
+	// (SM ticks in index order, then event delivery), so the decision
+	// sequence — and therefore every injected fault — is deterministic.
 	Inj *faults.Injector
 
 	// OnFill is invoked (at SM arrival time) for every completed ReadLine.
@@ -35,9 +34,8 @@ type System struct {
 }
 
 // AttachTrace routes each DRAM channel's data-bus occupancy spans onto
-// the given trace shard (tid = channel id). Channels only record on the
-// main goroutine (event delivery / phase-B commit), so one shard for the
-// whole memory system is race-free at every SMWorkers setting.
+// the given trace shard (tid = channel id). The simulator runs on one
+// goroutine, so one shard serves the whole memory system.
 func (sys *System) AttachTrace(sh *obs.TraceShard) {
 	for i, p := range sys.parts {
 		sh.ThreadName(i, fmt.Sprintf("channel %d", i))

@@ -84,8 +84,8 @@ func (c Cause) String() string {
 // Attr accumulates one SM's per-warp stall attribution: a row of Cause
 // counters per warp slot plus one trailing SM-level row for slots with no
 // candidate warp (CauseEmpty). Each counter is the number of scheduler
-// issue slots charged to that (warp, cause) pair. Attr is written only by
-// its owning SM (phase A) or the main goroutine, never concurrently.
+// issue slots charged to that (warp, cause) pair. Attr is written only on
+// behalf of its owning SM.
 type Attr struct {
 	// Counts holds warpSlots+1 rows of NumCauses counters; the last row
 	// is the SM-level row addressed by warp index -1.

@@ -9,10 +9,6 @@
 // them enabled the simulated statistics remain bit-identical. The layer
 // composes with the repo's other runtime engines:
 //
-//   - Parallel tick (Config.SMWorkers): phase-A workers write only
-//     per-SM shards (one Attr and one TraceShard per SM); shared state
-//     is read or merged on the main goroutine in phase B, so output is
-//     identical at every worker count.
 //   - Fast-forward (Config.FastForward): skipped windows are pure
 //     stall-accounting no-ops, so crossed sample boundaries synthesize
 //     flat samples from the quiescence credit formula and skipped slots

@@ -11,11 +11,9 @@ import (
 
 // Trace accumulates Chrome-trace events ("Trace Event Format" JSON, the
 // format chrome://tracing and Perfetto load) for one simulation run. It
-// is sharded for the two-phase parallel tick: one TraceShard per SM —
-// written only by that SM's phase-A worker or the main goroutine, never
-// concurrently — plus one memory-system shard written only on the main
-// goroutine. Because each SM's event sequence is independent of worker
-// count, the flushed file is byte-identical at every SMWorkers setting.
+// keeps one TraceShard per SM plus one memory-system shard; each shard's
+// event sequence is a function of the simulated schedule alone, so the
+// flushed file is deterministic.
 //
 // Timestamps are simulated cycles (core cycles on SM shards, memory bus
 // cycles on the memory shard), rendered as integer microseconds in the

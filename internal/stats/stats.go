@@ -203,13 +203,10 @@ func (s *Sim) AvgPowerW(coreClockMHz int) float64 {
 }
 
 // Shard is the per-SM slice of the counters the SM tick path increments.
-// With the two-phase parallel tick, phase-A workers bump their own SM's
-// shard (no contention, no atomics) and the simulator folds the shards
-// into the run's Sim once at the end; every field is a commutative sum,
-// so the fold is order-independent and the totals are bit-identical to
-// serial direct increments. Memory-system counters (flits, DRAM, L2, MD
-// cache) stay on Sim itself: they are only touched by the main goroutine
-// during the commit phase.
+// Each SM bumps its own shard and the simulator folds the shards into the
+// run's Sim once at the end; every field is a commutative sum, so the
+// fold is order-independent. Memory-system counters (flits, DRAM, L2, MD
+// cache) stay on Sim itself.
 type Shard struct {
 	WarpInstrs   uint64
 	ThreadInstrs uint64
@@ -242,9 +239,8 @@ type Shard struct {
 	MemoUpdates       uint64
 
 	// Fault counters for injection/detection/recovery events that happen
-	// on the SM fill path (phase-B commit or event delivery, so in
-	// practice main-goroutine only, but shard-resident to keep every SM
-	// counter on one write path).
+	// on the SM fill path (shard-resident to keep every SM counter on one
+	// write path).
 	FaultsInjected  uint64
 	FaultsDetected  uint64
 	FaultsRecovered uint64

@@ -2,17 +2,17 @@
 # Regenerates BENCH_sim.json: wall-clock and allocation numbers for the
 # simulator hot loop (Sim* benchmarks at a fixed 5 iterations for
 # comparability, minimum over 3 repetitions to estimate the noise floor)
-# and the event-queue micro-benchmark. Run via `make bench` from the
-# repository root.
+# and the event-queue micro-benchmark, stamped with the host fingerprint
+# from scripts/hostmeta.sh. Run via `make bench` from the repository root.
 set -e
 cd "$(dirname "$0")/.."
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 # Preflight: benchmark numbers are only recorded from a tree that vets
-# clean, is race-free (the parallel tick engine makes -race load-bearing),
-# and whose zero-fault runs are still bit-identical to the recorded golden
-# statistics (the fault-injection hooks must cost nothing when disabled).
+# clean, is race-free, and whose zero-fault runs are still bit-identical
+# to the recorded golden statistics (the fault-injection hooks must cost
+# nothing when disabled).
 go vet ./...
 go test -race ./...
 go test -run 'TestZeroFaultGolden' .
@@ -46,20 +46,14 @@ prev_allocs=$(awk -F'[,: ]+' '/BenchmarkSimHotLoop/ { for (i=1;i<=NF;i++) if ($i
 go test -run '^$' \
   -bench 'BenchmarkSimBasePVC$|BenchmarkSimCABAPVC$|BenchmarkSimCABAPVCInterp$|BenchmarkSimCABAPVCBatch$|BenchmarkSimCABAPVCDecoded$|BenchmarkSimBaseSSSP$|BenchmarkSimCABASSSP$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$' \
   -benchtime 5x -count 3 -benchmem . | tee "$tmp"
-go test -run '^$' -bench 'BenchmarkSimParallelPVC' \
-  -benchtime 5x -count 3 -benchmem . | tee -a "$tmp"
 go test -run '^$' -bench 'BenchmarkQueue$' -count 3 -benchmem ./internal/timing | tee -a "$tmp"
 
-# Machine metadata: parallel-tick numbers (BenchmarkSimParallelPVC) only
-# compare meaningfully across runs with the same worker budget, so the
-# GOMAXPROCS the benchmarks actually ran under (the -N suffix Go appends
-# to benchmark names — omitted entirely when GOMAXPROCS is 1) and the
-# host CPU count are recorded alongside the numbers.
-gomaxprocs=$(awk '/^Benchmark/ { if (match($1, /-[0-9]+$/)) { print substr($1, RSTART+1); exit } }' "$tmp")
-num_cpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo null)
+# Host fingerprint: ns/op floors only compare meaningfully on the host
+# that recorded them, so bench_compare.sh checks it before gating.
+meta=$(sh scripts/hostmeta.sh)
 
 # Minimum over the -count repetitions per benchmark, first-seen order.
-awk -v gomaxprocs="${gomaxprocs:-1}" -v num_cpu="$num_cpu" '
+awk -v meta="$meta" '
 /^Benchmark/ {
   name=$1; sub(/-[0-9]+$/, "", name)
   ns="null"; bytes="null"; allocs="null"
@@ -79,7 +73,7 @@ awk -v gomaxprocs="${gomaxprocs:-1}" -v num_cpu="$num_cpu" '
 }
 END {
   print "{"
-  printf "  \"meta\": {\"gomaxprocs\": %s, \"num_cpu\": %s},\n", gomaxprocs, num_cpu
+  printf "  \"meta\": %s,\n", meta
   printf "  \"benchmarks\": ["; sep=""
   for (i = 0; i < n; i++) {
     name = order[i]

@@ -5,12 +5,27 @@
 # BENCH_sim.json and fails if any is more than 10% slower.
 # Run via `make bench-compare` from the repository root. Does not rewrite
 # the baseline — that is `make bench`'s job.
+#
+# Exits 2 without benchmarking when this host's fingerprint
+# (scripts/hostmeta.sh: CPU model, CPU count, GOMAXPROCS, Go version)
+# differs from the one BENCH_sim.json was recorded on: floors from
+# another host say nothing about a regression here.
 set -e
 cd "$(dirname "$0")/.."
 
 if [ ! -f BENCH_sim.json ]; then
   echo "FAIL: BENCH_sim.json missing; run 'make bench' to record a baseline" >&2
   exit 1
+fi
+
+recorded=$(sed -n 's/^ *"meta": \(.*\),$/\1/p' BENCH_sim.json)
+here=$(sh scripts/hostmeta.sh)
+if [ "$recorded" != "$here" ]; then
+  echo "bench-compare: BENCH_sim.json was recorded on a different host; refusing to gate" >&2
+  echo "  recorded: ${recorded:-none}" >&2
+  echo "  here:     $here" >&2
+  echo "  run 'make bench' to record floors on this host" >&2
+  exit 2
 fi
 
 tmp=$(mktemp)

@@ -12,11 +12,10 @@ import (
 )
 
 // useCaseConfig is the small reference machine the use-case tests run
-// on: golden scale, one worker by default, full Baseline mechanisms.
+// on: golden scale, full Baseline mechanisms.
 func useCaseConfig() caba.Config {
 	cfg := caba.Baseline()
 	cfg.Scale = 0.03
-	cfg.SMWorkers = 1
 	return cfg
 }
 
@@ -79,8 +78,8 @@ func TestUseCaseGoldenEquivalence(t *testing.T) {
 }
 
 // TestUseCaseDeterminismGrid runs each use-case design across the full
-// execution-strategy grid — SMWorkers {1,4} × FastForward {off,on} ×
-// BatchIssue {off,on} — and requires bit-identical statistics from every
+// execution-strategy grid — FastForward {off,on} × BatchIssue {off,on} —
+// and requires bit-identical statistics from every
 // combination. The use-case structures are per-SM and quiescence/batch
 // establishment refuse to claim stretches the use cases could act in, so
 // the strategies must be invisible.
@@ -99,33 +98,30 @@ func TestUseCaseDeterminismGrid(t *testing.T) {
 		t.Run(c.design.Name+"/"+c.app, func(t *testing.T) {
 			var ref *caba.Metrics
 			var refName string
-			for _, workers := range []int{1, 4} {
-				for _, ff := range []bool{false, true} {
-					for _, batch := range []bool{false, true} {
-						cfg := useCaseConfig()
-						if c.small {
-							cfg = smallMachine(cfg)
-						}
-						cfg.SMWorkers = workers
-						cfg.FastForward = ff
-						cfg.BatchIssue = batch
-						name := fmt.Sprintf("w%d-ff%v-batch%v", workers, ff, batch)
-						res, err := caba.Run(cfg, c.design, c.app, 1)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						// FF bookkeeping counters differ by construction; the
-						// architected statistics must not.
-						got := *res.Stats
-						if ref == nil {
-							r := got
-							ref, refName = &r, name
-							continue
-						}
-						if !reflect.DeepEqual(*ref, got) {
-							for _, d := range ref.Diff(&got) {
-								t.Errorf("%s vs %s: %s", refName, name, d)
-							}
+			for _, ff := range []bool{false, true} {
+				for _, batch := range []bool{false, true} {
+					cfg := useCaseConfig()
+					if c.small {
+						cfg = smallMachine(cfg)
+					}
+					cfg.FastForward = ff
+					cfg.BatchIssue = batch
+					name := fmt.Sprintf("ff%v-batch%v", ff, batch)
+					res, err := caba.Run(cfg, c.design, c.app, 1)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					// FF bookkeeping counters differ by construction; the
+					// architected statistics must not.
+					got := *res.Stats
+					if ref == nil {
+						r := got
+						ref, refName = &r, name
+						continue
+					}
+					if !reflect.DeepEqual(*ref, got) {
+						for _, d := range ref.Diff(&got) {
+							t.Errorf("%s vs %s: %s", refName, name, d)
 						}
 					}
 				}
