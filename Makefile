@@ -22,7 +22,7 @@ FUZZ_TARGETS = \
 	FuzzStepRun:./internal/core
 FUZZTIME ?= 10s
 
-.PHONY: build vet lint test race fuzz snapshot-check trace-check farm-check usecase-check soak soak-short check bench bench-compare bench-test
+.PHONY: build vet lint test race fuzz snapshot-check trace-check farm-check usecase-check soak soak-short check bench bench-compare bench-test layers
 
 # Seed for the chaos/soak harness: one seed determines the entire chaos
 # schedule (which cells get killed/hung/OOMed, restart and clock-skew
@@ -128,3 +128,11 @@ bench:
 # one.
 bench-compare:
 	./scripts/bench_compare.sh
+
+# layers profiles one benchmark (default: the trigger-retry sentinel) and
+# prints each simulator layer's share of its flat CPU self-time, so a
+# speedup can be attributed to the layer it came from.
+LAYERS_BENCH ?= BenchmarkSimCABAFPCMUM
+LAYERS_PKG ?= .
+layers:
+	./scripts/layers.sh $(LAYERS_BENCH) $(LAYERS_PKG)

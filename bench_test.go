@@ -294,6 +294,17 @@ func BenchmarkSimHotLoop(b *testing.B) {
 }
 func BenchmarkSimCABASSSP(b *testing.B) { benchOneApp(b, "sssp", caba.CABABDI) }
 
+// BenchmarkSimCABAFPCMUM runs MUM under CABA-FPC at scale 0.015: the
+// fig10-sweep benchmark workload's tail cell and the sentinel for the
+// assist-warp trigger retry path. Most of its SM ticks hold a trigger
+// queued behind a full AWT, so a retry scan that re-attempts queued
+// triggers when no capacity has freed shows up here first.
+func BenchmarkSimCABAFPCMUM(b *testing.B) {
+	cfg := caba.QuickConfig()
+	cfg.Scale = 0.015
+	benchOneAppCfg(b, cfg, "MUM", caba.CABAFPC)
+}
+
 // BenchmarkSimPrefetchPVC runs PVC under the CABA-Prefetch design: the
 // stride tables train on every L1 miss and the throttle gates nearly
 // every trigger (PVC's access pattern gives the detector little to work

@@ -95,7 +95,8 @@ const (
 )
 
 // pendingTrigger is one assist-warp trigger waiting for AWT/AWB space; the
-// SM retries it every tick until it lands.
+// SM retries it on each tick after capacity frees (SM.retryArmed) until it
+// lands.
 type pendingTrigger struct {
 	kind pendingKind
 	se   *storeEntry // pendCompress

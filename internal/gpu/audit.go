@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/caba-sim/caba/internal/audit"
+	"github.com/caba-sim/caba/internal/core"
 )
 
 // Runtime invariant auditor and crash flight recorder.
@@ -12,9 +13,10 @@ import (
 // The auditor (Config.AuditEvery) walks the machine's bookkeeping at
 // cycle boundaries — writeback-ring conservation, scoreboard/in-flight
 // consistency, SIMT stack bounds, MSHR waiter balance, store-buffer
-// bounds — and fails fast with an *audit.Violation naming the invariant,
-// cycle and SM, instead of letting corrupted state surface thousands of
-// cycles later as a wedge or silently wrong statistics.
+// bounds, the trigger retry gate — and fails fast with an
+// *audit.Violation naming the invariant, cycle and SM, instead of letting
+// corrupted state surface thousands of cycles later as a wedge or
+// silently wrong statistics.
 //
 // The flight recorder (Config.FlightRecorderDepth) keeps a bounded ring
 // of recent notable events per SM plus one simulator-level ring; wedges
@@ -172,6 +174,17 @@ func (sim *Simulator) Audit() error {
 					"line %#x still buffered after release", se.lineAddr)
 			}
 		}
+		// Retry gate: an SM whose scan is not armed skips it, which is
+		// exact only if no queued trigger could land now.
+		if !sm.retryArmed {
+			for i := range sm.decompRetry {
+				if sm.triggerCanLand(&sm.decompRetry[i]) {
+					return sim.violation("retry-armed", sm.id,
+						"queued trigger %d (kind %d) can land but the retry scan is not armed",
+						i, sm.decompRetry[i].kind)
+				}
+			}
+		}
 		for _, cta := range sm.ctas {
 			if cta.liveWarps < 0 || cta.atBarrier < 0 || cta.atBarrier > cta.liveWarps {
 				return sim.violation("cta-barrier", sm.id,
@@ -180,4 +193,21 @@ func (sim *Simulator) Audit() error {
 		}
 	}
 	return nil
+}
+
+// triggerCanLand reports, without attempting it, whether runTrigger would
+// retire pt now: the landing conditions of tryCompressStep,
+// tryDecompTrigger and tryECC, read-only.
+func (sm *SM) triggerCanLand(pt *pendingTrigger) bool {
+	switch pt.kind {
+	case pendCompress:
+		se := pt.se
+		return se.released ||
+			sm.awc.CanTrigger(sm.sim.AWS.MustGet(se.chain[se.chainPos]).Priority, se.warp)
+	case pendDecomp:
+		id, _ := core.DecompRoutineID(pt.st)
+		return sm.findAssistHost(sm.sim.AWS.MustGet(id).Priority, pt.warp) >= 0
+	default:
+		return sm.findAssistHost(sm.sim.AWS.MustGet(core.RtECCCheck).Priority, pt.dc.warp) >= 0
+	}
 }

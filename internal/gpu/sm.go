@@ -137,6 +137,21 @@ type SM struct {
 
 	// Retry queues for assist-warp triggers that found the AWT/AWB full.
 	decompRetry []pendingTrigger
+	// retryArmed gates tick's decompRetry scan: set where AWT capacity
+	// frees or a queued store line is released (checkAssistDone after
+	// awc.Retire, evictOldestStore, releaseStore) and by LoadState,
+	// cleared when a scan starts. Skipping an unarmed scan is exact:
+	// every queued trigger lands under a fixed condition — decompression
+	// and ECC triggers iff findAssistHost(PriHigh, warp) >= 0; a
+	// compression step drops out iff se.released and otherwise lands iff
+	// awc.CanTrigger(PriLow, se.warp) — and a failed attempt only reads
+	// state. Between scans, only a retirement or a release can turn a
+	// failing attempt into a landing one; every other AWT change is a
+	// Trigger, which only takes capacity. Within one scan capacity only
+	// shrinks, so clearing the flag as the scan starts loses nothing. A
+	// pure strategy hint like core.Controller's drained flag: not
+	// serialized, re-armed conservatively on load.
+	retryArmed bool
 	// replayQ holds loads whose coalesced lines overflowed the MSHR.
 	replayQ []*loadReq
 
@@ -652,8 +667,10 @@ func (sm *SM) tick(cycle uint64) {
 	sm.aluPorts = sm.sim.Cfg.NumSchedulers
 	sm.lsuPorts = 1
 
-	// Retry assist-warp triggers that previously found structures full.
-	if len(sm.decompRetry) > 0 {
+	// Retry assist-warp triggers that previously found structures full,
+	// once capacity has freed since the last scan (retryArmed).
+	if sm.retryArmed {
+		sm.retryArmed = false
 		kept := sm.decompRetry[:0]
 		for i := range sm.decompRetry {
 			if !sm.runTrigger(&sm.decompRetry[i]) {
@@ -739,8 +756,9 @@ type slotFlags struct {
 func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok bool) {
 	horizon = ^uint64(0)
 
-	// Assist-warp machinery in flight advances state every tick (retries,
-	// AWC deployment, round-robin rotation).
+	// Assist-warp machinery in flight can act on any tick: AWC deployment
+	// and round-robin rotation every tick, queued triggers on the first
+	// tick after capacity frees (retryArmed).
 	if len(sm.decompRetry) > 0 || !sm.awc.Idle() {
 		return 0, 0, false
 	}
@@ -2137,6 +2155,7 @@ func (sm *SM) evictOldestStore() {
 			continue
 		}
 		se.released = true // abandon any queued compression chain
+		sm.retryArmed = true
 		sm.storeBuf = append(sm.storeBuf[:i], sm.storeBuf[i+1:]...)
 		sm.stat.StoreBufferFlushes++
 		if sm.sim.Design.Scope == config.ScopeL2 {
@@ -2210,6 +2229,7 @@ func (sm *SM) compressAndWrite(se *storeEntry) {
 func (sm *SM) releaseStore(se *storeEntry) {
 	sm.touch()
 	se.released = true
+	sm.retryArmed = true
 	sm.removeStore(se)
 	sm.sim.Sys.WriteLine(sm.id, se.lineAddr)
 }
@@ -2605,11 +2625,6 @@ func (sm *SM) refetchRaw(ln uint64, after cont) {
 
 // --- Assist-warp instruction issue ---
 
-// tryIssueAssistOK wraps tryIssueAssist for the low-priority path.
-func (sm *SM) tryIssueAssistOK(e *core.Entry) (ok, dep, memS, compS bool) {
-	return sm.tryIssueAssist(e)
-}
-
 // tryIssueAssist issues one staged instruction of an assist warp.
 func (sm *SM) tryIssueAssist(e *core.Entry) (ok, dep, memS, compS bool) {
 	in := e.Exec.CurrentSop()
@@ -2703,6 +2718,7 @@ func (sm *SM) checkAssistDone(e *core.Entry) {
 			sm.traceAssistEnd(e)
 		}
 		sm.awc.Retire(e)
+		sm.retryArmed = true
 		sm.releaseAssistExec(e.Exec)
 	}
 }

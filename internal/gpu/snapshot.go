@@ -1475,5 +1475,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 	sm.issuedBuf = sm.issuedBuf[:0]
 	sm.qValid = false
 	sm.bValid = false
+	// The retry gate is not serialized: rescan the restored queue once.
+	sm.retryArmed = true
 	return r.Err()
 }

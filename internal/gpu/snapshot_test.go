@@ -7,6 +7,7 @@ import (
 
 	"github.com/caba-sim/caba/internal/audit"
 	"github.com/caba-sim/caba/internal/config"
+	"github.com/caba-sim/caba/internal/core"
 	"github.com/caba-sim/caba/internal/faults"
 	"github.com/caba-sim/caba/internal/snapshot"
 )
@@ -417,6 +418,90 @@ func TestAuditCatchesMSHRLeak(t *testing.T) {
 	}
 	if len(v.Records) == 0 {
 		t.Error("violation should carry the flight-recorder trail")
+	}
+}
+
+// TestAuditCatchesUnarmedRetry: a queued assist-warp trigger that could
+// land now, on an SM whose retry scan is not armed, would wait until some
+// unrelated retirement re-armed the scan. The auditor must name the
+// retry-armed invariant and the SM.
+func TestAuditCatchesUnarmedRetry(t *testing.T) {
+	cfg := config.TestConfig()
+	k := &Kernel{Prog: vecScaleKernel(), GridCTAs: 2, CTAThreads: 64,
+		Params: [4]uint64{inBase, outBase}}
+	sim, err := New(&cfg, config.DesignCABABDI, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillInput(sim, 128, true)
+	if err := sim.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Audit(); err != nil {
+		t.Fatalf("clean machine must audit clean: %v", err)
+	}
+
+	// An ECC check queued on SM 1 while its AWT has free slots lands on
+	// the next scan, so that scan must be armed.
+	sm := sim.sms[1]
+	if sm.awc.Full() {
+		t.Fatal("AWT should have free slots after the run")
+	}
+	sm.decompRetry = append(sm.decompRetry, pendingTrigger{kind: pendECC, dc: &decompCtx{}})
+	sm.retryArmed = true
+	if err := sim.Audit(); err != nil {
+		t.Fatalf("an armed scan must audit clean: %v", err)
+	}
+	sm.retryArmed = false
+	err = sim.Audit()
+	var v *audit.Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("unarmed landable trigger not detected: %v", err)
+	}
+	if v.Invariant != "retry-armed" || v.SM != sm.id {
+		t.Fatalf("violation = %+v, want retry-armed on SM %d", v, sm.id)
+	}
+}
+
+// TestStoreReleaseArmsRetry pins the store-side arming sites: a line whose
+// compression step waits behind a full low-priority AWB partition drops
+// its step once released, so releasing it raw (evictOldestStore) or
+// sending it (releaseStore) must arm the retry scan.
+func TestStoreReleaseArmsRetry(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		release func(sm *SM, se *storeEntry)
+	}{
+		{"evictOldestStore", func(sm *SM, _ *storeEntry) { sm.evictOldestStore() }},
+		{"releaseStore", func(sm *SM, se *storeEntry) { sm.releaseStore(se) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config.TestConfig()
+			k := &Kernel{Prog: vecScaleKernel(), GridCTAs: 2, CTAThreads: 64,
+				Params: [4]uint64{inBase, outBase}}
+			sim, err := New(&cfg, config.DesignCABABDI, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm := sim.sms[0]
+			rt := sim.AWS.MustGet(core.RtBDICompSpecial)
+			for sm.awc.CanTrigger(rt.Priority, 0) {
+				if sm.awc.Trigger(rt, 0, sm.newAssistExec(rt), nil, nil) == nil {
+					t.Fatal("trigger refused while CanTrigger holds")
+				}
+			}
+			se := &storeEntry{lineAddr: outBase, state: sbQueued,
+				chain: []core.RoutineID{core.RtBDICompSpecial}}
+			sm.storeBuf = append(sm.storeBuf, se)
+			sm.decompRetry = append(sm.decompRetry, pendingTrigger{kind: pendCompress, se: se})
+			if err := sim.Audit(); err != nil {
+				t.Fatalf("a step that cannot land must audit clean unarmed: %v", err)
+			}
+			tc.release(sm, se)
+			if err := sim.Audit(); err != nil {
+				t.Fatalf("release did not arm the retry scan: %v", err)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 // snapshot contract, pinned directly rather than only through whole-run
 // equivalence: a mid-run LoadState resets every warp's depStalled/idle
 // verdict to the conservative false (the caches are pure — recomputed on
-// the next scheduler probe, never serialized), the verdicts the resumed
+// the next scheduler probe, never serialized) and arms every SM's retry
+// scan (SM.retryArmed, likewise not serialized), the verdicts the resumed
 // run rebuilds are always consistent with architected state (depStalled
 // only while the scoreboard conflicts with the current instruction, idle
 // only while there is no current instruction), and the resumed run —
@@ -55,8 +56,12 @@ func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 		if err := resumed.LoadState(blob); err != nil {
 			t.Fatalf("BatchIssue=%v: restore at cycle %d: %v", batch, at, err)
 		}
-		// Conservative-reset contract: no verdict survives the load.
+		// Conservative-reset contract: no verdict survives the load, and
+		// every queued trigger is rescanned on the first tick.
 		for _, sm := range resumed.sms {
+			if !sm.retryArmed {
+				t.Fatalf("BatchIssue=%v: SM %d retry scan not armed straight out of LoadState", batch, sm.id)
+			}
 			for _, w := range sm.warps {
 				if w.valid && (w.depStalled || w.idle) {
 					t.Fatalf("BatchIssue=%v: warp %d/%d holds a verdict (dep=%v idle=%v) straight out of LoadState",

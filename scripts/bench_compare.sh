@@ -1,8 +1,9 @@
 #!/bin/sh
 # Compares the sentinel hot-loop benchmarks (BenchmarkSimCABAPVC,
-# BenchmarkSimCABAPVCBatch, BenchmarkSimHotLoop and the use-case
-# overhead canary BenchmarkSimPrefetchPVC) against the ns/op recorded in
-# BENCH_sim.json and fails if any is more than 10% slower.
+# BenchmarkSimCABAPVCBatch, BenchmarkSimHotLoop, the use-case overhead
+# canary BenchmarkSimPrefetchPVC and the trigger-retry sentinel
+# BenchmarkSimCABAFPCMUM) against the ns/op recorded in BENCH_sim.json
+# and fails if any is more than 10% slower.
 # Run via `make bench-compare` from the repository root. Does not rewrite
 # the baseline — that is `make bench`'s job.
 #
@@ -37,10 +38,10 @@ trap 'rm -f "$tmp"' EXIT
 # hosts swings ±15% run to run while the floor is stable, and only a
 # floor-vs-floor comparison makes a 10% threshold usable.
 go test -run '^$' \
-  -bench 'BenchmarkSimCABAPVC$|BenchmarkSimCABAPVCBatch$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$' \
+  -bench 'BenchmarkSimCABAPVC$|BenchmarkSimCABAPVCBatch$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$|BenchmarkSimCABAFPCMUM$' \
   -benchtime 5x -count 5 . | tee "$tmp"
 
-for name in BenchmarkSimCABAPVC BenchmarkSimCABAPVCBatch BenchmarkSimHotLoop BenchmarkSimPrefetchPVC; do
+for name in BenchmarkSimCABAPVC BenchmarkSimCABAPVCBatch BenchmarkSimHotLoop BenchmarkSimPrefetchPVC BenchmarkSimCABAFPCMUM; do
   base=$(awk -F'[,: ]+' -v n="\"$name\"" '
     $0 ~ n {
       for (i = 1; i <= NF; i++) if ($i == "\"ns_per_op\"") print $(i+1)
