@@ -8,9 +8,7 @@ GO ?= go
 # way (checkpoint files live on disk between runs and are untrusted).
 # FuzzPredecode differentially tests the superop engine against the
 # interpreter on random Builder programs (the decoded≡interpreter
-# invariant, DESIGN.md §12). FuzzStepRun does the same for the batched
-# macro-step primitive against per-step decoded execution (the
-# macro-step≡per-step invariant, DESIGN.md §13).
+# invariant, DESIGN.md §12).
 FUZZ_TARGETS = \
 	FuzzDecompressBDI:./internal/compress \
 	FuzzDecompressFPC:./internal/compress \
@@ -18,8 +16,7 @@ FUZZ_TARGETS = \
 	FuzzOpen:./internal/snapshot \
 	FuzzReader:./internal/snapshot \
 	FuzzSnapshotLoad:./internal/gpu \
-	FuzzPredecode:./internal/core \
-	FuzzStepRun:./internal/core
+	FuzzPredecode:./internal/core
 FUZZTIME ?= 10s
 
 .PHONY: build vet lint test race fuzz snapshot-check trace-check farm-check usecase-check soak soak-short check bench bench-compare bench-test layers
@@ -98,8 +95,8 @@ soak-short:
 
 # usecase-check proves the assist-warp use-case contract (USECASES.md,
 # DESIGN.md §14) end to end: use-cases-off runs stay byte-identical to
-# the goldens, prefetch/memoization runs are bit-identical across the
-# engine-strategy grid and across snapshot/resume, each showcase
+# the goldens, prefetch/memoization runs are bit-identical with
+# fast-forward on and off and across snapshot/resume, each showcase
 # workload actually wins cycles, and the Figure 14 sweep keeps its
 # shape.
 usecase-check:

@@ -251,29 +251,6 @@ func BenchmarkSimCABAPVCInterp(b *testing.B) {
 	benchOneAppCfg(b, cfg, "PVC", caba.CABABDI)
 }
 
-// BenchmarkSimCABAPVCBatch pins Config.BatchIssue on explicitly — the
-// third sentinel in BENCH_sim.json alongside BenchmarkSimCABAPVC and
-// BenchmarkSimHotLoop. BatchIssue currently defaults on, so this tracks
-// the same engine as BenchmarkSimCABAPVC, but the sentinel stays
-// meaningful if the default ever flips.
-func BenchmarkSimCABAPVCBatch(b *testing.B) {
-	cfg := caba.QuickConfig()
-	cfg.Scale = 0.05
-	cfg.BatchIssue = true
-	benchOneAppCfg(b, cfg, "PVC", caba.CABABDI)
-}
-
-// BenchmarkSimCABAPVCDecoded pins Config.BatchIssue off: the pre-decoded
-// per-cycle engine without macro-step windows. The Batch/Decoded/Interp
-// trio gives the like-for-like engine decomposition EXPERIMENTS.md
-// records (batched vs. per-cycle decoded vs. interpreter).
-func BenchmarkSimCABAPVCDecoded(b *testing.B) {
-	cfg := caba.QuickConfig()
-	cfg.Scale = 0.05
-	cfg.BatchIssue = false
-	benchOneAppCfg(b, cfg, "PVC", caba.CABABDI)
-}
-
 // BenchmarkSimHotLoop measures the simulator's inner loop — issue,
 // writeback ring, memory events, stall accounting — on a memory-bound
 // kernel with the fixed seed, reporting allocations per run. This is the

@@ -119,56 +119,3 @@ func TestRunContextDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded wrapping ErrInterrupted", err)
 	}
 }
-
-// TestFaultInjectionBatchDeterminism: the block-batched issue engine
-// must replay the identical fault campaign the unbatched engine does —
-// same injected/detected/recovered counts and bit-identical statistics.
-// Batching reorders work within a cycle, never across the fault stream.
-func TestFaultInjectionBatchDeterminism(t *testing.T) {
-	run := func(batch bool) *caba.Result {
-		t.Helper()
-		cfg := faultConfig()
-		cfg.BatchIssue = batch
-		res, err := caba.Run(cfg, caba.CABABDI, "PVC", 1)
-		if err != nil {
-			t.Fatalf("BatchIssue=%v: %v", batch, err)
-		}
-		return res
-	}
-	ref := run(false)
-	if ref.FaultsInjected == 0 || ref.FaultsDetected == 0 || ref.FaultsRecovered == 0 {
-		t.Fatalf("reference campaign inactive: injected=%d detected=%d recovered=%d",
-			ref.FaultsInjected, ref.FaultsDetected, ref.FaultsRecovered)
-	}
-	res := run(true)
-	if res.FaultsInjected != ref.FaultsInjected ||
-		res.FaultsDetected != ref.FaultsDetected ||
-		res.FaultsRecovered != ref.FaultsRecovered {
-		t.Errorf("BatchIssue=true: campaign diverged: injected %d/%d detected %d/%d recovered %d/%d",
-			res.FaultsInjected, ref.FaultsInjected,
-			res.FaultsDetected, ref.FaultsDetected,
-			res.FaultsRecovered, ref.FaultsRecovered)
-	}
-	for _, d := range ref.Stats.Diff(res.Stats) {
-		t.Errorf("BatchIssue=true: stats diverge: %s", d)
-	}
-}
-
-// TestWedgeErrorBatchDeterminism: the wedge diagnosis is identical with
-// block-batched issue on or off — the deterministic error string is part
-// of what makes a wedge safely non-retryable for the sweep layers.
-func TestWedgeErrorBatchDeterminism(t *testing.T) {
-	msg := func(batch bool) string {
-		cfg := faultConfig()
-		cfg.BatchIssue = batch
-		cfg.Faults = faults.Config{Seed: 7, ResponseDropRate: 0.5}
-		_, err := caba.Run(cfg, caba.Base, "PVC", 1)
-		if err == nil {
-			t.Fatalf("BatchIssue=%v: expected a wedge", batch)
-		}
-		return err.Error()
-	}
-	if ref, got := msg(false), msg(true); got != ref {
-		t.Errorf("wedge error differs with BatchIssue on:\n  ref %s\n  got %s", ref, got)
-	}
-}

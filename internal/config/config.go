@@ -179,23 +179,6 @@ type Config struct {
 	// strategy: excluded from the snapshot config hash.
 	Interpreter bool
 
-	// BatchIssue enables block-batched warp execution: when the GTO
-	// scheduler selects a warp whose next instruction heads a
-	// straightline ALU run (precomputed at predecode) and no other event
-	// can intervene before the run's horizon — no pending writebacks,
-	// fills or assist deploys earlier than the window end, no
-	// higher-priority warp becoming ready — the SM executes the run as
-	// macro-steps and replays the architected per-cycle side effects
-	// (issue-slot statistics, stall-attribution charges, assist-warp
-	// utilization windows, energy counters) from a precomputed schedule
-	// instead of re-deriving them through the full scheduler scan each
-	// cycle. Requires the predecoded engine (ignored under Interpreter)
-	// and the GTO scheduler (ignored under LRR). Statistics, snapshots
-	// and the metrics series are bit-identical either way; only
-	// wall-clock time changes. Pure strategy: excluded from the snapshot
-	// config hash.
-	BatchIssue bool
-
 	// AttributeStalls accumulates per-warp stall attribution: every
 	// cycle, each scheduler slot that fails to issue is charged to
 	// exactly one (warp, cause) pair — scoreboard, barrier, drain,
@@ -246,7 +229,6 @@ func Baseline() Config {
 		MDLinesPerEntry: 128,
 		Scale:           1.0,
 		FastForward:     true,
-		BatchIssue:      true,
 		WedgeLimit:      10_000_000,
 	}
 }
@@ -264,6 +246,35 @@ func TestConfig() Config {
 	c.L2Size = 32 << 10
 	c.NumChannels = 2
 	c.Scale = 0.02
+	return c
+}
+
+// ResultConfig returns c with every field that cannot change a simulated
+// result zeroed. It is the single list of result-neutral fields: the
+// farm's cell key and the snapshot config hash both hash its output, so
+// configurations that differ only in these fields share cached results
+// and may resume each other's checkpoints.
+//
+//   - SMWorkers is deprecated and ignored.
+//   - FastForward and Interpreter are execution strategies; the simulator
+//     is bit-identical with either on or off.
+//   - CheckpointEvery, AuditEvery and FlightRecorderDepth only observe
+//     the run.
+//   - MetricsFile and TraceFile are output paths.
+//
+// SampleEvery and AttributeStalls stay: they decide what a Result carries
+// (the metrics series, the stall attribution) and the geometry of a
+// snapshot's observability payload, so a resumed run reproduces the
+// series only under the same settings.
+func (c Config) ResultConfig() Config {
+	c.SMWorkers = 0
+	c.FastForward = false
+	c.Interpreter = false
+	c.CheckpointEvery = 0
+	c.AuditEvery = 0
+	c.FlightRecorderDepth = 0
+	c.MetricsFile = ""
+	c.TraceFile = ""
 	return c
 }
 

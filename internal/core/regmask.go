@@ -55,15 +55,6 @@ func (m *RegMask) HasPred(p isa.Pred) bool {
 	return p != isa.PredNone && m.p&(1<<p) != 0
 }
 
-// Masks returns the raw pending bitsets — the 256-register general mask
-// and the predicate mask, in the same layout as isa.Superop's Use/Set
-// masks. Schedulers that precompute issue schedules (the block-batched
-// issue engine) seed their simulated scoreboards from these and then
-// evolve copies with the Superop Set masks, off the live structure.
-func (m *RegMask) Masks() ([4]uint64, uint8) {
-	return m.g, m.p
-}
-
 // Empty reports whether nothing is pending.
 func (m *RegMask) Empty() bool {
 	return m.g[0]|m.g[1]|m.g[2]|m.g[3] == 0 && m.p == 0

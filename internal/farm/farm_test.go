@@ -109,7 +109,6 @@ func TestCellKeyStrategyInvariance(t *testing.T) {
 		func(c *Cell) { c.Config.SMWorkers = 7 },
 		func(c *Cell) { c.Config.FastForward = !c.Config.FastForward },
 		func(c *Cell) { c.Config.Interpreter = true },
-		func(c *Cell) { c.Config.BatchIssue = !c.Config.BatchIssue },
 		func(c *Cell) { c.Config.CheckpointEvery = 123 },
 		func(c *Cell) { c.Config.AuditEvery = 9 },
 		func(c *Cell) { c.Config.FlightRecorderDepth = 4 },

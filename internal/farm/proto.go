@@ -31,10 +31,8 @@ import (
 )
 
 // Cell is one sweep grid cell: everything that determines the simulated
-// result. Strategy knobs inside Config (FastForward, Interpreter,
-// BatchIssue, checkpoint/audit cadence, output paths) and the ignored
-// SMWorkers do not affect results — the engine is bit-identical across
-// them — so Key zeroes them and workers are free to override them locally.
+// result. Key hashes only Config.ResultConfig, so workers are free to
+// override the fields it zeroes locally.
 type Cell struct {
 	App    string      `json:"app"`
 	Seed   int64       `json:"seed"`
@@ -47,17 +45,7 @@ type Cell struct {
 // equal keys produce bit-identical results, so the key doubles as the
 // result store's address and the dedupe identity.
 func (c Cell) Key() (uint64, error) {
-	cfg := c.Config
-	cfg.SMWorkers = 0 // ignored; zeroed so keys from older stores stay valid
-	cfg.FastForward = false
-	cfg.Interpreter = false
-	cfg.BatchIssue = false
-	cfg.CheckpointEvery = 0
-	cfg.AuditEvery = 0
-	cfg.FlightRecorderDepth = 0
-	cfg.MetricsFile = ""
-	cfg.TraceFile = ""
-	return snapshot.HashPlain(cfg, c.Design, c.App, c.Seed)
+	return snapshot.HashPlain(c.Config.ResultConfig(), c.Design, c.App, c.Seed)
 }
 
 // Label renders the human-readable cell identity used in logs, progress

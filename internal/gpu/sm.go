@@ -201,69 +201,6 @@ type SM struct {
 	// for the extra scan.
 	qTry bool
 
-	// Batch window (Config.BatchIssue). When valid, tryEstablishBatch has
-	// proven that every tick in [bStart, bUntil) is fully determined in
-	// advance, and the exact GTO issue schedule, bEvents, has been
-	// precomputed by simulating the scheduler. Each warp is modelled as
-	// either a participant — mid straightline run (isa.Decoded.RunLen)
-	// with an empty divergence stack, free to issue inside the window —
-	// or a closer: a warp whose next op is a run boundary (memory, SFU,
-	// control, an ALU op with divergence in flight). Closers evolve in
-	// the simulation exactly like participants (scoreboards seeded from
-	// the live masks, retired on the writeback ring's due cycles) but
-	// never issue in-window: the first simulated cycle on which a closer
-	// would win an issue slot ends the window (exclusive) — the boundary
-	// op is scheduler-visible and must go through the normal path, which
-	// reproduces that cycle's slots deterministically from the identical
-	// architected state. batchTick replays the scheduled ticks without
-	// the scheduler scans, with per-cycle side effects (writeback ring
-	// pops and pushes, issue-slot stats, stall attribution, AWC
-	// utilization window, energy class counters, greedy and
-	// lastIssueCycle updates) bit-identical to the full tick. Failing
-	// slots classify from the per-cycle bGap tables (closer hazard flags
-	// vary cycle to cycle as their scoreboards drain); DataDep slots
-	// blame the live greedy warp — the last issuer, which a failing slot
-	// always visits first and always finds scoreboard-blocked. Like the
-	// quiescence cache this is a pure strategy cache: touch() drops it,
-	// snapshots never carry it, and aborting a window mid-flight loses
-	// nothing (all replayed state is architected).
-	bValid   bool
-	bStart   uint64
-	bUntil   uint64
-	bEvents  []bEvt
-	bEvtHead int
-	bParts   []*warpCtx
-	bPartOps [][]isa.Superop
-	// Per-simulated-cycle classification of failing issue slots, indexed
-	// by cycle-bStart: the stall kind, and for Memory/Compute kinds the
-	// blamed (warp, cause) pair (DataDep blames the live greedy).
-	bGapKind []stats.StallKind
-	bGapW    []int32
-	bGapC    []obs.Cause
-	// Establishment scratch, retained across windows to avoid per-window
-	// allocation: the simulated warp states, the simulated GTO visit
-	// order, and the warp-slot → bScr-index map used to seed pending
-	// sets from the writeback ring. All of it is pre-sized in one shot
-	// at the first establishment attempt (bSlab doubles as the "done"
-	// flag and backs every part's pend queue), so the batch engine adds
-	// a fixed handful of allocations per SM lifetime rather than
-	// doubling-growth churn on every fresh simulator.
-	bScr    []bPart
-	bOrd    []int32
-	bPartOf []int16
-	bIssued []int32
-	bSlab   []bSimOp
-	// bSkip is an establishment backoff: after a simulation proves the
-	// window too short to pay for (a closer wins a slot within a cycle
-	// or two), re-attempts — which would mostly re-prove the same thing
-	// — are suppressed until this cycle. bSkipLen is the current backoff
-	// length, doubled (capped) on consecutive short failures and reset
-	// when a window establishes. Purely a strategy heuristic: the pair
-	// changes when windows are attempted, never what any window replays,
-	// and is not serialized.
-	bSkip    uint64
-	bSkipLen uint64
-
 	// fatal is the SM's first unrecoverable error (an internal invariant
 	// violation that used to panic). The run loop scans it every cycle
 	// and surfaces it as a structured error from Run.
@@ -300,25 +237,10 @@ type SM struct {
 	cycle uint64
 }
 
-// touch invalidates the quiescence cache and the batch window; every
-// mutation of SM state that can happen outside tick() must call it.
+// touch invalidates the quiescence cache; every mutation of SM state that
+// can happen outside tick() must call it.
 func (sm *SM) touch() {
-	if sm.bValid && sm.cycle+2 < sm.bUntil {
-		// An external event (fill, assist completion, store release)
-		// killed the window well before its planned end — the horizon
-		// scan cannot see cross-SM memory timing, so on traffic-heavy
-		// phases windows are established only to be torn down. Back off
-		// like a short failure; a window that later replays to its end
-		// resets the eagerness.
-		if sm.bSkipLen < 4 {
-			sm.bSkipLen = 4
-		} else if sm.bSkipLen < 256 {
-			sm.bSkipLen *= 2
-		}
-		sm.bSkip = sm.cycle + sm.bSkipLen
-	}
 	sm.qValid = false
-	sm.bValid = false
 }
 
 // fail records the SM's first fatal error; later errors are dropped so
@@ -643,22 +565,6 @@ func (sm *SM) tick(cycle uint64) {
 		}
 	}
 
-	// Batch-window fast path: replay one precomputed cycle of the
-	// established straightline run (Config.BatchIssue). Sits after the
-	// quiescence block deliberately — a gap cycle of the window that the
-	// fast-forward engine proved quiescent is replayed there instead,
-	// with identical accounting, and the window resumes at its horizon.
-	if sm.bValid {
-		if cycle < sm.bUntil {
-			sm.batchTick(cycle)
-			return
-		}
-		sm.bValid = false
-		// The window replayed to its planned end: establishment paid
-		// off, so re-arm it at full eagerness.
-		sm.bSkipLen = 0
-	}
-
 	// Retire pipeline writebacks due this cycle before the clock (and the
 	// issue stage) advances.
 	sm.wbPop(cycle)
@@ -683,15 +589,6 @@ func (sm *SM) tick(cycle uint64) {
 	sm.awc.Tick()
 	sm.processReplays()
 	sm.rebuildOrder()
-
-	// Block-batched issue: if the greedy warp heads a straightline run
-	// and no event can intervene, precompute the whole window's schedule
-	// and replay its first cycle; drainStores and the CTA sweep are
-	// proven no-ops by the establishment scan.
-	if sm.sim.Cfg.BatchIssue && !sm.bValid && sm.tryEstablishBatch(cycle) {
-		sm.batchTick(cycle)
-		return
-	}
 
 	idle := true
 	for s := 0; s < sm.sim.Cfg.NumSchedulers; s++ {
@@ -897,660 +794,6 @@ func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok 
 		sm.qBlameW, sm.qBlameC = blameFor(kind, &f)
 	}
 	return kind, horizon, true
-}
-
-// bSimOp is one simulated in-flight instruction during batch-window
-// establishment: the superop whose scoreboard destinations stay pending
-// until the simulated writeback at `due`.
-type bSimOp struct {
-	due uint64
-	sop *isa.Superop
-}
-
-// Batch-window warp roles. clRun is a participant (mid straightline
-// run, issues in-window). The rest are closers, keyed by what gates
-// their boundary op beyond the scoreboard: clMem issues once the LSU
-// frees, clMemSB/clMemRp never in-window (store buffer full / MSHR
-// replay pending — both frozen for the window's duration, since stores
-// drain and replays resolve only through events or aged drains that
-// clamp the horizon or abort via touch), clSFU once the SFU frees,
-// clOther (control, run-tail or diverged ALU) as soon as its
-// scoreboard clears.
-const (
-	clRun = iota
-	clMem
-	clMemSB
-	clMemRp
-	clSFU
-	clOther
-)
-
-// bPart is the simulated state of one batch-window warp — participant
-// or closer — whose only in-window interactions are its own scoreboard
-// and the writeback ring. pc/end walk the run inside ops (for closers
-// pc is pinned at the boundary op and end is unused); pg/pp are the
-// simulated pending masks, seeded from the live scoreboard; pend[head:]
-// is the simulated in-flight queue, seeded from the warp's pending
-// writeback-ring entries and extended by simulated issues, kept sorted
-// by due cycle — simulated issues are monotone, but a seeded op from
-// just before the run (an SFU result, say) can outlive ALU ops issued
-// after it, so insertion is ordered rather than FIFO. The Set masks of
-// concurrently pending ops never overlap (a WAW-conflicting op would
-// not have issued), so retiring an op can clear its Set bits exactly.
-type bPart struct {
-	w    *warpCtx
-	ops  []isa.Superop
-	pc   int32
-	end  int32
-	cl   uint8
-	pg   [4]uint64
-	pp   uint8
-	pend []bSimOp
-	head int
-}
-
-// blocked reports whether the participant's next superop conflicts with
-// its simulated pending set — ConflictsSop against the evolved masks.
-func (p *bPart) blocked() bool {
-	s := &p.ops[p.pc]
-	return (s.UseG[0]&p.pg[0])|(s.UseG[1]&p.pg[1])|
-		(s.UseG[2]&p.pg[2])|(s.UseG[3]&p.pg[3]) != 0 || s.UseP&p.pp != 0
-}
-
-// bEvt is one entry of the precomputed issue schedule: participant
-// `part` issues its next superop in an issue slot of cycle bStart+off.
-// Entries are in slot order within a cycle, so consecutive same-part
-// entries are consecutive slots and replay as one core.StepRun.
-type bEvt struct {
-	off  uint16
-	part uint8
-}
-
-// batchWindowCap bounds a batch window's length in cycles, keeping the
-// precomputed schedule small and bounding how much of it an aborting
-// event (which discards the remainder) can waste.
-const batchWindowCap = 256
-
-// batchMinWindow is the shortest window worth establishing: replayed
-// cycles are the scheduler's cheapest (dep-stalled warps short-circuit on
-// the verdict caches), so a window must amortize its establishment scan
-// over a meaningful span to break even.
-const batchMinWindow = 8
-
-// bPendCap is the slab-backed capacity of each part's simulated pending
-// queue. pend accumulates one entry per op the part issues in-window
-// (retires advance head without shrinking), so a run longer than this
-// spills into a heap-grown slice — correct, just unamortized.
-const bPendCap = 64
-
-// tryEstablishBatch attempts to open a batch window at `cycle`. The GTO
-// greedy warp must be about to issue from inside a straightline run
-// (isa.Decoded.RunLen); every other valid warp joins the simulation as
-// a participant (also mid-run, free to issue in-window) or a closer (at
-// a run boundary — its first simulated slot win ends the window). Done
-// and at-barrier warps are stable for the window's duration. The
-// horizon is clamped to the earliest cycle at which anything outside
-// the simulated warps' own pipelines can act: a foreign writeback
-// (load-line and assist completions included) or store-buffer aging.
-// Everything event-driven (fills, compression completions, CTA
-// placement) aborts the window via touch() instead.
-//
-// On success the window's exact issue schedule is simulated into
-// bEvents: per cycle, due simulated writebacks retire first (the
-// wbPop-before-issue order), then each issue slot picks the first
-// issuable warp in scheduler visit order — the greedy warp, then the
-// GTO order — exactly as issueSlot does, with issued participants
-// re-placed at the back of the simulated order at the cycle boundary,
-// in warp slot order among themselves (rebuildOrder's tie-break for
-// warps sharing an issue cycle). The window ends at the earliest of:
-// the cycle some participant would issue its run's final op, the cycle
-// a closer would win a slot (both exclusive — a boundary op is
-// scheduler-visible and must go through the normal path, which
-// re-derives that cycle's slots identically, possibly dual-issuing the
-// boundary op with a run op), the horizon, and batchWindowCap.
-//
-// A failing slot implies the greedy warp — a participant, visited
-// first — is scoreboard-blocked, so the dep flag is always raised and
-// the DataDep blame pair names the live greedy warp. The Memory and
-// Compute hazard flags vary cycle to cycle as closer scoreboards
-// drain (a closer whose conflict clears while its port is still busy
-// starts raising memS/compS), so each simulated cycle's classification
-// and blame are recorded in the bGap tables. Closers never move in
-// the visit order and participants never raise those flags, so the
-// first-raiser-in-visit-order blame rule reduces to the first raising
-// closer in establishment scan order.
-func (sm *SM) tryEstablishBatch(cycle uint64) bool {
-	cfg := sm.sim.Cfg
-	if cfg.Scheduler != config.SchedGTO || cfg.Interpreter || cycle < sm.bSkip {
-		return false
-	}
-	// The establishment scan models SFU closers as blocked while the
-	// port's initiation interval runs, but memoization can issue such a
-	// warp through the probe path — the precomputed schedule would
-	// diverge from live ticking. No batch windows with memoization on.
-	if sm.memo != nil {
-		return false
-	}
-	// The greedy warp must issue in the window's very first slot. This
-	// keeps the establishment scan cheap on ticks where no window is
-	// plausible, and guarantees the greedy warp is a participant from
-	// the first cycle on (the DataDep blame argument above).
-	g := sm.greedy
-	if g == nil || !g.valid || g.idle || g.depStalled {
-		return false
-	}
-	in := g.exec.CurrentSop()
-	if in == nil || in.Class != isa.ClassALU || !g.exec.Straightline() {
-		return false
-	}
-	if g.exec.Prog.Decoded().RunLen[in.PC] < 2 || g.sb.ConflictsSop(in) {
-		return false
-	}
-	// Non-warp actors, as in quiescent(): any of these acting during the
-	// window would interleave with the replayed schedule.
-	if len(sm.decompRetry) > 0 || len(sm.replayQ) > 0 || !sm.awc.Idle() {
-		return false
-	}
-	// Warps: every valid warp with a current instruction enters the
-	// simulation — mid-run warps as participants, boundary-headed warps
-	// as closers — in GTO order, so bScr index order is scheduler visit
-	// order among non-movers. Done and at-barrier warps are stable
-	// (participants issue no barriers and cannot exit mid-run; their
-	// idle blame is irrelevant — the blocked greedy warp raises the
-	// higher-precedence dep flag on every failing slot).
-	if len(sm.bSlab) < len(sm.warps)*bPendCap {
-		// One-shot scratch pre-sizing (bSlab also backs pend below). The
-		// caps are the structural bounds — one part per warp slot, one
-		// gap entry per window cycle, NumSchedulers issues per cycle —
-		// so steady state never grows them; appends stay as safe
-		// fallbacks if a bound is ever loosened.
-		nw := len(sm.warps)
-		sm.bSlab = make([]bSimOp, nw*bPendCap)
-		sm.bScr = make([]bPart, 0, nw)
-		sm.bOrd = make([]int32, 0, nw)
-		sm.bIssued = make([]int32, 0, nw)
-		sm.bParts = make([]*warpCtx, 0, nw)
-		sm.bPartOps = make([][]isa.Superop, 0, nw)
-		sm.bEvents = make([]bEvt, 0, cfg.NumSchedulers*batchWindowCap)
-		sm.bGapKind = make([]stats.StallKind, 0, batchWindowCap)
-		sm.bGapW = make([]int32, 0, batchWindowCap)
-		sm.bGapC = make([]obs.Cause, 0, batchWindowCap)
-	}
-	horizon := cycle + batchWindowCap
-	np := 0
-	gi := -1
-	for _, wi := range sm.order {
-		ww := sm.warps[wi]
-		if !ww.valid {
-			continue
-		}
-		in2 := ww.exec.CurrentSop()
-		if in2 == nil {
-			continue
-		}
-		if np == 255 {
-			return false // bEvt.part is a uint8
-		}
-		if np == len(sm.bScr) {
-			sm.bScr = append(sm.bScr, bPart{
-				pend: sm.bSlab[np*bPendCap : np*bPendCap : (np+1)*bPendCap],
-			})
-		}
-		p := &sm.bScr[np]
-		p.w = ww
-		p.pg, p.pp = ww.sb.Masks()
-		p.pend, p.head = p.pend[:0], 0
-		d2 := ww.exec.Prog.Decoded()
-		p.ops, p.pc = d2.Ops, in2.PC
-		if in2.Class == isa.ClassALU && ww.exec.Straightline() && d2.RunLen[in2.PC] >= 1 {
-			p.end = in2.PC + d2.RunLen[in2.PC]
-			p.cl = clRun
-			if ww == g {
-				gi = np
-			}
-		} else {
-			// Closer. The store-buffer and replay-queue gates are frozen
-			// for the window's duration (stores drain and replays
-			// resolve only via events or aged drains, which clamp the
-			// horizon or abort via touch), so the sub-kind is decided
-			// once here.
-			p.end = 0
-			gate := true // boundary op's port gate open at `cycle`
-			switch in2.Class {
-			case isa.ClassMem:
-				switch {
-				case in2.GlobalMem && in2.StoreOp &&
-					len(sm.storeBuf) >= storeBufCap && !sm.canEvictStore():
-					p.cl, gate = clMemSB, false
-				case in2.GlobalMem && ww.replay != nil:
-					p.cl, gate = clMemRp, false
-				default:
-					p.cl, gate = clMem, cycle >= sm.lsuFree
-				}
-			case isa.ClassSFU:
-				p.cl, gate = clSFU, cycle >= sm.sfuFree
-			default:
-				p.cl = clOther
-			}
-			if gate && !ww.sb.ConflictsSop(in2) {
-				// A ready closer: its boundary op wins an issue slot
-				// within a cycle or two (only a standing supply of
-				// unblocked participants ahead of it in visit order
-				// could shield it for longer, and the simulation cost
-				// of discovering such windows outweighs them), so the
-				// window is not worth simulating. Bail mid-scan with
-				// the same exponential backoff as a short-window
-				// failure: on memory-active phases one ready closer is
-				// followed by another, and the O(warps) scan every
-				// cycle is the establishment path's dominant cost.
-				if sm.bSkipLen < 4 {
-					sm.bSkipLen = 4
-				} else if sm.bSkipLen < 256 {
-					sm.bSkipLen *= 2
-				}
-				sm.bSkip = cycle + sm.bSkipLen
-				return false
-			}
-		}
-		np++
-	}
-	if gi < 0 {
-		return false
-	}
-	parts := sm.bScr[:np]
-	// A retirable CTA means the normal tick would retire it and dispatch
-	// fresh work.
-	for _, cta := range sm.ctas {
-		if cta.liveWarps != 0 {
-			continue
-		}
-		retirable := true
-		for _, ww := range cta.warps {
-			if ww.inFlight > 0 || ww.pendingLoads > 0 || ww.replay != nil {
-				retirable = false
-				break
-			}
-		}
-		if retirable {
-			return false
-		}
-	}
-	// Store buffer: a due drain acts now; future aging bounds the window.
-	bufFull := len(sm.storeBuf) >= storeBufCap*3/4
-	for _, se := range sm.storeBuf {
-		if se.state != sbPending {
-			continue
-		}
-		if bufFull || cycle-se.lastTouch >= storeDrainAge {
-			return false
-		}
-		if t := se.lastTouch + storeDrainAge; t < horizon {
-			horizon = t
-		}
-	}
-	// Writeback ring: participants' own pending entries seed their
-	// simulated in-flight FIFOs (scanned in due order); anything else —
-	// another warp's writeback, a load-line completion, an assist
-	// completion — acts outside the plan and clamps the horizon.
-	partOf := sm.bPartOf
-	if cap(partOf) < len(sm.warps) {
-		partOf = make([]int16, len(sm.warps))
-		sm.bPartOf = partOf
-	}
-	partOf = partOf[:len(sm.warps)]
-	for i := range partOf {
-		partOf[i] = -1
-	}
-	for i := range parts {
-		partOf[parts[i].w.id] = int16(i)
-	}
-	for d := uint64(1); d <= sm.wbMask; d++ {
-		due := cycle + d
-		bucket := sm.wbRing[due&sm.wbMask]
-		for i := range bucket {
-			rec := &bucket[i]
-			if rec.kind == wbWarp {
-				if pi := partOf[rec.w.id]; pi >= 0 {
-					p := &parts[pi]
-					p.pend = append(p.pend, bSimOp{due: due, sop: rec.sop})
-					continue
-				}
-			}
-			if due < horizon {
-				horizon = due
-			}
-		}
-	}
-	if horizon-cycle < batchMinWindow {
-		return false // too short to beat the per-cycle path
-	}
-	// Simulate the scheduler over the participants and closers, cycle by
-	// cycle, into the event schedule and the per-cycle gap tables.
-	sched := cfg.NumSchedulers
-	lat := uint64(cfg.ALULatency)
-	ord := sm.bOrd[:0]
-	for i := range parts {
-		ord = append(ord, int32(i))
-	}
-	events := sm.bEvents[:0]
-	gapK := sm.bGapKind[:0]
-	gapW := sm.bGapW[:0]
-	gapC := sm.bGapC[:0]
-	blame := sm.attr != nil
-	issued := sm.bIssued[:0]
-	gcur := gi
-	until := horizon
-	c := cycle
-	// Cached gap classification. Warp readiness only changes at simulated
-	// writeback retires and at the lsuFree/sfuFree thresholds; between
-	// those points every zero-issue cycle replays identically, so the
-	// classification is computed once per change (dirty) and zero-issue
-	// spans are jumped over wholesale below.
-	dirty := true
-	ckind := stats.DataDepStall
-	var cbw int32
-	var cbc obs.Cause
-simloop:
-	for c < horizon {
-		if c == sm.lsuFree || c == sm.sfuFree {
-			dirty = true // a port freed: mem/sfu blame causes may shift
-		}
-		for i := range parts {
-			p := &parts[i]
-			for p.head < len(p.pend) && p.pend[p.head].due <= c {
-				s := p.pend[p.head].sop
-				p.pg[0] &^= s.SetG[0]
-				p.pg[1] &^= s.SetG[1]
-				p.pg[2] &^= s.SetG[2]
-				p.pg[3] &^= s.SetG[3]
-				p.pp &^= s.SetP
-				p.head++
-				dirty = true
-			}
-		}
-		issued = issued[:0]
-		for k := 0; k < sched; k++ {
-			pi := -1
-			if !parts[gcur].blocked() {
-				pi = gcur
-			} else {
-				for _, oi := range ord {
-					if int(oi) == gcur {
-						continue
-					}
-					p := &parts[oi]
-					if p.blocked() {
-						continue
-					}
-					switch p.cl {
-					case clRun:
-						pi = int(oi)
-					case clMem:
-						if c < sm.lsuFree {
-							continue
-						}
-					case clSFU:
-						if c < sm.sfuFree {
-							continue
-						}
-					case clMemSB, clMemRp:
-						continue
-					}
-					if pi < 0 {
-						// A closer would win this slot: its boundary op
-						// is scheduler-visible, so the window ends
-						// before this cycle, which re-runs through the
-						// normal path (re-deriving this cycle's earlier
-						// slots identically).
-						until = c
-						for len(events) > 0 && events[len(events)-1].off == uint16(c-cycle) {
-							events = events[:len(events)-1]
-						}
-						break simloop
-					}
-					break
-				}
-			}
-			if pi < 0 {
-				break
-			}
-			p := &parts[pi]
-			s := &p.ops[p.pc]
-			pe := append(p.pend, bSimOp{})
-			j := len(pe) - 1
-			for j > p.head && pe[j-1].due > c+lat {
-				pe[j] = pe[j-1]
-				j--
-			}
-			pe[j] = bSimOp{due: c + lat, sop: s}
-			p.pend = pe
-			p.pg[0] |= s.SetG[0]
-			p.pg[1] |= s.SetG[1]
-			p.pg[2] |= s.SetG[2]
-			p.pg[3] |= s.SetG[3]
-			p.pp |= s.SetP
-			p.pc++
-			gcur = pi
-			events = append(events, bEvt{off: uint16(c - cycle), part: uint8(pi)})
-			issued = append(issued, int32(pi))
-			if p.pc == p.end {
-				// p's run ends here: the window closes before this
-				// cycle, which re-runs through the normal path (and may
-				// dual-issue the op that follows the run).
-				until = c
-				for len(events) > 0 && events[len(events)-1].off == uint16(c-cycle) {
-					events = events[:len(events)-1]
-				}
-				break simloop
-			}
-		}
-		// Classify this cycle's failing slots, if any, exactly as
-		// issueSlot would: the blocked greedy participant raises dep
-		// first; unblocked-but-port-gated closers raise memS/compS, in
-		// visit order (bScr order — closers never move, participants
-		// never raise these flags). An unblocked, ungated closer cannot
-		// be live here: the slot loop would have ended the window.
-		if len(issued) < sched {
-			if dirty {
-				dirty = false
-				ckind, cbw, cbc = stats.DataDepStall, 0, 0
-				compW := int32(-1)
-				var compC obs.Cause
-				for i := range parts {
-					p := &parts[i]
-					if p.cl == clRun || p.blocked() {
-						continue
-					}
-					switch p.cl {
-					case clMem, clMemSB, clMemRp:
-						ckind = stats.MemoryStall
-						if blame {
-							cbw = int32(p.w.id)
-							switch {
-							case c < sm.lsuFree:
-								cbc = obs.CauseLSUBusy
-							case p.cl == clMemSB:
-								cbc = obs.CauseStoreBufFull
-							default:
-								// pf.lines is frozen inside a window (fills
-								// abort it), so this matches the live tick.
-								cbc = sm.mshrCause()
-							}
-						}
-					case clSFU:
-						if compW < 0 {
-							compW, compC = int32(p.w.id), obs.CauseSFUBusy
-						}
-					}
-					if ckind == stats.MemoryStall {
-						break
-					}
-				}
-				if ckind != stats.MemoryStall && compW >= 0 {
-					ckind, cbw, cbc = stats.ComputeStall, compW, compC
-				}
-			}
-			gapK = append(gapK, ckind)
-			gapW = append(gapW, cbw)
-			gapC = append(gapC, cbc)
-		} else {
-			gapK = append(gapK, stats.DataDepStall)
-			gapW = append(gapW, 0)
-			gapC = append(gapC, 0)
-		}
-		// Re-place issued participants at the back of the visit order,
-		// in warp slot order among themselves.
-		for i := 1; i < len(issued); i++ {
-			for j := i; j > 0 && parts[issued[j]].w.id < parts[issued[j-1]].w.id; j-- {
-				issued[j], issued[j-1] = issued[j-1], issued[j]
-			}
-		}
-		prev := int32(-1)
-		for _, pi := range issued {
-			if pi == prev {
-				continue
-			}
-			prev = pi
-			for x, oi := range ord {
-				if oi == pi {
-					copy(ord[x:], ord[x+1:])
-					ord[len(ord)-1] = pi
-					break
-				}
-			}
-		}
-		if len(issued) == 0 {
-			// Nothing issued and nothing moved: every cycle until the
-			// next simulated writeback retire or port-free threshold
-			// replays this one exactly (no scoreboard release can unblock
-			// a warp, no gate can open). Jump there, filling the gap
-			// tables with the cached classification.
-			next := horizon
-			for i := range parts {
-				p := &parts[i]
-				if p.head < len(p.pend) && p.pend[p.head].due < next {
-					next = p.pend[p.head].due
-				}
-			}
-			if c < sm.lsuFree && sm.lsuFree < next {
-				next = sm.lsuFree
-			}
-			if c < sm.sfuFree && sm.sfuFree < next {
-				next = sm.sfuFree
-			}
-			for c+1 < next {
-				gapK = append(gapK, ckind)
-				gapW = append(gapW, cbw)
-				gapC = append(gapC, cbc)
-				c++
-			}
-		}
-		c++
-	}
-	if until > c {
-		until = c
-	}
-	sm.bOrd, sm.bIssued = ord, issued
-	sm.bEvents = events
-	sm.bGapKind, sm.bGapW, sm.bGapC = gapK, gapW, gapC
-	if until-cycle < batchMinWindow {
-		if sm.bSkipLen < 4 {
-			sm.bSkipLen = 4
-		} else if sm.bSkipLen < 256 {
-			sm.bSkipLen *= 2
-		}
-		sm.bSkip = cycle + sm.bSkipLen
-		return false
-	}
-	bp, bo := sm.bParts[:0], sm.bPartOps[:0]
-	for i := range parts {
-		bp = append(bp, parts[i].w)
-		bo = append(bo, parts[i].ops)
-	}
-	sm.bParts, sm.bPartOps = bp, bo
-	sm.bEvtHead = 0
-	sm.bValid = true
-	sm.bStart, sm.bUntil = cycle, until
-	// The replay never runs rebuildOrder; force a full rebuild — which
-	// reproduces the incremental maintenance exactly — at the first
-	// normal tick after the window, off the final lastIssueCycle values.
-	sm.orderDirty = true
-	return true
-}
-
-// batchTick replays one precomputed cycle of the batch window: due
-// writebacks retire first (participants' own chains — everything else
-// is past the horizon), then the cycle's scheduled issues execute as
-// macro-steps through core.StepRun with the per-op architected effects
-// (scoreboard marks, writeback ring entries, instruction and class
-// counters, greedy and lastIssueCycle updates) applied exactly as
-// issueRegular would, and the slot accounting — AWC utilization notes
-// in slot order, issue-slot stats, stall attribution — replayed from
-// the window's constant classification. Consecutive same-warp schedule
-// entries are consecutive issue slots and run as one StepRun call.
-func (sm *SM) batchTick(cycle uint64) {
-	sm.wbPop(cycle)
-	sm.cycle = cycle
-	sched := sm.sim.Cfg.NumSchedulers
-	lat := uint64(sm.sim.Cfg.ALULatency)
-	off := uint16(cycle - sm.bStart)
-	k := 0
-	for sm.bEvtHead < len(sm.bEvents) && sm.bEvents[sm.bEvtHead].off == off {
-		pi := sm.bEvents[sm.bEvtHead].part
-		sm.bEvtHead++
-		n := 1
-		for sm.bEvtHead < len(sm.bEvents) &&
-			sm.bEvents[sm.bEvtHead].off == off && sm.bEvents[sm.bEvtHead].part == pi {
-			sm.bEvtHead++
-			n++
-		}
-		w := sm.bParts[pi]
-		ops := sm.bPartOps[pi]
-		pc := w.exec.PC
-		for j := 0; j < n; j++ {
-			sop := &ops[pc+j]
-			w.sb.MarkSop(sop)
-			w.inFlight++
-			sm.wbAdd(cycle+lat, wbRec{kind: wbWarp, sop: sop, w: w})
-		}
-		ti, ok := w.exec.StepRun(n)
-		if !ok || w.exec.Err != nil {
-			err := w.exec.Err
-			if err == nil {
-				err = fmt.Errorf("step refused inside straightline run at pc %d", w.exec.PC)
-			}
-			sm.fail(fmt.Errorf("gpu: sm%d warp %d: %w", sm.id, w.id, err))
-			return
-		}
-		w.lastIssueCycle = cycle
-		sm.greedy = w
-		un := uint64(n)
-		sm.stat.WarpInstrs += un
-		sm.stat.ThreadInstrs += ti
-		sm.stat.ALUInstrs += un // countClass: runs are pure ALU
-		sm.stat.IssueSlots[stats.Active] += un
-		for j := 0; j < n; j++ {
-			sm.awc.NoteIssueSlot(true)
-		}
-		k += n
-	}
-	if k < sched {
-		n := uint64(sched - k)
-		kind := sm.bGapKind[off]
-		sm.stat.IssueSlots[kind] += n
-		if sm.attr != nil {
-			if kind == stats.DataDepStall {
-				// A failing slot visits the greedy warp — the last
-				// issuer — first, and always finds it scoreboard-
-				// blocked (an unblocked participant would have issued).
-				sm.attr.Charge(sm.greedy.id, obs.CauseScoreboard, n)
-			} else {
-				sm.attr.Charge(int(sm.bGapW[off]), sm.bGapC[off], n)
-			}
-		}
-		sm.awc.NoteIdleSlots(sched - k)
-	}
-	sm.qTry = k == 0
 }
 
 // issueSlot tries to issue one instruction and classifies the slot. A

@@ -417,27 +417,13 @@ func loadComp(r *snapshot.Reader) compress.Compressed {
 	return c
 }
 
-// configHash binds a snapshot to the run it came from: configuration,
-// design and kernel identity, with the observability knobs (checkpoint /
-// audit cadence, flight-recorder depth, output paths) and the
-// execution-strategy knobs (fast-forward, engine choice) zeroed — those
-// may differ between the saving and resuming process without affecting
-// simulated state. SampleEvery and AttributeStalls stay hashed: they
-// determine the snapshot's obs payload geometry, and a resumed run can
-// only emit the identical metrics series under the identical cadence.
+// configHash binds a snapshot to the run it came from: the
+// result-determining configuration (config.Config.ResultConfig, which
+// lists the fields a resuming process may change), the design and the
+// kernel identity.
 func (sim *Simulator) configHash() (uint64, error) {
-	cfg := *sim.Cfg
-	cfg.SMWorkers = 0 // ignored; zeroed so older checkpoint blobs stay valid
-	cfg.FastForward = false
-	cfg.Interpreter = false
-	cfg.BatchIssue = false
-	cfg.CheckpointEvery = 0
-	cfg.AuditEvery = 0
-	cfg.FlightRecorderDepth = 0
-	cfg.MetricsFile = ""
-	cfg.TraceFile = ""
 	k := sim.Kernel
-	return snapshot.HashPlain(cfg, sim.Design, k.Prog.Name, len(k.Prog.Code),
+	return snapshot.HashPlain(sim.Cfg.ResultConfig(), sim.Design, k.Prog.Name, len(k.Prog.Code),
 		k.Prog.NumReg, k.GridCTAs, k.CTAThreads, k.SharedMem, k.Params)
 }
 
@@ -1474,7 +1460,6 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 	sm.order = sm.order[:0]
 	sm.issuedBuf = sm.issuedBuf[:0]
 	sm.qValid = false
-	sm.bValid = false
 	// The retry gate is not serialized: rescan the restored queue once.
 	sm.retryArmed = true
 	return r.Err()

@@ -270,10 +270,17 @@ func TestSnapshotRejectsWrongConfig(t *testing.T) {
 		t.Fatal("no checkpoint taken")
 	}
 
-	// Same blob, same config modulo observability/strategy knobs: loads.
+	// Same blob, every field config.Config.ResultConfig zeroes set to
+	// something else: loads.
 	ok := newSnapSim(t, snapMatrixCase{workers: 4, ff: true}, false)
+	ok.Cfg.Interpreter = true
+	ok.Cfg.CheckpointEvery = 123
+	ok.Cfg.AuditEvery = 9
+	ok.Cfg.FlightRecorderDepth = 4
+	ok.Cfg.MetricsFile = "m.jsonl"
+	ok.Cfg.TraceFile = "t.json"
 	if err := ok.LoadState(blob); err != nil {
-		t.Fatalf("SMWorkers/FF changes must not invalidate a snapshot: %v", err)
+		t.Fatalf("result-neutral config changes must not invalidate a snapshot: %v", err)
 	}
 
 	// A different design must be rejected.

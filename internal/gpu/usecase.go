@@ -241,8 +241,8 @@ type memoCtx struct {
 // mshrCause classifies an MSHR-overflow stall: with prefetch-initiated
 // fills holding MSHR entries the overflow is (at least partly) the
 // prefetcher's aggressiveness, and the attribution says so. pf.lines
-// only changes inside issue (never during a quiescence window or batch
-// window — fills run touch() first), so cached verdicts stay exact.
+// only changes inside issue (never during a quiescence window — fills
+// run touch() first), so cached verdicts stay exact.
 func (sm *SM) mshrCause() obs.Cause {
 	if sm.pf != nil && sm.pf.lines > 0 {
 		return obs.CausePrefetchMSHR

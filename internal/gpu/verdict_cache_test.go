@@ -13,9 +13,8 @@ import (
 // scan (SM.retryArmed, likewise not serialized), the verdicts the resumed
 // run rebuilds are always consistent with architected state (depStalled
 // only while the scoreboard conflicts with the current instruction, idle
-// only while there is no current instruction), and the resumed run —
-// with the batch-issue window engine on or off, independent of the
-// donor's setting — finishes bit-identical to the uninterrupted run.
+// only while there is no current instruction), and the resumed run
+// finishes bit-identical to the uninterrupted run.
 func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 	const maxCycles = 20_000_000
 	c := snapMatrixCase{name: "w1-ff-clean", ff: true}
@@ -50,72 +49,69 @@ func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 		t.Fatal("no checkpoint captured")
 	}
 
-	for _, batch := range []bool{true, false} {
-		resumed := newSnapSim(t, c, false)
-		resumed.Cfg.BatchIssue = batch
-		if err := resumed.LoadState(blob); err != nil {
-			t.Fatalf("BatchIssue=%v: restore at cycle %d: %v", batch, at, err)
+	resumed := newSnapSim(t, c, false)
+	if err := resumed.LoadState(blob); err != nil {
+		t.Fatalf("restore at cycle %d: %v", at, err)
+	}
+	// Conservative-reset contract: no verdict survives the load, and
+	// every queued trigger is rescanned on the first tick.
+	for _, sm := range resumed.sms {
+		if !sm.retryArmed {
+			t.Fatalf("SM %d retry scan not armed straight out of LoadState", sm.id)
 		}
-		// Conservative-reset contract: no verdict survives the load, and
-		// every queued trigger is rescanned on the first tick.
+		for _, w := range sm.warps {
+			if w.valid && (w.depStalled || w.idle) {
+				t.Fatalf("warp %d/%d holds a verdict (dep=%v idle=%v) straight out of LoadState",
+					sm.id, w.id, w.depStalled, w.idle)
+			}
+		}
+	}
+	// Rebuilt-verdict consistency, audited at every checkpoint
+	// boundary of the resumed run: a cached true verdict must match
+	// what a fresh probe of architected state would conclude.
+	audited := 0
+	resumed.Cfg.CheckpointEvery = total / 16
+	if resumed.Cfg.CheckpointEvery == 0 {
+		resumed.Cfg.CheckpointEvery = 1
+	}
+	resumed.OnCheckpoint = func(cycle uint64, b []byte) error {
 		for _, sm := range resumed.sms {
-			if !sm.retryArmed {
-				t.Fatalf("BatchIssue=%v: SM %d retry scan not armed straight out of LoadState", batch, sm.id)
-			}
 			for _, w := range sm.warps {
-				if w.valid && (w.depStalled || w.idle) {
-					t.Fatalf("BatchIssue=%v: warp %d/%d holds a verdict (dep=%v idle=%v) straight out of LoadState",
-						batch, sm.id, w.id, w.depStalled, w.idle)
+				if !w.valid {
+					continue
+				}
+				if w.depStalled {
+					audited++
+					in := w.exec.CurrentSop()
+					if in == nil || !w.sb.ConflictsSop(in) {
+						t.Errorf("cycle %d: warp %d/%d depStalled with no scoreboard conflict",
+							cycle, sm.id, w.id)
+					}
+				}
+				if w.idle {
+					audited++
+					if w.exec.CurrentSop() != nil {
+						t.Errorf("cycle %d: warp %d/%d idle with a current instruction",
+							cycle, sm.id, w.id)
+					}
 				}
 			}
 		}
-		// Rebuilt-verdict consistency, audited at every checkpoint
-		// boundary of the resumed run: a cached true verdict must match
-		// what a fresh probe of architected state would conclude.
-		audited := 0
-		resumed.Cfg.CheckpointEvery = total / 16
-		if resumed.Cfg.CheckpointEvery == 0 {
-			resumed.Cfg.CheckpointEvery = 1
-		}
-		resumed.OnCheckpoint = func(cycle uint64, b []byte) error {
-			for _, sm := range resumed.sms {
-				for _, w := range sm.warps {
-					if !w.valid {
-						continue
-					}
-					if w.depStalled {
-						audited++
-						in := w.exec.CurrentSop()
-						if in == nil || !w.sb.ConflictsSop(in) {
-							t.Errorf("BatchIssue=%v cycle %d: warp %d/%d depStalled with no scoreboard conflict",
-								batch, cycle, sm.id, w.id)
-						}
-					}
-					if w.idle {
-						audited++
-						if w.exec.CurrentSop() != nil {
-							t.Errorf("BatchIssue=%v cycle %d: warp %d/%d idle with a current instruction",
-								batch, cycle, sm.id, w.id)
-						}
-					}
-				}
-			}
-			return nil
-		}
-		if err := resumed.Run(maxCycles); err != nil {
-			t.Fatalf("BatchIssue=%v: resume at cycle %d: %v", batch, at, err)
-		}
-		if audited == 0 {
-			t.Errorf("BatchIssue=%v: audit hook saw no live verdicts (test lost its teeth)", batch)
-		}
-		if resumed.Cycles() != total {
-			t.Errorf("BatchIssue=%v: finished at cycle %d, straight run at %d", batch, resumed.Cycles(), total)
-		}
-		if !reflect.DeepEqual(straight.S, resumed.S) {
-			t.Errorf("BatchIssue=%v: stats diverged from the uninterrupted run", batch)
-		}
-		if outChecksum(straight) != outChecksum(resumed) {
-			t.Errorf("BatchIssue=%v: output memory diverged", batch)
-		}
+		return nil
+	}
+	if err := resumed.Run(maxCycles); err != nil {
+		t.Fatalf("resume at cycle %d: %v", at, err)
+	}
+	if audited == 0 {
+		t.Error("audit hook saw no live verdicts (test lost its teeth)")
+	}
+	if resumed.Cycles() != total {
+		t.Errorf("finished at cycle %d, straight run at %d", resumed.Cycles(), total)
+	}
+	if !reflect.DeepEqual(straight.S, resumed.S) {
+		t.Error("stats diverged from the uninterrupted run")
+	}
+	if outChecksum(straight) != outChecksum(resumed) {
+		t.Error("output memory diverged")
 	}
 }

@@ -56,10 +56,6 @@ type Superop struct {
 	GlobalMem bool // accesses the cache hierarchy (ld/st.global, atom)
 	StoreOp   bool // writes memory
 	LoadOp    bool // produces a register value from memory
-	// BadOp marks an op outside the ISA (or an operand outside the
-	// architectural register files). Executing it yields a structured
-	// error; Program.Validate rejects such programs up front.
-	BadOp bool
 
 	// Scoreboard masks over the 256 general registers and the predicate
 	// registers, mirroring core.RegMask's layout: Use covers every
@@ -82,17 +78,6 @@ type Superop struct {
 type Decoded struct {
 	Prog *Program
 	Ops  []Superop
-
-	// RunLen[pc] is the length of the maximal straightline *run* headed at
-	// pc: consecutive ClassALU superops with no memory accesses, no
-	// barriers, no branches (and so no divergence or reconvergence), no
-	// SFU initiation-interval interactions, no assist-warp trigger sites,
-	// and no BadOp — every op advances PC by exactly one. The final
-	// program instruction is never part of a run (falling off the end
-	// exits the warp, a scheduler-visible lifecycle event). A pc heading
-	// no such sequence has RunLen 0; RunLen[pc] >= 2 marks a macro-step
-	// candidate for the block-batched issue engine (Config.BatchIssue).
-	RunLen []int32
 }
 
 // Decoded returns the predecoded form of p, computing and caching it on
@@ -106,14 +91,14 @@ func (p *Program) Decoded() *Decoded {
 // resolveReg maps a source operand to its register-file slot. RegNone
 // reads as zero, which is exactly what the always-zero special register
 // provides.
-func resolveReg(r Reg) (idx uint16, spec bool, bad bool) {
+func resolveReg(r Reg) (idx uint16, spec bool) {
 	switch {
 	case r == RegNone:
-		return uint16(RegZero.SpecialIndex()), true, false
+		return uint16(RegZero.SpecialIndex()), true
 	case r.IsGeneral():
-		return uint16(r), false, r.GeneralIndex() >= 256
+		return uint16(r), false
 	default:
-		return uint16(r.SpecialIndex()), true, r.SpecialIndex() >= NumSpecial
+		return uint16(r.SpecialIndex()), true
 	}
 }
 
@@ -129,17 +114,12 @@ func decodeProgram(p *Program) *Decoded {
 		s.Width = in.Width
 		s.Guard, s.GuardNeg = in.Guard, in.GuardNeg
 
-		var badA, badB, badC bool
-		s.A, s.ASpec, badA = resolveReg(in.SrcA)
-		s.B, s.BSpec, badB = resolveReg(in.SrcB)
-		s.C, s.CSpec, badC = resolveReg(in.SrcC)
+		s.A, s.ASpec = resolveReg(in.SrcA)
+		s.B, s.BSpec = resolveReg(in.SrcB)
+		s.C, s.CSpec = resolveReg(in.SrcC)
 		s.Dst = -1
-		if in.Dst != RegNone && in.Dst.IsGeneral() {
-			if in.Dst.GeneralIndex() >= 256 {
-				s.BadOp = true
-			} else {
-				s.Dst = int16(in.Dst.GeneralIndex())
-			}
+		if in.Dst != RegNone && in.Dst.IsGeneral() && in.Dst.GeneralIndex() < 256 {
+			s.Dst = int16(in.Dst.GeneralIndex())
 		}
 		s.PDst, s.PA, s.PB = in.PDst, in.PA, in.PB
 		s.Imm = in.Imm
@@ -150,9 +130,6 @@ func decodeProgram(p *Program) *Decoded {
 		s.GlobalMem = in.Op.IsGlobalMem()
 		s.StoreOp = in.Op.IsStore()
 		s.LoadOp = in.Op.IsLoad()
-		if in.Op >= opCount || badA || badB || badC {
-			s.BadOp = true
-		}
 
 		// Conflict set: every general register and predicate the
 		// instruction touches (sources and destinations; the guard and
@@ -180,25 +157,5 @@ func decodeProgram(p *Program) *Decoded {
 
 		s.In = in
 	}
-	d.RunLen = segmentRuns(d.Ops)
 	return d
-}
-
-// segmentRuns computes the straightline-run table (Decoded.RunLen) with a
-// single backward pass: an op extends the run headed at its successor iff
-// it is a well-formed ALU op, and the final instruction never joins a run
-// (executing it can exit the warp when it falls off the program end).
-// ClassMem (LSU ports, store buffer, MSHR, assist-warp triggers), ClassSFU
-// (initiation interval), ClassCtrl (branches, barriers, exit) and BadOp
-// all terminate runs: each interacts with scheduler state beyond the
-// warp's own scoreboard, so only pure ALU sequences batch.
-func segmentRuns(ops []Superop) []int32 {
-	runs := make([]int32, len(ops))
-	for i := len(ops) - 1; i >= 0; i-- {
-		if i == len(ops)-1 || ops[i].Class != ClassALU || ops[i].BadOp {
-			continue // RunLen 0
-		}
-		runs[i] = runs[i+1] + 1
-	}
-	return runs
 }

@@ -27,11 +27,6 @@ go test -run 'TestSnapshotRestoreEquivalence|TestAuditEveryPassesCleanRun' ./int
 # configuration; the obs golden-equivalence test pins that turning them
 # on changes no statistic, so off they are inert nil-pointer guards.
 go test -run 'TestObsGoldenEquivalence|TestStallAttributionSums' .
-# The batched issue engine (BatchIssue, on by default) must be
-# bit-identical to the per-cycle decoded engine — the Batch and Decoded
-# sentinels below only compare meaningfully as timings of the same
-# simulated machine.
-go test -run 'TestBatchGoldenEquivalence' .
 
 # Record the previously published hot-loop allocation count so the
 # refresh below can prove the zero-value observability knobs added no
@@ -44,7 +39,7 @@ prev_allocs=$(awk -F'[,: ]+' '/BenchmarkSimHotLoop/ { for (i=1;i<=NF;i++) if ($i
 # against these numbers — a floor-vs-floor comparison is the only one a
 # 10% threshold survives.
 go test -run '^$' \
-  -bench 'BenchmarkSimBasePVC$|BenchmarkSimCABAPVC$|BenchmarkSimCABAPVCInterp$|BenchmarkSimCABAPVCBatch$|BenchmarkSimCABAPVCDecoded$|BenchmarkSimBaseSSSP$|BenchmarkSimCABASSSP$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$|BenchmarkSimCABAFPCMUM$' \
+  -bench 'BenchmarkSimBasePVC$|BenchmarkSimCABAPVC$|BenchmarkSimCABAPVCInterp$|BenchmarkSimBaseSSSP$|BenchmarkSimCABASSSP$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$|BenchmarkSimCABAFPCMUM$' \
   -benchtime 5x -count 3 -benchmem . | tee "$tmp"
 go test -run '^$' -bench 'BenchmarkQueue$' -count 3 -benchmem ./internal/timing | tee -a "$tmp"
 
@@ -87,9 +82,10 @@ END {
 # Allocation guard: with every obs knob at its zero value, the hot loop
 # must allocate no more than the last recorded run (ns/op is noisy
 # across machines, allocation counts are deterministic). A deliberate
-# engine addition that pays a fixed scratch cost (e.g. the batch-issue
-# slab, +68/op) steps the baseline with BENCH_ALLOC_STEP=1 — an explicit
-# acknowledgment in the command line, so silent growth still fails.
+# engine addition that pays a fixed scratch cost (say, a per-SM slab
+# allocated once per run) steps the baseline with BENCH_ALLOC_STEP=1 — an
+# explicit acknowledgment in the command line, so silent growth still
+# fails.
 new_allocs=$(awk -F'[,: ]+' '/BenchmarkSimHotLoop/ { for (i=1;i<=NF;i++) if ($i=="\"allocs_per_op\"") print $(i+1) }' BENCH_sim.json | tr -d '}')
 if [ -n "$prev_allocs" ] && [ -n "$new_allocs" ] && [ "$new_allocs" -gt "$prev_allocs" ]; then
   if [ -n "$BENCH_ALLOC_STEP" ]; then

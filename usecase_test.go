@@ -77,12 +77,11 @@ func TestUseCaseGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestUseCaseDeterminismGrid runs each use-case design across the full
-// execution-strategy grid — FastForward {off,on} × BatchIssue {off,on} —
-// and requires bit-identical statistics from every
-// combination. The use-case structures are per-SM and quiescence/batch
-// establishment refuse to claim stretches the use cases could act in, so
-// the strategies must be invisible.
+// TestUseCaseDeterminismGrid runs each use-case design with FastForward
+// off and on and requires bit-identical statistics from both. The
+// use-case structures are per-SM and quiescence refuses to claim
+// stretches the use cases could act in, so the strategy must be
+// invisible.
 func TestUseCaseDeterminismGrid(t *testing.T) {
 	cases := []struct {
 		design caba.Design
@@ -99,30 +98,27 @@ func TestUseCaseDeterminismGrid(t *testing.T) {
 			var ref *caba.Metrics
 			var refName string
 			for _, ff := range []bool{false, true} {
-				for _, batch := range []bool{false, true} {
-					cfg := useCaseConfig()
-					if c.small {
-						cfg = smallMachine(cfg)
-					}
-					cfg.FastForward = ff
-					cfg.BatchIssue = batch
-					name := fmt.Sprintf("ff%v-batch%v", ff, batch)
-					res, err := caba.Run(cfg, c.design, c.app, 1)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					// FF bookkeeping counters differ by construction; the
-					// architected statistics must not.
-					got := *res.Stats
-					if ref == nil {
-						r := got
-						ref, refName = &r, name
-						continue
-					}
-					if !reflect.DeepEqual(*ref, got) {
-						for _, d := range ref.Diff(&got) {
-							t.Errorf("%s vs %s: %s", refName, name, d)
-						}
+				cfg := useCaseConfig()
+				if c.small {
+					cfg = smallMachine(cfg)
+				}
+				cfg.FastForward = ff
+				name := fmt.Sprintf("ff%v", ff)
+				res, err := caba.Run(cfg, c.design, c.app, 1)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				// FF bookkeeping counters differ by construction; the
+				// architected statistics must not.
+				got := *res.Stats
+				if ref == nil {
+					r := got
+					ref, refName = &r, name
+					continue
+				}
+				if !reflect.DeepEqual(*ref, got) {
+					for _, d := range ref.Diff(&got) {
+						t.Errorf("%s vs %s: %s", refName, name, d)
 					}
 				}
 			}
