@@ -8,7 +8,9 @@ GO ?= go
 # way (checkpoint files live on disk between runs and are untrusted).
 # FuzzPredecode differentially tests the superop engine against the
 # interpreter on random Builder programs (the decoded≡interpreter
-# invariant, DESIGN.md §12).
+# invariant, DESIGN.md §12). FuzzControllerDeploy differentially tests
+# the bitmask assist-warp controller against a reference model of the
+# O(n) deploy scan and bool-ring utilization window (DESIGN.md §10).
 FUZZ_TARGETS = \
 	FuzzDecompressBDI:./internal/compress \
 	FuzzDecompressFPC:./internal/compress \
@@ -16,7 +18,8 @@ FUZZ_TARGETS = \
 	FuzzOpen:./internal/snapshot \
 	FuzzReader:./internal/snapshot \
 	FuzzSnapshotLoad:./internal/gpu \
-	FuzzPredecode:./internal/core
+	FuzzPredecode:./internal/core \
+	FuzzControllerDeploy:./internal/core
 FUZZTIME ?= 10s
 
 .PHONY: build vet lint test race fuzz snapshot-check trace-check farm-check usecase-check soak soak-short check bench bench-compare bench-test layers

@@ -44,7 +44,7 @@ type Config struct {
 	// Cores.
 	NumSMs          int         // streaming multiprocessors
 	WarpSize        int         // threads per warp
-	MaxWarpsPerSM   int         // hardware warp contexts per SM
+	MaxWarpsPerSM   int         // hardware warp contexts per SM, at most 64 (the AWT's bitmask width)
 	MaxCTAsPerSM    int         // thread-block limit per SM
 	MaxThreadsPerSM int         // thread limit per SM
 	RegFilePerSM    int         // 32-bit registers per SM
@@ -287,6 +287,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: WarpSize %d out of range", c.WarpSize)
 	case c.MaxWarpsPerSM <= 0:
 		return fmt.Errorf("config: MaxWarpsPerSM must be positive")
+	case c.MaxWarpsPerSM > 64:
+		// The assist-warp controller tracks warp slots and AWT entries
+		// in 64-bit masks (core.MaxWarps).
+		return fmt.Errorf("config: MaxWarpsPerSM %d exceeds 64", c.MaxWarpsPerSM)
 	case c.LineSize != compress.LineSize:
 		return fmt.Errorf("config: LineSize %d must equal compress.LineSize %d", c.LineSize, compress.LineSize)
 	case c.NumChannels <= 0:

@@ -58,6 +58,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	bad := []Config{
 		mk(func(c *Config) { c.NumSMs = 0 }),
 		mk(func(c *Config) { c.WarpSize = 0 }),
+		mk(func(c *Config) { c.MaxWarpsPerSM = 65 }), // wider than the AWT bitmasks
 		mk(func(c *Config) { c.LineSize = 64 }),
 		mk(func(c *Config) { c.L1Size = 1000 }),
 		mk(func(c *Config) { c.NumChannels = 0 }),

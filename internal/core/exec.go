@@ -15,6 +15,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/caba-sim/caba/internal/isa"
@@ -90,11 +91,17 @@ type Exec struct {
 
 	// regBack is the flat register file, register-major:
 	// [reg*WarpSize+lane]. A SIMT step touches one register across all 32
-	// lanes at once, so this layout keeps each access within 4 cache lines
-	// where a lane-major file would touch 32. Access via Reg/SetReg.
+	// lanes at once, so each register is one contiguous 32-lane row that
+	// the decoded engine's warp-wide kernels address as a *[WarpSize]uint64.
+	// Access via Reg/SetReg.
 	regBack []uint64
-	Preds   [][isa.NumPredRegs]bool
-	Special [][isa.NumSpecial]uint64
+	// preds is the predicate file: bit lane of preds[p] is lane's value of
+	// predicate register p, so guards and predicate ops are word operations.
+	preds [isa.NumPredRegs]uint32
+	// special is the special-register file, register-major like regBack
+	// (special[s][lane]). It stays out of line: inlined, its 3 KB would
+	// move Exec into the 4 KB size class (see TestExecStaysSmall).
+	special *[isa.NumSpecial][WarpSize]uint64
 
 	Shared   []byte // CTA shared memory view (may be nil)
 	StageIn  []byte // assist staging input (ld.stage)
@@ -109,7 +116,10 @@ type Exec struct {
 	// Instructions executed (warp-level), for tests and cost accounting.
 	Executed uint64
 
-	shflBuf [WarpSize]uint64
+	// tmp is a scratch row: shfl's pre-instruction snapshot of its source,
+	// a partial-mask kernel's output before the masked merge, and the write
+	// sink for instructions without a general destination.
+	tmp [WarpSize]uint64
 	// info is the per-step result buffer behind StepRef; transient (never
 	// snapshotted) and overwritten by every Step/StepRef call.
 	info StepInfo
@@ -120,10 +130,7 @@ type Exec struct {
 // one flat backing array, so a context costs a handful of allocations
 // rather than one per lane.
 func NewExec(prog *isa.Program, active uint32) *Exec {
-	e := &Exec{
-		Preds:   make([][isa.NumPredRegs]bool, WarpSize),
-		Special: make([][isa.NumSpecial]uint64, WarpSize),
-	}
+	e := &Exec{}
 	e.Reset(prog, active)
 	return e
 }
@@ -156,24 +163,30 @@ func (e *Exec) Reset(prog *isa.Program, active uint32) {
 		e.regBack = e.regBack[:need]
 		clear(e.regBack)
 	}
-	clear(e.Preds)
-	clear(e.Special)
-	for lane := 0; lane < WarpSize; lane++ {
-		e.Special[lane][isa.RegLane.SpecialIndex()] = uint64(lane)
+	e.preds = [isa.NumPredRegs]uint32{}
+	if e.special == nil {
+		e.special = new([isa.NumSpecial][WarpSize]uint64)
+	} else {
+		*e.special = [isa.NumSpecial][WarpSize]uint64{}
+	}
+	lanes := &e.special[isa.RegLane.SpecialIndex()]
+	for lane := range lanes {
+		lanes[lane] = uint64(lane)
 	}
 }
 
 // SetSpecial sets a special register to the same value in every lane
 // (thread-varying specials like %tid are set per lane by the launcher).
 func (e *Exec) SetSpecial(r isa.Reg, v uint64) {
-	for lane := range e.Special {
-		e.Special[lane][r.SpecialIndex()] = v
+	row := &e.special[r.SpecialIndex()]
+	for lane := range row {
+		row[lane] = v
 	}
 }
 
 // SetLaneSpecial sets a special register in one lane.
 func (e *Exec) SetLaneSpecial(lane int, r isa.Reg, v uint64) {
-	e.Special[lane][r.SpecialIndex()] = v
+	e.special[r.SpecialIndex()][lane] = v
 }
 
 // Current returns the instruction the warp will execute next, or nil when
@@ -210,7 +223,7 @@ func (e *Exec) readReg(lane int, r isa.Reg) uint64 {
 	if r.IsGeneral() {
 		return e.regBack[r.GeneralIndex()*WarpSize+lane]
 	}
-	return e.Special[lane][r.SpecialIndex()]
+	return e.special[r.SpecialIndex()][lane]
 }
 
 func (e *Exec) writeReg(lane int, r isa.Reg, v uint64) {
@@ -230,12 +243,23 @@ func (e *Exec) execMask(in *isa.Instr) uint32 {
 		if e.Active&(1<<lane) == 0 {
 			continue
 		}
-		p := e.Preds[lane][in.Guard]
-		if p != in.GuardNeg {
+		if e.pred(lane, in.Guard) != in.GuardNeg {
 			m |= 1 << lane
 		}
 	}
 	return m
+}
+
+// pred reads lane's value of predicate register p.
+func (e *Exec) pred(lane int, p isa.Pred) bool { return e.preds[p]>>lane&1 != 0 }
+
+// setPred writes lane's value of predicate register p.
+func (e *Exec) setPred(lane int, p isa.Pred, v bool) {
+	if v {
+		e.preds[p] |= 1 << lane
+	} else {
+		e.preds[p] &^= 1 << lane
+	}
 }
 
 func (e *Exec) fail(format string, args ...any) {
@@ -246,6 +270,15 @@ func (e *Exec) fail(format string, args ...any) {
 // stageLoad reads width bytes little-endian from buf at off; bytes outside
 // buf read as zero (staging buffers are logically zero-padded).
 func stageLoad(buf []byte, off int64, width uint8) uint64 {
+	if off >= 0 && off <= int64(len(buf))-8 {
+		// The whole 8-byte window is in range: one load, masked to width
+		// (bytes past the eighth would shift out of the value anyway).
+		v := binary.LittleEndian.Uint64(buf[off:])
+		if width < 8 {
+			v &= 1<<(8*uint(width)) - 1
+		}
+		return v
+	}
 	var v uint64
 	for i := 0; i < int(width); i++ {
 		idx := off + int64(i)
@@ -380,7 +413,7 @@ func (e *Exec) stepInterp() (StepInfo, bool) {
 			if in.Op == isa.OpSetP {
 				b = e.readReg(lane, in.SrcB)
 			}
-			e.Preds[lane][in.PDst] = isa.EvalCmp(in.Cmp, a, b)
+			e.setPred(lane, in.PDst, isa.EvalCmp(in.Cmp, a, b))
 		}
 
 	case isa.OpPAnd, isa.OpPOr, isa.OpPNot:
@@ -388,14 +421,14 @@ func (e *Exec) stepInterp() (StepInfo, bool) {
 			if info.ExecMask&(1<<lane) == 0 {
 				continue
 			}
-			pa := e.Preds[lane][in.PA]
+			pa := e.pred(lane, in.PA)
 			switch in.Op {
 			case isa.OpPAnd:
-				e.Preds[lane][in.PDst] = pa && e.Preds[lane][in.PB]
+				e.setPred(lane, in.PDst, pa && e.pred(lane, in.PB))
 			case isa.OpPOr:
-				e.Preds[lane][in.PDst] = pa || e.Preds[lane][in.PB]
+				e.setPred(lane, in.PDst, pa || e.pred(lane, in.PB))
 			case isa.OpPNot:
-				e.Preds[lane][in.PDst] = !pa
+				e.setPred(lane, in.PDst, !pa)
 			}
 		}
 
@@ -405,7 +438,7 @@ func (e *Exec) stepInterp() (StepInfo, bool) {
 			if info.ExecMask&(1<<lane) == 0 {
 				continue
 			}
-			if e.Preds[lane][in.PA] {
+			if e.pred(lane, in.PA) {
 				any = true
 			} else {
 				all = false
@@ -417,14 +450,14 @@ func (e *Exec) stepInterp() (StepInfo, bool) {
 		}
 		for lane := 0; lane < WarpSize; lane++ {
 			if info.ExecMask&(1<<lane) != 0 {
-				e.Preds[lane][in.PDst] = v
+				e.setPred(lane, in.PDst, v)
 			}
 		}
 
 	case isa.OpBallot:
 		var mask uint64
 		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) != 0 && e.Preds[lane][in.PA] {
+			if info.ExecMask&(1<<lane) != 0 && e.pred(lane, in.PA) {
 				mask |= 1 << lane
 			}
 		}
@@ -437,7 +470,7 @@ func (e *Exec) stepInterp() (StepInfo, bool) {
 	case isa.OpShfl:
 		// Snapshot pre-instruction values of SrcA across the warp.
 		for lane := 0; lane < WarpSize; lane++ {
-			e.shflBuf[lane] = e.readReg(lane, in.SrcA)
+			e.tmp[lane] = e.readReg(lane, in.SrcA)
 		}
 		for lane := 0; lane < WarpSize; lane++ {
 			if info.ExecMask&(1<<lane) == 0 {
@@ -446,7 +479,7 @@ func (e *Exec) stepInterp() (StepInfo, bool) {
 			src := int(e.readReg(lane, in.SrcB) & 31)
 			var v uint64
 			if info.ExecMask&(1<<src) != 0 {
-				v = e.shflBuf[src]
+				v = e.tmp[src]
 			}
 			e.writeReg(lane, in.Dst, v)
 		}
@@ -456,7 +489,7 @@ func (e *Exec) stepInterp() (StepInfo, bool) {
 			if info.ExecMask&(1<<lane) == 0 {
 				continue
 			}
-			if e.Preds[lane][in.PA] {
+			if e.pred(lane, in.PA) {
 				e.writeReg(lane, in.Dst, e.readReg(lane, in.SrcA))
 			} else {
 				e.writeReg(lane, in.Dst, e.readReg(lane, in.SrcB))

@@ -12,63 +12,128 @@ import (
 // two must stay bit-identical in every observable effect — register and
 // predicate files, SIMT stack, PC/rpc, Done/AtBarrier/Err (including
 // error text), Executed, and the returned StepInfo — a property pinned by
-// FuzzPredecode and the gpu differential tests.
+// FuzzPredecode, TestFullWarpKernelsMatchInterpreter and the gpu
+// differential tests.
 //
-// The speed comes from predecode, not from different semantics: operands
-// are direct register-file indices (no RegNone/IsGeneral branches), the
-// per-lane EvalALU switch is hoisted into one dispatch per instruction
-// with a tight loop per op, lane iteration walks only set mask bits, and
-// Brab's reconvergence point is a precomputed field instead of an IPDom
-// table lookup.
+// The speed comes from predecode and warp-wide execution, not from
+// different semantics. Operands are direct register-file indices, so each
+// one is a 32-lane row (*[WarpSize]uint64) fetched once per instruction.
+// Register ops run as one loop over all 32 lanes: straight into the
+// destination row when every lane executes, otherwise into the scratch
+// row, which is then merged under the exec mask. Predicates are 32-lane
+// words, so guards, predicate logic, votes and ballots are single word
+// operations. Brab's reconvergence point is a precomputed field instead
+// of an IPDom table lookup.
 
-// The per-lane accessors index the register-major backing directly
-// (reg*WarpSize+lane): the WarpSize stride is a constant shift, and the
-// lanes of one register are contiguous, so a masked sweep over the warp
-// stays within a few cache lines per operand.
-
-// srcA reads the resolved A operand in one lane.
-func (e *Exec) srcA(lane int, s *isa.Superop) uint64 {
-	if s.ASpec {
-		return e.Special[lane][s.A]
-	}
-	return e.regBack[int(s.A)*WarpSize+lane]
+// row returns general register r's 32-lane row.
+func (e *Exec) row(r int) *[WarpSize]uint64 {
+	return (*[WarpSize]uint64)(e.regBack[r*WarpSize:])
 }
 
-// srcB reads the resolved B operand in one lane.
-func (e *Exec) srcB(lane int, s *isa.Superop) uint64 {
-	if s.BSpec {
-		return e.Special[lane][s.B]
+// srcRow returns the row of a resolved source operand: the special file
+// when spec is set, else the general file.
+func (e *Exec) srcRow(r uint16, spec bool) *[WarpSize]uint64 {
+	if spec {
+		return &e.special[r]
 	}
-	return e.regBack[int(s.B)*WarpSize+lane]
+	return e.row(int(r))
 }
 
-// srcC reads the resolved C operand in one lane.
-func (e *Exec) srcC(lane int, s *isa.Superop) uint64 {
-	if s.CSpec {
-		return e.Special[lane][s.C]
+// dstRow returns the general destination row, or the scratch row as a
+// write sink when the instruction writes no general register.
+func (e *Exec) dstRow(s *isa.Superop) *[WarpSize]uint64 {
+	if s.Dst < 0 {
+		return &e.tmp
 	}
-	return e.regBack[int(s.C)*WarpSize+lane]
-}
-
-// setDst writes the general destination register in one lane (no-op when
-// the instruction has none).
-func (e *Exec) setDst(lane int, s *isa.Superop, v uint64) {
-	if s.Dst >= 0 {
-		e.regBack[int(s.Dst)*WarpSize+lane] = v
-	}
+	return e.row(int(s.Dst))
 }
 
 // execMaskSop is execMask on the predecoded form.
 func (e *Exec) execMaskSop(s *isa.Superop) uint32 {
-	if s.Guard == isa.PredNone {
+	switch {
+	case s.Guard == isa.PredNone:
 		return e.Active
+	case s.GuardNeg:
+		return e.Active &^ e.preds[s.Guard]
+	default:
+		return e.Active & e.preds[s.Guard]
 	}
+}
+
+// setPredLanes writes v into predicate p's lanes under mask.
+func (e *Exec) setPredLanes(p isa.Pred, mask, v uint32) {
+	e.preds[p] = e.preds[p]&^mask | v&mask
+}
+
+// cmpMask evaluates cmp between a and b in every lane, one result bit per
+// lane, with one loop per comparison (a loop that derives them all from
+// equal and less-than masks measured slower). An unknown comparison
+// panics exactly like isa.EvalCmp.
+func cmpMask(cmp isa.CmpOp, a, b *[WarpSize]uint64) uint32 {
 	var m uint32
-	for a := e.Active; a != 0; a &= a - 1 {
-		lane := bits.TrailingZeros32(a)
-		if e.Preds[lane][s.Guard] != s.GuardNeg {
-			m |= 1 << lane
+	switch cmp {
+	case isa.CmpEQ:
+		for l := range a {
+			if a[l] == b[l] {
+				m |= 1 << l
+			}
 		}
+	case isa.CmpNE:
+		for l := range a {
+			if a[l] != b[l] {
+				m |= 1 << l
+			}
+		}
+	case isa.CmpLT:
+		for l := range a {
+			if a[l] < b[l] {
+				m |= 1 << l
+			}
+		}
+	case isa.CmpLE:
+		for l := range a {
+			if a[l] <= b[l] {
+				m |= 1 << l
+			}
+		}
+	case isa.CmpGT:
+		for l := range a {
+			if a[l] > b[l] {
+				m |= 1 << l
+			}
+		}
+	case isa.CmpGE:
+		for l := range a {
+			if a[l] >= b[l] {
+				m |= 1 << l
+			}
+		}
+	case isa.CmpLTS:
+		for l := range a {
+			if int64(a[l]) < int64(b[l]) {
+				m |= 1 << l
+			}
+		}
+	case isa.CmpLES:
+		for l := range a {
+			if int64(a[l]) <= int64(b[l]) {
+				m |= 1 << l
+			}
+		}
+	case isa.CmpGTS:
+		for l := range a {
+			if int64(a[l]) > int64(b[l]) {
+				m |= 1 << l
+			}
+		}
+	case isa.CmpGES:
+		for l := range a {
+			if int64(a[l]) >= int64(b[l]) {
+				m |= 1 << l
+			}
+		}
+	default:
+		isa.EvalCmp(cmp, 0, 0)
 	}
 	return m
 }
@@ -83,8 +148,9 @@ func (e *Exec) stepDecoded() bool {
 	s := &e.dec.Ops[e.PC]
 	e.Executed++
 	info := &e.info
+	mask := e.execMaskSop(s)
 	info.Instr = s.In
-	info.ExecMask = e.execMaskSop(s)
+	info.ExecMask = mask
 	info.Width = s.Width
 	info.IsGlobal = false
 	adv := true // advance PC by 1 unless a branch redirects
@@ -97,7 +163,7 @@ func (e *Exec) stepDecoded() bool {
 
 	case isa.OpBrab:
 		adv = false
-		taken := info.ExecMask
+		taken := mask
 		notTaken := e.Active &^ taken
 		switch {
 		case taken == 0:
@@ -117,8 +183,8 @@ func (e *Exec) stepDecoded() bool {
 
 	case isa.OpExit:
 		adv = false
-		e.exited |= info.ExecMask
-		if rem := e.Active &^ info.ExecMask; rem != 0 {
+		e.exited |= mask
+		if rem := e.Active &^ mask; rem != 0 {
 			// Guarded exit: surviving lanes continue.
 			e.Active = rem
 			e.PC++
@@ -131,311 +197,128 @@ func (e *Exec) stepDecoded() bool {
 		e.AtBarrier = true
 		adv = false
 
-	case isa.OpSetP:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.Preds[lane][s.PDst] = isa.EvalCmp(s.Cmp, e.srcA(lane, s), e.srcB(lane, s))
+	case isa.OpSetP, isa.OpSetPI:
+		if mask == 0 {
+			break
 		}
-
-	case isa.OpSetPI:
-		b := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.Preds[lane][s.PDst] = isa.EvalCmp(s.Cmp, e.srcA(lane, s), b)
-		}
-
-	case isa.OpPAnd:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.Preds[lane][s.PDst] = e.Preds[lane][s.PA] && e.Preds[lane][s.PB]
-		}
-
-	case isa.OpPOr:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.Preds[lane][s.PDst] = e.Preds[lane][s.PA] || e.Preds[lane][s.PB]
-		}
-
-	case isa.OpPNot:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.Preds[lane][s.PDst] = !e.Preds[lane][s.PA]
-		}
-
-	case isa.OpVoteAll, isa.OpVoteAny:
-		all, any := true, false
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			if e.Preds[lane][s.PA] {
-				any = true
-			} else {
-				all = false
+		b := &e.tmp
+		if s.Op == isa.OpSetP {
+			b = e.srcRow(s.B, s.BSpec)
+		} else {
+			imm := uint64(s.Imm)
+			for l := range b {
+				b[l] = imm
 			}
 		}
-		v := any
-		if s.Op == isa.OpVoteAll {
-			v = all
+		e.setPredLanes(s.PDst, mask, cmpMask(s.Cmp, e.srcRow(s.A, s.ASpec), b))
+
+	case isa.OpPAnd:
+		e.setPredLanes(s.PDst, mask, e.preds[s.PA]&e.preds[s.PB])
+	case isa.OpPOr:
+		e.setPredLanes(s.PDst, mask, e.preds[s.PA]|e.preds[s.PB])
+	case isa.OpPNot:
+		e.setPredLanes(s.PDst, mask, ^e.preds[s.PA])
+
+	case isa.OpVoteAll:
+		// All executing lanes hold PA (vacuously true on an empty mask).
+		if mask&^e.preds[s.PA] == 0 {
+			e.setPredLanes(s.PDst, mask, FullMask)
+		} else {
+			e.setPredLanes(s.PDst, mask, 0)
 		}
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.Preds[lane][s.PDst] = v
+	case isa.OpVoteAny:
+		if mask&e.preds[s.PA] != 0 {
+			e.setPredLanes(s.PDst, mask, FullMask)
+		} else {
+			e.setPredLanes(s.PDst, mask, 0)
 		}
 
 	case isa.OpBallot:
-		var mask uint64
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			if e.Preds[lane][s.PA] {
-				mask |= 1 << lane
-			}
-		}
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, mask)
+		v := uint64(mask & e.preds[s.PA])
+		d := e.dstRow(s)
+		for m := mask; m != 0; m &= m - 1 {
+			d[bits.TrailingZeros32(m)] = v
 		}
 
 	case isa.OpShfl:
+		if s.Dst < 0 {
+			break
+		}
 		// Snapshot pre-instruction values of SrcA across the warp.
-		for lane := 0; lane < WarpSize; lane++ {
-			e.shflBuf[lane] = e.srcA(lane, s)
+		buf := &e.tmp
+		*buf = *e.srcRow(s.A, s.ASpec)
+		b, d := e.srcRow(s.B, s.BSpec), e.row(int(s.Dst))
+		if mask == FullMask {
+			// Every source lane executes. Lane l reads b[l] before
+			// writing d[l], so b aliasing d is safe.
+			for l := range d {
+				d[l] = buf[b[l]&31]
+			}
+			break
 		}
-		for m := info.ExecMask; m != 0; m &= m - 1 {
+		for m := mask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
-			src := int(e.srcB(lane, s) & 31)
+			src := b[lane] & 31
 			var v uint64
-			if info.ExecMask&(1<<src) != 0 {
-				v = e.shflBuf[src]
+			if mask&(1<<src) != 0 {
+				v = buf[src]
 			}
-			e.setDst(lane, s, v)
-		}
-
-	case isa.OpSel:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			if e.Preds[lane][s.PA] {
-				e.setDst(lane, s, e.srcA(lane, s))
-			} else {
-				e.setDst(lane, s, e.srcB(lane, s))
-			}
+			d[lane] = v
 		}
 
 	case isa.OpLdGlobal:
 		info.IsGlobal = true
+		a, d := e.srcRow(s.A, s.ASpec), e.dstRow(s)
 		imm := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
+		for m := mask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
-			addr := e.srcA(lane, s) + imm
+			addr := a[lane] + imm
 			info.Addrs[lane] = addr
-			e.setDst(lane, s, e.Mem.LoadGlobal(addr, s.Width))
+			d[lane] = e.Mem.LoadGlobal(addr, s.Width)
 		}
 
 	case isa.OpStGlobal:
 		info.IsGlobal = true
+		a, b := e.srcRow(s.A, s.ASpec), e.srcRow(s.B, s.BSpec)
 		imm := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
+		for m := mask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
-			addr := e.srcA(lane, s) + imm
+			addr := a[lane] + imm
 			info.Addrs[lane] = addr
-			e.Mem.StoreGlobal(addr, e.srcB(lane, s), s.Width)
+			e.Mem.StoreGlobal(addr, b[lane], s.Width)
 		}
 
 	case isa.OpAtomAdd:
 		info.IsGlobal = true
+		a, b, d := e.srcRow(s.A, s.ASpec), e.srcRow(s.B, s.BSpec), e.dstRow(s)
 		imm := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
+		for m := mask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
-			addr := e.srcA(lane, s) + imm
+			addr := a[lane] + imm
 			info.Addrs[lane] = addr
-			e.setDst(lane, s, e.Mem.AtomicAdd(addr, e.srcB(lane, s), s.Width))
+			d[lane] = e.Mem.AtomicAdd(addr, b[lane], s.Width)
 		}
 
-	case isa.OpLdShared:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			off := int64(e.srcA(lane, s)) + s.Imm
-			e.setDst(lane, s, stageLoad(e.Shared, off, s.Width))
+	case isa.OpStShared, isa.OpStStage:
+		buf, what := e.Shared, "shared"
+		if s.Op == isa.OpStStage {
+			buf, what = e.StageOut, "stage"
 		}
-
-	case isa.OpStShared:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
+		a, b := e.srcRow(s.A, s.ASpec), e.srcRow(s.B, s.BSpec)
+		for m := mask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros32(m)
-			off := int64(e.srcA(lane, s)) + s.Imm
-			if !stageStore(e.Shared, off, e.srcB(lane, s), s.Width) {
-				e.fail("shared store out of range: off %d", off)
+			off := int64(a[lane]) + s.Imm
+			if !stageStore(buf, off, b[lane], s.Width) {
+				e.fail("%s store out of range: off %d", what, off)
 				return true
 			}
-		}
-
-	case isa.OpLdStage:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			off := int64(e.srcA(lane, s)) + s.Imm
-			e.setDst(lane, s, stageLoad(e.StageIn, off, s.Width))
-		}
-
-	case isa.OpStStage:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			off := int64(e.srcA(lane, s)) + s.Imm
-			if !stageStore(e.StageOut, off, e.srcB(lane, s), s.Width) {
-				e.fail("stage store out of range: off %d", off)
-				return true
-			}
-		}
-
-	// Scalar ALU/SFU ops: EvalALU's per-lane switch hoisted to one case
-	// per op with a dense loop over the set mask bits.
-	case isa.OpNop:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			e.setDst(bits.TrailingZeros32(m), s, 0)
-		}
-	case isa.OpMov:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s))
-		}
-	case isa.OpMovI:
-		v := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			e.setDst(bits.TrailingZeros32(m), s, v)
-		}
-	case isa.OpAdd:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)+e.srcB(lane, s))
-		}
-	case isa.OpAddI:
-		imm := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)+imm)
-		}
-	case isa.OpSub:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)-e.srcB(lane, s))
-		}
-	case isa.OpSubI:
-		imm := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)-imm)
-		}
-	case isa.OpMul:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)*e.srcB(lane, s))
-		}
-	case isa.OpMulI:
-		imm := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)*imm)
-		}
-	case isa.OpMad:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)*e.srcB(lane, s)+e.srcC(lane, s))
-		}
-	case isa.OpMin:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			a, b := e.srcA(lane, s), e.srcB(lane, s)
-			if b < a {
-				a = b
-			}
-			e.setDst(lane, s, a)
-		}
-	case isa.OpMax:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			a, b := e.srcA(lane, s), e.srcB(lane, s)
-			if b > a {
-				a = b
-			}
-			e.setDst(lane, s, a)
-		}
-	case isa.OpAnd:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)&e.srcB(lane, s))
-		}
-	case isa.OpAndI:
-		imm := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)&imm)
-		}
-	case isa.OpOr:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)|e.srcB(lane, s))
-		}
-	case isa.OpOrI:
-		imm := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)|imm)
-		}
-	case isa.OpXor:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)^e.srcB(lane, s))
-		}
-	case isa.OpXorI:
-		imm := uint64(s.Imm)
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)^imm)
-		}
-	case isa.OpNot:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, ^e.srcA(lane, s))
-		}
-	case isa.OpShl:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)<<(e.srcB(lane, s)&63))
-		}
-	case isa.OpShlI:
-		sh := uint64(s.Imm) & 63
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)<<sh)
-		}
-	case isa.OpShr:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)>>(e.srcB(lane, s)&63))
-		}
-	case isa.OpShrI:
-		sh := uint64(s.Imm) & 63
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, e.srcA(lane, s)>>sh)
-		}
-	case isa.OpSext:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, isa.SignExtend(e.srcA(lane, s), s.Width))
-		}
-	case isa.OpSfu:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, isa.SFUMix(e.srcA(lane, s)))
-		}
-	case isa.OpCtz:
-		for m := info.ExecMask; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			e.setDst(lane, s, uint64(bits.TrailingZeros64(e.srcA(lane, s))))
 		}
 
 	default:
-		// An op outside the ISA. The interpreter hits EvalALU's error on
-		// the first active lane; mirror that, including the no-active-lane
-		// case where the instruction retires as a nop.
-		if info.ExecMask != 0 {
+		if !e.kernel(s, mask) && mask != 0 {
+			// An op outside the ISA. The interpreter hits EvalALU's error
+			// on the first active lane; mirror that, including the
+			// no-active-lane case where the instruction retires as a nop.
 			e.fail("%v", &isa.NonALUOpError{Op: s.Op})
 			return true
 		}
@@ -445,5 +328,151 @@ func (e *Exec) stepDecoded() bool {
 		e.PC++
 	}
 	e.checkReconverge()
+	return true
+}
+
+// kernel runs one register-producing op without side effects — the
+// scalar ALU/SFU ops, sel, and the zero-padded ld.shared/ld.stage — as a
+// loop over all 32 lanes. A full mask writes the destination row
+// directly (each lane reads its sources before writing, so a source
+// aliasing the destination is safe); a partial mask computes into the
+// scratch row and merges the executing lanes. It reports false, writing
+// nothing, for an op outside the ISA.
+func (e *Exec) kernel(s *isa.Superop, mask uint32) bool {
+	d := e.dstRow(s)
+	out := d
+	if mask != FullMask {
+		out = &e.tmp
+	}
+	a, b := e.srcRow(s.A, s.ASpec), e.srcRow(s.B, s.BSpec)
+	imm := uint64(s.Imm)
+	switch s.Op {
+	case isa.OpNop:
+		*out = [WarpSize]uint64{}
+	case isa.OpMov:
+		*out = *a
+	case isa.OpMovI:
+		for l := range out {
+			out[l] = imm
+		}
+	case isa.OpAdd:
+		for l := range out {
+			out[l] = a[l] + b[l]
+		}
+	case isa.OpAddI:
+		for l := range out {
+			out[l] = a[l] + imm
+		}
+	case isa.OpSub:
+		for l := range out {
+			out[l] = a[l] - b[l]
+		}
+	case isa.OpSubI:
+		for l := range out {
+			out[l] = a[l] - imm
+		}
+	case isa.OpMul:
+		for l := range out {
+			out[l] = a[l] * b[l]
+		}
+	case isa.OpMulI:
+		for l := range out {
+			out[l] = a[l] * imm
+		}
+	case isa.OpMad:
+		c := e.srcRow(s.C, s.CSpec)
+		for l := range out {
+			out[l] = a[l]*b[l] + c[l]
+		}
+	case isa.OpMin:
+		for l := range out {
+			out[l] = min(a[l], b[l])
+		}
+	case isa.OpMax:
+		for l := range out {
+			out[l] = max(a[l], b[l])
+		}
+	case isa.OpAnd:
+		for l := range out {
+			out[l] = a[l] & b[l]
+		}
+	case isa.OpAndI:
+		for l := range out {
+			out[l] = a[l] & imm
+		}
+	case isa.OpOr:
+		for l := range out {
+			out[l] = a[l] | b[l]
+		}
+	case isa.OpOrI:
+		for l := range out {
+			out[l] = a[l] | imm
+		}
+	case isa.OpXor:
+		for l := range out {
+			out[l] = a[l] ^ b[l]
+		}
+	case isa.OpXorI:
+		for l := range out {
+			out[l] = a[l] ^ imm
+		}
+	case isa.OpNot:
+		for l := range out {
+			out[l] = ^a[l]
+		}
+	case isa.OpShl:
+		for l := range out {
+			out[l] = a[l] << (b[l] & 63)
+		}
+	case isa.OpShlI:
+		for l := range out {
+			out[l] = a[l] << (imm & 63)
+		}
+	case isa.OpShr:
+		for l := range out {
+			out[l] = a[l] >> (b[l] & 63)
+		}
+	case isa.OpShrI:
+		for l := range out {
+			out[l] = a[l] >> (imm & 63)
+		}
+	case isa.OpSext:
+		for l := range out {
+			out[l] = isa.SignExtend(a[l], s.Width)
+		}
+	case isa.OpSfu:
+		for l := range out {
+			out[l] = isa.SFUMix(a[l])
+		}
+	case isa.OpCtz:
+		for l := range out {
+			out[l] = uint64(bits.TrailingZeros64(a[l]))
+		}
+	case isa.OpSel:
+		p := e.preds[s.PA]
+		for l := range out {
+			if p>>l&1 != 0 {
+				out[l] = a[l]
+			} else {
+				out[l] = b[l]
+			}
+		}
+	case isa.OpLdShared, isa.OpLdStage:
+		buf := e.Shared
+		if s.Op == isa.OpLdStage {
+			buf = e.StageIn
+		}
+		for l := range out {
+			out[l] = stageLoad(buf, int64(a[l])+s.Imm, s.Width)
+		}
+	default:
+		return false
+	}
+	if out != d {
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = out[l]
+		}
+	}
 	return true
 }

@@ -188,10 +188,10 @@ func TestExecVotesAndBallot(t *testing.T) {
   vote.all p2, p0
   ballot r1, p0
   exit`, FullMask)
-	if !e.Preds[9][1] {
+	if !e.pred(9, 1) {
 		t.Error("vote.any should be true in every lane")
 	}
-	if e.Preds[9][2] {
+	if e.pred(9, 2) {
 		t.Error("vote.all should be false")
 	}
 	if e.Reg(5, 1) != 0xF {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/caba-sim/caba/internal/isa"
 )
@@ -77,18 +78,27 @@ func (s *Store) MustGet(id RoutineID) *Routine {
 // Len returns the number of preloaded routines.
 func (s *Store) Len() int { return len(s.routines) }
 
+// MaxWarps is the width of the AWT's bitmasks: an AWT holds at most
+// MaxWarps entries, and parent warp slots are numbered below it
+// (config.Validate caps MaxWarpsPerSM at this value).
+const MaxWarps = 64
+
+// windowSlots is the length of the utilization monitor's shift register.
+const windowSlots = 64
+
 // Entry is one Assist Warp Table (AWT) entry: a triggered assist warp
 // coupled to its parent warp, tracking the next instruction to deploy
 // (Inst.ID) via its execution context, plus live-in/live-out bookkeeping.
 type Entry struct {
 	Routine *Routine
-	// Pri mirrors Routine.Priority so the per-cycle deploy scan reads one
-	// byte here instead of chasing the Routine pointer.
+	// Pri mirrors Routine.Priority so the controller reads one byte here
+	// instead of chasing the Routine pointer.
 	Pri  Priority
 	Warp int // parent warp index within the SM
 	Exec *Exec
 
 	// Staged counts instructions deployed into the AWB but not yet issued.
+	// The controller owns it: Tick raises it, Consumed lowers it.
 	Staged int
 	// Outstanding counts issued instructions not yet written back.
 	Outstanding int
@@ -103,6 +113,10 @@ type Entry struct {
 	// OnComplete fires when the routine has executed its last instruction
 	// and all writebacks have drained.
 	OnComplete func(*Entry)
+
+	// pos is the entry's AWT position: its index in Controller.entries
+	// and its bit in the controller's masks (-1 once retired).
+	pos int
 }
 
 // Done reports whether the assist warp has finished executing.
@@ -115,16 +129,23 @@ func (e *Entry) Done() bool {
 // round-robin into the Assist Warp Buffer, and throttles low-priority
 // deployment by monitoring pipeline utilization (Section 3.4, Dynamic
 // Feedback and Throttling).
+//
+// Like the hardware tables it models, the AWT is fixed-width: entries sit
+// at positions 0..n-1 in trigger order, and per-priority 64-bit masks
+// over those positions say which entries can take a deployed instruction
+// and which have one staged, so deployment and the issue stage's AWB
+// scan visit only the entries that matter.
 type Controller struct {
 	Store *Store
 
 	// MaxEntries bounds the AWT (one slot per hardware warp context, so
-	// every parent warp can host an assist warp).
+	// every parent warp can host an assist warp); at most MaxWarps.
 	MaxEntries int
 	// DeployBW is the maximum instructions staged per cycle (decode
 	// bandwidth shared with the front-end).
 	DeployBW int
-	// StagedCap is the per-entry AWB staging capacity.
+	// StagedCap is the per-entry AWB staging capacity. Set it before the
+	// first Trigger: the ready masks are kept against it.
 	StagedCap int
 
 	// Low-priority AWB partition: the dedicated two-entry IB partition.
@@ -133,27 +154,25 @@ type Controller struct {
 	entries []*Entry
 	rr      int
 
-	// highByWarp gives O(1) lookup of the high-priority assist warp
-	// attached to a parent warp (at most one: only a single instance of
-	// each routine per parent, Section 3.2.2). A slice indexed by warp
-	// slot, grown on demand: CanTrigger sits on the per-trigger
-	// findAssistHost scan, where a map lookup is measurably hotter.
-	highByWarp []*Entry
-	lowList    []*Entry
+	// ready[p] has bit i set when entries[i] has priority p and Tick may
+	// deploy into it (Staged < StagedCap, not killed, exec not done);
+	// staged[p] has bit i set when entries[i] has priority p and
+	// Staged > 0. Staged, Killed and Exec.Done change only through
+	// Trigger, Tick, Consumed, Kill and Retire, which keep both exact.
+	ready, staged [2]uint64
 
-	// Utilization monitor: a sliding window of issue-slot business.
-	window     [64]bool
-	windowPos  int
-	windowBusy int
+	// highByWarp is the high-priority assist warp attached to each parent
+	// warp slot (at most one: only a single instance of each routine per
+	// parent, Section 3.2.2).
+	highByWarp [MaxWarps]*Entry
+	// nLow counts the low-priority partition's entries.
+	nLow int
 
-	// drained short-circuits Tick's deploy scan: it is set when an
-	// unthrottled full scan staged nothing, and cleared whenever staging
-	// capacity can reappear (an instruction is consumed from the AWB, or
-	// a new entry is triggered). It is a pure strategy hint — Tick's
-	// architected effects (Staged, DeployedIns, rr rotation) are
-	// identical with or without it — and is not serialized; Load clears
-	// it so a restored controller rescans conservatively.
-	drained bool
+	// Utilization monitor: a shift register of the last windowSlots
+	// issue slots, bit windowPos being the next to overwrite; a set bit
+	// is a slot that issued.
+	window    uint64
+	windowPos int
 
 	// Stats.
 	Triggered   uint64
@@ -161,8 +180,12 @@ type Controller struct {
 	DeployedIns uint64
 }
 
-// NewController builds an AWC.
+// NewController builds an AWC with maxEntries AWT slots (at most
+// MaxWarps).
 func NewController(store *Store, maxEntries int) *Controller {
+	if maxEntries > MaxWarps {
+		panic(fmt.Sprintf("core: %d AWT entries exceed the %d-bit entry masks", maxEntries, MaxWarps))
+	}
 	return &Controller{
 		Store:      store,
 		MaxEntries: maxEntries,
@@ -172,23 +195,6 @@ func NewController(store *Store, maxEntries int) *Controller {
 	}
 }
 
-// highFor is the slice-backed lookup behind HighFor/CanTrigger.
-func (c *Controller) highFor(warp int) *Entry {
-	if warp < len(c.highByWarp) {
-		return c.highByWarp[warp]
-	}
-	return nil
-}
-
-// setHigh installs (or clears, with nil) the high-priority entry for a
-// parent warp, growing the slice to cover the slot.
-func (c *Controller) setHigh(warp int, e *Entry) {
-	for warp >= len(c.highByWarp) {
-		c.highByWarp = append(c.highByWarp, nil)
-	}
-	c.highByWarp[warp] = e
-}
-
 // CanTrigger reports whether a new assist warp of the given priority can
 // be accepted for parent warp `warp`.
 func (c *Controller) CanTrigger(pri Priority, warp int) bool {
@@ -196,9 +202,9 @@ func (c *Controller) CanTrigger(pri Priority, warp int) bool {
 		return false
 	}
 	if pri == PriHigh {
-		return c.highFor(warp) == nil
+		return c.highByWarp[warp] == nil
 	}
-	return len(c.lowList) < c.LowCap
+	return c.nLow < c.LowCap
 }
 
 // Trigger creates an AWT entry running routine rt on behalf of warp. exec
@@ -211,46 +217,63 @@ func (c *Controller) Trigger(rt *Routine, warp int, exec *Exec, user any, onComp
 		return nil
 	}
 	e := &Entry{Routine: rt, Pri: rt.Priority, Warp: warp, Exec: exec, User: user, OnComplete: onComplete}
-	c.entries = append(c.entries, e)
-	if rt.Priority == PriHigh {
-		c.setHigh(warp, e)
-	} else {
-		c.lowList = append(c.lowList, e)
-	}
+	c.add(e)
 	c.Triggered++
-	c.drained = false
 	return e
+}
+
+// add appends e at the next AWT position.
+func (c *Controller) add(e *Entry) {
+	e.pos = len(c.entries)
+	c.entries = append(c.entries, e)
+	if e.Pri == PriHigh {
+		c.highByWarp[e.Warp] = e
+	} else {
+		c.nLow++
+	}
+	c.refresh(e)
+}
+
+// refresh recomputes e's ready and staged bits from its state.
+func (c *Controller) refresh(e *Entry) {
+	bit := uint64(1) << e.pos
+	c.ready[e.Pri] &^= bit
+	c.staged[e.Pri] &^= bit
+	if e.Staged < c.StagedCap && !e.Killed && !e.Exec.Done {
+		c.ready[e.Pri] |= bit
+	}
+	if e.Staged > 0 {
+		c.staged[e.Pri] |= bit
+	}
 }
 
 // NoteIssueSlot feeds the utilization monitor: busy is true when the slot
 // issued an instruction.
 func (c *Controller) NoteIssueSlot(busy bool) {
-	if c.window[c.windowPos] {
-		c.windowBusy--
-	}
-	c.window[c.windowPos] = busy
+	bit := uint64(1) << c.windowPos
 	if busy {
-		c.windowBusy++
+		c.window |= bit
+	} else {
+		c.window &^= bit
 	}
-	c.windowPos = (c.windowPos + 1) % len(c.window)
+	c.windowPos = (c.windowPos + 1) % windowSlots
 }
 
 // NoteIdleSlots advances the utilization monitor by n idle slots, exactly
-// as if NoteIssueSlot(false) had been called n times. The fast-forward
-// engine uses it to credit skipped cycles in bulk; once n covers the whole
-// window the update collapses to a clear plus a position rotation.
+// as if NoteIssueSlot(false) had been called n times: it clears the n
+// bits from windowPos on (all of them once n covers the window). The
+// fast-forward engine and the quiescent tick use it to credit idle slots
+// in bulk.
 func (c *Controller) NoteIdleSlots(n int) {
-	if n >= len(c.window) {
-		for i := range c.window {
-			c.window[i] = false
-		}
-		c.windowBusy = 0
-		c.windowPos = (c.windowPos + n) % len(c.window)
+	if n <= 0 {
 		return
 	}
-	for i := 0; i < n; i++ {
-		c.NoteIssueSlot(false)
+	if n >= windowSlots {
+		c.window = 0
+	} else {
+		c.window &^= bits.RotateLeft64(1<<n-1, c.windowPos)
 	}
+	c.windowPos = (c.windowPos + n) % windowSlots
 }
 
 // Idle reports whether the AWT holds no assist warps (the controller's
@@ -263,7 +286,7 @@ func (c *Controller) Full() bool { return len(c.entries) >= c.MaxEntries }
 
 // Utilization returns the fraction of recent issue slots that were busy.
 func (c *Controller) Utilization() float64 {
-	return float64(c.windowBusy) / float64(len(c.window))
+	return float64(bits.OnesCount64(c.window)) / windowSlots
 }
 
 // LowPriorityThrottled reports whether low-priority deployment should be
@@ -276,78 +299,92 @@ func (c *Controller) LowPriorityThrottled() bool {
 // AWT entries, respecting per-entry staging capacity and the low-priority
 // throttle. High-priority (blocking, correctness-critical) assist warps
 // consume deploy bandwidth first; low-priority warps use what is left.
+// Each pass starts at AWT position rr % n and visits every entry at most
+// once, and rr advances by one per tick.
 func (c *Controller) Tick() {
-	if len(c.entries) == 0 {
-		return
-	}
 	n := len(c.entries)
-	if c.drained {
-		c.rr = (c.rr + 1) % n
+	if n == 0 {
 		return
 	}
-	credits := c.DeployBW
-	deploy := func(pri Priority) {
-		for scanned := 0; scanned < n && credits > 0; scanned++ {
-			e := c.entries[(c.rr+scanned)%n]
-			// Cheapest rejections first; the conditions are pure, so the
-			// order does not change which entries are skipped.
-			if e.Pri != pri || e.Staged >= c.StagedCap || e.Killed || e.Exec.Done {
-				continue
-			}
-			e.Staged++
-			c.DeployedIns++
-			credits--
-		}
-	}
-	deploy(PriHigh)
-	throttled := c.LowPriorityThrottled()
-	if !throttled {
-		deploy(PriLow)
-	}
-	if credits == c.DeployBW && !throttled {
-		// Nothing staged on a full, unthrottled scan: every entry is at
-		// capacity, killed, or done. None of those revert except through
-		// NoteConsumed/Trigger, which re-arm the scan.
-		c.drained = true
+	start := c.rr % n
+	credits := c.deploy(PriHigh, start, c.DeployBW)
+	if !c.LowPriorityThrottled() {
+		c.deploy(PriLow, start, credits)
 	}
 	c.rr = (c.rr + 1) % n
 }
 
-// NoteConsumed tells the controller an instruction left the AWB (an SM
-// issued a staged assist instruction), so a capacity-full entry may have
-// room again and the deploy scan must resume.
-func (c *Controller) NoteConsumed() { c.drained = false }
+// deploy stages one instruction into each ready entry of priority pri,
+// in position order from start and wrapping around, until credits run
+// out; it returns the credits left. Rotating the mask right by start
+// lists positions start..63 and then 0..start-1 in ascending bit order.
+func (c *Controller) deploy(pri Priority, start, credits int) int {
+	for m := bits.RotateLeft64(c.ready[pri], -start); m != 0 && credits > 0; m &= m - 1 {
+		i := (bits.TrailingZeros64(m) + start) % MaxWarps
+		e := c.entries[i]
+		e.Staged++
+		c.DeployedIns++
+		credits--
+		c.staged[pri] |= 1 << i
+		if e.Staged >= c.StagedCap {
+			c.ready[pri] &^= 1 << i
+		}
+	}
+	return credits
+}
+
+// Consumed records that an SM issued one of e's staged instructions: it
+// leaves the AWB, and once the routine has executed its last instruction
+// the slots staged past its end are discarded.
+func (c *Controller) Consumed(e *Entry) {
+	e.Staged--
+	if e.Exec.Done {
+		e.Staged = 0
+	}
+	c.refresh(e)
+}
+
+// StagedMask returns the AWT positions of priority pri with an
+// instruction in the AWB, bit i standing for Entries()[i].
+func (c *Controller) StagedMask(pri Priority) uint64 { return c.staged[pri] }
 
 // HighFor returns the high-priority assist warp attached to warp, if any.
-func (c *Controller) HighFor(warp int) *Entry { return c.highFor(warp) }
+func (c *Controller) HighFor(warp int) *Entry { return c.highByWarp[warp] }
 
-// LowEntries returns the low-priority partition contents.
-func (c *Controller) LowEntries() []*Entry { return c.lowList }
-
-// Entries returns all live AWT entries.
+// Entries returns all live AWT entries in position (trigger) order.
 func (c *Controller) Entries() []*Entry { return c.entries }
 
 // Retire removes a finished or killed entry from the AWT and AWB
-// partitions and fires its completion callback (unless killed).
+// partitions and fires its completion callback (unless killed). Later
+// entries move up one position, and the masks close the gap.
 func (c *Controller) Retire(e *Entry) {
-	for i, x := range c.entries {
-		if x == e {
-			c.entries = append(c.entries[:i], c.entries[i+1:]...)
-			break
+	if i := e.pos; i >= 0 && i < len(c.entries) && c.entries[i] == e {
+		copy(c.entries[i:], c.entries[i+1:])
+		c.entries[len(c.entries)-1] = nil
+		c.entries = c.entries[:len(c.entries)-1]
+		for _, x := range c.entries[i:] {
+			x.pos--
 		}
-	}
-	if c.highFor(e.Warp) == e {
-		c.highByWarp[e.Warp] = nil
-	}
-	for i, x := range c.lowList {
-		if x == e {
-			c.lowList = append(c.lowList[:i], c.lowList[i+1:]...)
-			break
+		for p := range c.ready {
+			c.ready[p] = dropBit(c.ready[p], i)
+			c.staged[p] = dropBit(c.staged[p], i)
 		}
+		if e.Pri == PriHigh {
+			c.highByWarp[e.Warp] = nil
+		} else {
+			c.nLow--
+		}
+		e.pos = -1
 	}
 	if !e.Killed && e.OnComplete != nil {
 		e.OnComplete(e)
 	}
+}
+
+// dropBit deletes bit i from m, shifting the higher bits down one.
+func dropBit(m uint64, i int) uint64 {
+	low := uint64(1)<<i - 1
+	return m&low | m>>1&^low
 }
 
 // Kill flushes an assist warp (Section 3.4: entries in the AWT and AWB are

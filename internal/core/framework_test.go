@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/caba-sim/caba/internal/isa"
+	"github.com/caba-sim/caba/internal/snapshot"
 )
 
 func testRoutinePair() (hi, lo *Routine) {
@@ -210,5 +212,96 @@ func TestUtilizationWindow(t *testing.T) {
 	}
 	if u := c.Utilization(); u != 0.5 {
 		t.Errorf("utilization = %v, want 0.5", u)
+	}
+}
+
+// TestControllerLoadRejectsBadState feeds Controller.Load CRC-valid
+// payloads holding state the controller cannot produce. Each must come
+// back as a *snapshot.FormatError instead of loading, panicking on a
+// later tick or growing the warp table without bound.
+func TestControllerLoadRejectsBadState(t *testing.T) {
+	hi, lo := testRoutinePair()
+	store := NewStore()
+	store.Preload(hi)
+	store.Preload(lo)
+	type ent struct {
+		id                        RoutineID
+		warp, staged, outstanding int
+	}
+	type state struct {
+		rr        int
+		window    uint64
+		pos, busy int
+		ents      []ent
+	}
+	encode := func(s state) []byte {
+		w := &snapshot.Writer{}
+		w.Int(s.rr)
+		w.U64(s.window)
+		w.Int(s.pos)
+		w.Int(s.busy)
+		w.U64(uint64(len(s.ents))) // Triggered
+		w.U64(0)                   // KilledCount
+		w.U64(7)                   // DeployedIns
+		w.Len(len(s.ents))
+		for _, e := range s.ents {
+			w.U64(uint64(e.id))
+			w.Int(e.warp)
+			w.Int(e.staged)
+			w.Int(e.outstanding)
+			for j := 0; j < 4; j++ {
+				w.U64(0)
+			}
+			w.U8(0)
+			w.Bool(false)
+			NewAssistExec(store.MustGet(e.id)).Save(w, true)
+		}
+		return w.Payload()
+	}
+	good := func() state {
+		return state{rr: 1, window: 0b1011, pos: 5, busy: 3,
+			ents: []ent{{hi.ID, 3, 2, 1}, {lo.ID, 0, 4, 0}}}
+	}
+	cases := []struct {
+		name string
+		edit func(*state)
+	}{
+		{"negative rr", func(s *state) { s.rr = -1 }},
+		{"window position 64", func(s *state) { s.pos = 64 }},
+		{"negative window position", func(s *state) { s.pos = -1 }},
+		{"busy count above the ring's", func(s *state) { s.busy = 4 }},
+		{"busy count below the ring's", func(s *state) { s.busy = 2 }},
+		{"more entries than the AWT", func(s *state) {
+			for w := 4; w < 8; w++ {
+				s.ents = append(s.ents, ent{hi.ID, w, 0, 0})
+			}
+		}},
+		{"warp 1<<40", func(s *state) { s.ents[0].warp = 1 << 40 }},
+		{"warp past the masks", func(s *state) { s.ents[0].warp = MaxWarps }},
+		{"negative warp", func(s *state) { s.ents[1].warp = -1 }},
+		{"staged above StagedCap", func(s *state) { s.ents[0].staged = 5 }},
+		{"negative staged", func(s *state) { s.ents[1].staged = -1 }},
+		{"negative outstanding", func(s *state) { s.ents[0].outstanding = -1 }},
+	}
+	load := func(blob []byte) (*Controller, error) {
+		c := NewController(store, 4)
+		err := c.Load(snapshot.NewReader(blob), func(*snapshot.Reader, *Entry) error { return nil })
+		return c, err
+	}
+	c, err := load(encode(good()))
+	if err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+	if len(c.Entries()) != 2 || c.HighFor(3) != c.Entries()[0] || c.Utilization() != 3.0/64 {
+		t.Fatal("valid state restored wrongly")
+	}
+	for _, tc := range cases {
+		s := good()
+		tc.edit(&s)
+		_, err := load(encode(s))
+		var fe *snapshot.FormatError
+		if !errors.As(err, &fe) {
+			t.Errorf("%s: Load returned %v, want a *snapshot.FormatError", tc.name, err)
+		}
 	}
 }

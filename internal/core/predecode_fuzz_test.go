@@ -20,63 +20,78 @@ func FuzzPredecode(f *testing.F) {
 	for s := int64(0); s < 8; s++ {
 		f.Add(s)
 	}
+	// Seeds whose programs run warp-wide kernels with special-register
+	// operands under full, partial and empty guard masks.
+	for _, s := range []int64{41, 97, 1234, 65537} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		prog := randomProgram(rand.New(rand.NewSource(seed)))
+		lockstep(t, fmt.Sprintf("seed %d", seed), randomProgram(rand.New(rand.NewSource(seed))), FullMask)
+	})
+}
 
-		mkExec := func(interp bool) (*Exec, *fuzzMem) {
-			e := NewExec(prog, 0xFFFFFFFF)
-			e.Interp = interp
-			e.Shared = make([]byte, 256)
-			e.StageIn = make([]byte, 128)
-			e.StageOut = make([]byte, 128)
-			for i := range e.StageIn {
-				e.StageIn[i] = byte(i * 7)
-			}
-			m := &fuzzMem{data: make(map[uint64]byte)}
-			e.Mem = m
-			return e, m
+// lockstep runs prog on the predecoded engine and on the interpreter side
+// by side, from the given launch mask, and fails t at the first
+// divergence in the StepInfo fields the pipeline consumes, the
+// architectural state (diffExecState) or global memory.
+func lockstep(t *testing.T, label string, prog *isa.Program, launch uint32) {
+	t.Helper()
+	mkExec := func(interp bool) (*Exec, *fuzzMem) {
+		e := NewExec(prog, launch)
+		e.Interp = interp
+		e.Shared = make([]byte, 256)
+		e.StageIn = make([]byte, 128)
+		e.StageOut = make([]byte, 128)
+		for i := range e.StageIn {
+			e.StageIn[i] = byte(i * 7)
 		}
-		dec, decMem := mkExec(false)
-		ref, refMem := mkExec(true)
+		for lane := 0; lane < WarpSize; lane++ {
+			e.SetLaneSpecial(lane, isa.RegTid, uint64(lane*3+100))
+		}
+		m := &fuzzMem{data: make(map[uint64]byte)}
+		e.Mem = m
+		return e, m
+	}
+	dec, decMem := mkExec(false)
+	ref, refMem := mkExec(true)
 
-		for step := 0; step < 4096; step++ {
-			di, dok := dec.Step()
-			ri, rok := ref.Step()
-			if dok != rok {
-				t.Fatalf("seed %d step %d: decoded stepped=%v interp stepped=%v", seed, step, dok, rok)
+	for step := 0; step < 4096; step++ {
+		di, dok := dec.Step()
+		ri, rok := ref.Step()
+		if dok != rok {
+			t.Fatalf("%s step %d: decoded stepped=%v interp stepped=%v", label, step, dok, rok)
+		}
+		if !dok {
+			// Both stopped: a barrier is released on both in lockstep
+			// (single-warp CTA), anything else ends the program.
+			if dec.AtBarrier && ref.AtBarrier {
+				dec.ReleaseBarrier()
+				ref.ReleaseBarrier()
+				continue
 			}
-			if !dok {
-				// Both stopped: a barrier is released on both in lockstep
-				// (single-warp CTA), anything else ends the program.
-				if dec.AtBarrier && ref.AtBarrier {
-					dec.ReleaseBarrier()
-					ref.ReleaseBarrier()
-					continue
+			break
+		}
+		if di.ExecMask != ri.ExecMask || di.Width != ri.Width || di.IsGlobal != ri.IsGlobal {
+			t.Fatalf("%s step %d: StepInfo mismatch: decoded {mask %#x w %d g %v} interp {mask %#x w %d g %v}",
+				label, step, di.ExecMask, di.Width, di.IsGlobal, ri.ExecMask, ri.Width, ri.IsGlobal)
+		}
+		if di.IsGlobal {
+			for lane := 0; lane < WarpSize; lane++ {
+				if di.ExecMask&(1<<lane) != 0 && di.Addrs[lane] != ri.Addrs[lane] {
+					t.Fatalf("%s step %d lane %d: addr %#x vs %#x", label, step, lane, di.Addrs[lane], ri.Addrs[lane])
 				}
-				break
-			}
-			if di.ExecMask != ri.ExecMask || di.Width != ri.Width || di.IsGlobal != ri.IsGlobal {
-				t.Fatalf("seed %d step %d: StepInfo mismatch: decoded {mask %#x w %d g %v} interp {mask %#x w %d g %v}",
-					seed, step, di.ExecMask, di.Width, di.IsGlobal, ri.ExecMask, ri.Width, ri.IsGlobal)
-			}
-			if di.IsGlobal {
-				for lane := 0; lane < WarpSize; lane++ {
-					if di.ExecMask&(1<<lane) != 0 && di.Addrs[lane] != ri.Addrs[lane] {
-						t.Fatalf("seed %d step %d lane %d: addr %#x vs %#x", seed, step, lane, di.Addrs[lane], ri.Addrs[lane])
-					}
-				}
-			}
-			if diff := diffExecState(dec, ref); diff != "" {
-				t.Fatalf("seed %d step %d: %s", seed, step, diff)
 			}
 		}
 		if diff := diffExecState(dec, ref); diff != "" {
-			t.Fatalf("seed %d final: %s", seed, diff)
+			t.Fatalf("%s step %d: %s", label, step, diff)
 		}
-		if diff := decMem.diff(refMem); diff != "" {
-			t.Fatalf("seed %d final: global memory: %s", seed, diff)
-		}
-	})
+	}
+	if diff := diffExecState(dec, ref); diff != "" {
+		t.Fatalf("%s final: %s", label, diff)
+	}
+	if diff := decMem.diff(refMem); diff != "" {
+		t.Fatalf("%s final: global memory: %s", label, diff)
+	}
 }
 
 // diffExecState compares every piece of architectural state the two
@@ -105,9 +120,9 @@ func diffExecState(a, b *Exec) string {
 				return fmt.Sprintf("lane %d r%d: %#x vs %#x", lane, r, a.Reg(lane, r), b.Reg(lane, r))
 			}
 		}
-		if a.Preds[lane] != b.Preds[lane] {
-			return fmt.Sprintf("lane %d preds: %v vs %v", lane, a.Preds[lane], b.Preds[lane])
-		}
+	}
+	if a.preds != b.preds {
+		return fmt.Sprintf("preds: %#x vs %#x", a.preds, b.preds)
 	}
 	if len(a.Shared) > 0 || len(b.Shared) > 0 {
 		if string(a.Shared) != string(b.Shared) {
@@ -199,6 +214,14 @@ func randomProgram(rng *rand.Rand) *isa.Program {
 // emitChunk emits a straight-line run of random instructions.
 func emitChunk(b *isa.Builder, rng *rand.Rand, nRegs int) {
 	reg := func() isa.Reg { return isa.R(rng.Intn(nRegs)) }
+	// src is a source operand: usually a general register, sometimes a
+	// special one (per-lane %lane and %tid, or the zero register).
+	src := func() isa.Reg {
+		if rng.Intn(6) == 0 {
+			return []isa.Reg{isa.RegLane, isa.RegTid, isa.RegZero}[rng.Intn(3)]
+		}
+		return reg()
+	}
 	pred := func() isa.Pred { return isa.P(rng.Intn(isa.NumPredRegs)) }
 	width := func() uint8 { return []uint8{1, 2, 4, 8}[rng.Intn(4)] }
 	n := rng.Intn(12) + 3
@@ -206,39 +229,39 @@ func emitChunk(b *isa.Builder, rng *rand.Rand, nRegs int) {
 		if rng.Intn(5) == 0 {
 			b.WithGuard(pred(), rng.Intn(2) == 0)
 		}
-		switch rng.Intn(20) {
+		switch rng.Intn(27) {
 		case 0:
-			b.Add(reg(), reg(), reg())
+			b.Add(reg(), src(), src())
 		case 1:
-			b.Sub(reg(), reg(), reg())
+			b.Sub(reg(), src(), src())
 		case 2:
-			b.Mul(reg(), reg(), reg())
+			b.Mul(reg(), src(), src())
 		case 3:
-			b.Mad(reg(), reg(), reg(), reg())
+			b.Mad(reg(), src(), src(), src())
 		case 4:
-			b.And(reg(), reg(), reg())
+			b.And(reg(), src(), src())
 		case 5:
-			b.Or(reg(), reg(), reg())
+			b.Or(reg(), src(), src())
 		case 6:
-			b.Xor(reg(), reg(), reg())
+			b.Xor(reg(), src(), src())
 		case 7:
-			b.ShlI(reg(), reg(), int64(rng.Intn(63)))
+			b.ShlI(reg(), src(), int64(rng.Intn(63)))
 		case 8:
-			b.ShrI(reg(), reg(), int64(rng.Intn(63)))
+			b.ShrI(reg(), src(), int64(rng.Intn(63)))
 		case 9:
-			b.Min(reg(), reg(), reg())
+			b.Min(reg(), src(), src())
 		case 10:
-			b.Sfu(reg(), reg())
+			b.Sfu(reg(), src())
 		case 11:
-			b.SetP(isa.CmpOp(rng.Intn(4)), pred(), reg(), reg())
+			b.SetP(isa.CmpOp(rng.Intn(10)), pred(), src(), src())
 		case 12:
-			b.Sel(reg(), pred(), reg(), reg())
+			b.Sel(reg(), pred(), src(), src())
 		case 13:
 			b.VoteAll(pred(), pred())
 		case 14:
 			b.Ballot(reg(), pred())
 		case 15:
-			b.Shfl(reg(), reg(), reg())
+			b.Shfl(reg(), src(), src())
 		case 16:
 			// Shared memory: mask the address into (mostly) valid range;
 			// rare out-of-range offsets must fail identically.
@@ -269,6 +292,41 @@ func emitChunk(b *isa.Builder, rng *rand.Rand, nRegs int) {
 			} else {
 				b.AtomAdd(reg(), reg(), int64(rng.Intn(256)), reg(), width())
 			}
+		case 20:
+			b.SetPI(isa.CmpOp(rng.Intn(10)), pred(), src(), int64(rng.Intn(4096))-2048)
+		case 21:
+			switch rng.Intn(3) {
+			case 0:
+				b.PAnd(pred(), pred(), pred())
+			case 1:
+				b.POr(pred(), pred(), pred())
+			default:
+				b.PNot(pred(), pred())
+			}
+		case 22:
+			b.VoteAny(pred(), pred())
+		case 23:
+			b.Max(reg(), src(), src())
+		case 24:
+			switch rng.Intn(3) {
+			case 0:
+				b.Shl(reg(), src(), src())
+			case 1:
+				b.Shr(reg(), src(), src())
+			default:
+				b.Not(reg(), src())
+			}
+		case 25:
+			switch rng.Intn(3) {
+			case 0:
+				b.Ctz(reg(), src())
+			case 1:
+				b.Sext(reg(), src(), width())
+			default:
+				b.MovI(reg(), rng.Int63n(1<<40)-1<<39)
+			}
+		case 26:
+			b.XorI(reg(), src(), int64(rng.Intn(1<<16)))
 		}
 	}
 }

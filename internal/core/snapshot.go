@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"github.com/caba-sim/caba/internal/isa"
 	"github.com/caba-sim/caba/internal/snapshot"
 )
@@ -47,18 +49,18 @@ func (e *Exec) Save(w *snapshot.Writer, includeBufs bool) {
 	for _, v := range e.regBack {
 		w.U64(v)
 	}
-	for lane := range e.Preds {
-		var bits uint8
-		for p := 0; p < isa.NumPredRegs; p++ {
-			if e.Preds[lane][p] {
-				bits |= 1 << p
-			}
+	// Predicates and specials keep their lane-major encoding: one byte of
+	// predicate bits per lane, then each lane's special registers.
+	for lane := 0; lane < WarpSize; lane++ {
+		var pb uint8
+		for p, m := range e.preds {
+			pb |= uint8(m>>lane&1) << p
 		}
-		w.U8(bits)
+		w.U8(pb)
 	}
-	for lane := range e.Special {
-		for _, v := range e.Special[lane] {
-			w.U64(v)
+	for lane := 0; lane < WarpSize; lane++ {
+		for s := range e.special {
+			w.U64(e.special[s][lane])
 		}
 	}
 	if includeBufs {
@@ -101,15 +103,15 @@ func (e *Exec) Load(r *snapshot.Reader, prog *isa.Program, includeBufs bool) err
 	for i := range e.regBack {
 		e.regBack[i] = r.U64()
 	}
-	for lane := range e.Preds {
-		bits := r.U8()
-		for p := 0; p < isa.NumPredRegs; p++ {
-			e.Preds[lane][p] = bits&(1<<p) != 0
+	for lane := 0; lane < WarpSize; lane++ {
+		pb := r.U8()
+		for p := range e.preds {
+			e.preds[p] |= uint32(pb>>p&1) << lane
 		}
 	}
-	for lane := range e.Special {
-		for s := range e.Special[lane] {
-			e.Special[lane][s] = r.U64()
+	for lane := 0; lane < WarpSize; lane++ {
+		for s := range e.special {
+			e.special[s][lane] = r.U64()
 		}
 	}
 	if includeBufs {
@@ -139,20 +141,14 @@ func (e *execErr) Error() string { return e.msg }
 
 // Save serializes the controller and its AWT entries. encEntry encodes
 // each entry's opaque User payload (OnComplete is rebuilt from it on
-// load). Entries are written in AWT order, which is also trigger order
-// for the low-priority partition, so Load rebuilds highByWarp and lowList
-// exactly.
+// load). Entries are written in AWT position order, which Load restores
+// along with the masks and highByWarp. The window is written as its
+// 64-bit ring, its position and its busy count (the ring's popcount).
 func (c *Controller) Save(w *snapshot.Writer, encEntry func(*snapshot.Writer, *Entry) error) error {
 	w.Int(c.rr)
-	var bits uint64
-	for i, b := range c.window {
-		if b {
-			bits |= 1 << i
-		}
-	}
-	w.U64(bits)
+	w.U64(c.window)
 	w.Int(c.windowPos)
-	w.Int(c.windowBusy)
+	w.Int(bits.OnesCount64(c.window))
 	w.U64(c.Triggered)
 	w.U64(c.KilledCount)
 	w.U64(c.DeployedIns)
@@ -178,16 +174,16 @@ func (c *Controller) Save(w *snapshot.Writer, encEntry func(*snapshot.Writer, *E
 
 // Load restores the controller. decEntry decodes each entry's User
 // payload and must set OnComplete; the entry's Routine, Warp and Exec are
-// already populated when it runs.
+// already populated when it runs. State the controller could not have
+// produced — a negative rr, a window position outside the ring, a busy
+// count that disagrees with the ring, more entries than the AWT holds, a
+// parent warp outside the masks, Staged outside [0, StagedCap] or a
+// negative Outstanding — is a *snapshot.FormatError.
 func (c *Controller) Load(r *snapshot.Reader, decEntry func(*snapshot.Reader, *Entry) error) error {
 	c.rr = r.Int()
-	bits := r.U64()
-	for i := range c.window {
-		c.window[i] = bits&(1<<i) != 0
-	}
+	c.window = r.U64()
 	c.windowPos = r.Int()
-	c.windowBusy = r.Int()
-	c.drained = false
+	busy := r.Int()
 	c.Triggered = r.U64()
 	c.KilledCount = r.U64()
 	c.DeployedIns = r.U64()
@@ -195,9 +191,20 @@ func (c *Controller) Load(r *snapshot.Reader, decEntry func(*snapshot.Reader, *E
 	if r.Err() != nil {
 		return r.Err()
 	}
+	switch {
+	case c.rr < 0:
+		return &snapshot.FormatError{Off: -1, Msg: "negative AWC round-robin pointer"}
+	case c.windowPos < 0 || c.windowPos >= windowSlots:
+		return &snapshot.FormatError{Off: -1, Msg: "utilization window position out of range"}
+	case busy != bits.OnesCount64(c.window):
+		return &snapshot.FormatError{Off: -1, Msg: "utilization window busy count disagrees with its bits"}
+	case n > c.MaxEntries:
+		return &snapshot.FormatError{Off: -1, Msg: "more AWT entries than the table holds"}
+	}
 	c.entries = c.entries[:0]
-	c.lowList = c.lowList[:0]
-	clear(c.highByWarp)
+	c.ready, c.staged = [2]uint64{}, [2]uint64{}
+	c.highByWarp = [MaxWarps]*Entry{}
+	c.nLow = 0
 	for i := 0; i < n; i++ {
 		id := RoutineID(r.U64())
 		rt, ok := c.Store.Get(id)
@@ -208,6 +215,17 @@ func (c *Controller) Load(r *snapshot.Reader, decEntry func(*snapshot.Reader, *E
 			return &snapshot.FormatError{Off: -1, Msg: "unknown assist routine id"}
 		}
 		e := &Entry{Routine: rt, Pri: rt.Priority, Warp: r.Int(), Staged: r.Int(), Outstanding: r.Int()}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		switch {
+		case e.Warp < 0 || e.Warp >= MaxWarps:
+			return &snapshot.FormatError{Off: -1, Msg: "AWT entry parent warp out of range"}
+		case e.Staged < 0 || e.Staged > c.StagedCap:
+			return &snapshot.FormatError{Off: -1, Msg: "AWT entry staged count out of range"}
+		case e.Outstanding < 0:
+			return &snapshot.FormatError{Off: -1, Msg: "AWT entry outstanding count negative"}
+		}
 		var g [4]uint64
 		for j := range g {
 			g[j] = r.U64()
@@ -221,12 +239,7 @@ func (c *Controller) Load(r *snapshot.Reader, decEntry func(*snapshot.Reader, *E
 		if err := decEntry(r, e); err != nil {
 			return err
 		}
-		c.entries = append(c.entries, e)
-		if rt.Priority == PriHigh {
-			c.setHigh(e.Warp, e)
-		} else {
-			c.lowList = append(c.lowList, e)
-		}
+		c.add(e)
 	}
 	return r.Err()
 }

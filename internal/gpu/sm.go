@@ -3,6 +3,7 @@ package gpu
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 
 	"github.com/caba-sim/caba/internal/compress"
 	"github.com/caba-sim/caba/internal/config"
@@ -149,8 +150,8 @@ type SM struct {
 	// failing attempt into a landing one; every other AWT change is a
 	// Trigger, which only takes capacity. Within one scan capacity only
 	// shrinks, so clearing the flag as the scan starts loses nothing. A
-	// pure strategy hint like core.Controller's drained flag: not
-	// serialized, re-armed conservatively on load.
+	// pure strategy hint, derived from other state: not serialized,
+	// re-armed conservatively on load.
 	retryArmed bool
 	// replayQ holds loads whose coalesced lines overflowed the MSHR.
 	replayQ []*loadReq
@@ -810,18 +811,21 @@ func (sm *SM) issueSlot() stats.StallKind {
 	// they are the fill critical path that blocked warps are waiting on,
 	// and killing their latency is what keeps CABA competitive with
 	// dedicated logic.
-	for _, e := range sm.awc.Entries() {
-		if e.Pri == core.PriHigh && e.Staged > 0 {
-			ok, dep, memS, compS := sm.tryIssueAssist(e)
-			if ok {
-				return stats.Active
-			}
-			f.dep = f.dep || dep
-			f.memS = f.memS || memS
-			f.compS = f.compS || compS
-			if f.blame {
-				f.noteAssist(e.Warp, dep, memS, compS)
-			}
+	// Only a successful issue changes the AWT, and every one returns at
+	// once, so this entry list and the staged masks stay valid for the
+	// whole slot.
+	ents := sm.awc.Entries()
+	for m := sm.awc.StagedMask(core.PriHigh); m != 0; m &= m - 1 {
+		e := ents[bits.TrailingZeros64(m)]
+		ok, dep, memS, compS := sm.tryIssueAssist(e)
+		if ok {
+			return stats.Active
+		}
+		f.dep = f.dep || dep
+		f.memS = f.memS || memS
+		f.compS = f.compS || compS
+		if f.blame {
+			f.noteAssist(e.Warp, dep, memS, compS)
 		}
 	}
 
@@ -845,10 +849,8 @@ func (sm *SM) issueSlot() stats.StallKind {
 
 	// Idle slot: low-priority assist warps (Section 3.2.3 — scheduled
 	// only during idle cycles).
-	for _, e := range sm.awc.LowEntries() {
-		if e.Staged == 0 {
-			continue
-		}
+	for m := sm.awc.StagedMask(core.PriLow); m != 0; m &= m - 1 {
+		e := ents[bits.TrailingZeros64(m)]
 		if ok, _, _, _ := sm.tryIssueAssist(e); ok {
 			return stats.Active
 		}
@@ -1890,11 +1892,7 @@ func (sm *SM) tryIssueAssist(e *core.Entry) (ok, dep, memS, compS bool) {
 	// normal writeback path and its completion callback sees Exec.Err —
 	// the fault-detection path for injected corruption, a fatal error
 	// otherwise. No special handling is needed here.
-	e.Staged--
-	sm.awc.NoteConsumed()
-	if e.Exec.Done {
-		e.Staged = 0 // discard over-staged slots past the routine's end
-	}
+	sm.awc.Consumed(e)
 	sm.stat.AssistInstrs++
 	sm.countClass(in)
 

@@ -1305,6 +1305,9 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 
 	// Assist-warp controller.
 	if err := sm.awc.Load(r, func(r *snapshot.Reader, e *core.Entry) error {
+		if e.Warp >= len(sm.warps) {
+			return snapErrf("AWT entry parent warp %d out of range", e.Warp)
+		}
 		e.Exec.Interp = sm.sim.Cfg.Interpreter
 		user, err := t.decUser(r)
 		if err != nil {

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -594,5 +596,58 @@ func TestSnapshotBlobWellFormed(t *testing.T) {
 	}
 	if _, err := snapshot.Open(blob, hash+1); err == nil {
 		t.Fatal("blob opened with the wrong config hash")
+	}
+}
+
+// TestSnapshotEncodingPinned pins the bytes of two mid-run CABA-FPC
+// states: at cycle 1000 the AWT is full (32 entries) and the utilization
+// windows saturated; at cycle 8500 a few entries remain and the windows
+// are part busy. The digests were recorded before the AWT became bitmask
+// tables and the decoded core went warp-wide, so an unchanged encoding
+// shows that older checkpoints and farm blobs still load without a
+// snapshot version bump.
+func TestSnapshotEncodingPinned(t *testing.T) {
+	want := map[uint64]string{
+		1000: "47fe8448f3bb25d4f139fea37ba50171870b09929670ae55f48eef278daee4bb",
+		8500: "e4c1d3d1db995e8a58f591cf6fa42eee300b4feb95e64cfeca5f35bb1ee73373",
+	}
+	const threads, iters = 1536, 8
+	cfg := config.TestConfig()
+	cfg.BWScale = 0.25
+	cfg.MaxWarpsPerSM = 24
+	cfg.MaxThreadsPerSM = 768
+	k := &Kernel{Prog: streamSum4Kernel(), GridCTAs: 6, CTAThreads: 256,
+		Params: [4]uint64{inBase, outBase, uint64(threads * 4), iters}}
+	sim, err := New(&cfg, config.DesignCABAFPC, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillInput(sim, threads*iters, true)
+	sim.Dom.Precompress(inBase, uint64(threads*iters*4))
+	sim.Cfg.CheckpointEvery = 500
+	got := map[uint64]string{}
+	sim.OnCheckpoint = func(cycle uint64, blob []byte) error {
+		if _, ok := want[cycle]; !ok {
+			return nil
+		}
+		entries, busy := 0, 0.0
+		for _, sm := range sim.sms {
+			entries += len(sm.awc.Entries())
+			busy = max(busy, sm.awc.Utilization())
+		}
+		if entries == 0 || busy == 0 {
+			t.Errorf("cycle %d: %d AWT entries, peak utilization %v; the pinned states need both", cycle, entries, busy)
+		}
+		sum := sha256.Sum256(blob)
+		got[cycle] = hex.EncodeToString(sum[:])
+		return nil
+	}
+	if err := sim.Run(20_000_000); err != nil {
+		t.Fatal(err)
+	}
+	for cycle, w := range want {
+		if got[cycle] != w {
+			t.Errorf("cycle %d: snapshot SHA-256 %s, want %s", cycle, got[cycle], w)
+		}
 	}
 }
