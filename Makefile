@@ -80,7 +80,7 @@ trace-check:
 # The hard -timeout keeps a protocol deadlock from eating the CI budget.
 farm-check: soak-short
 	$(GO) test -race -timeout 10m ./internal/farm
-	$(GO) test -race -timeout 10m -run 'TestFarmSweepEndToEnd|TestSweepContextCancel|TestCheckpointTornLine|TestFarmClient' ./experiments
+	$(GO) test -race -timeout 10m -run 'TestFarmSweepEndToEnd|TestSweepContextCancel|TestCheckpointTornResult|TestFarmClient' ./experiments
 
 # soak runs the seeded chaos/soak harness for the farm (FARM.md,
 # "Operating under overload"): coordinator kill/restart with torn-write

@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"sync"
 	"testing"
 
 	caba "github.com/caba-sim/caba"
@@ -21,7 +22,11 @@ import (
 	"github.com/caba-sim/caba/internal/stats"
 )
 
-func benchOptions(b *testing.B) experiments.Options {
+// benchOptions returns the one Options every figure benchmark shares. A
+// cell one figure simulated is reused by every later figure through the
+// Options' in-memory results: Figures 8 and 9 and BenchmarkMDCacheHitRate
+// read Figure 7's study sweep instead of repeating it.
+var benchOptions = sync.OnceValue(func() experiments.Options {
 	o := experiments.Defaults(io.Discard)
 	o.Scale = 0.02
 	if s := os.Getenv("CABA_BENCH_SCALE"); s != "" {
@@ -36,10 +41,10 @@ func benchOptions(b *testing.B) experiments.Options {
 		o.Out = os.Stdout
 	}
 	return o
-}
+})
 
 func BenchmarkFig01StallBreakdown(b *testing.B) {
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig1(o)
 		if err != nil {
@@ -56,7 +61,7 @@ func BenchmarkFig01StallBreakdown(b *testing.B) {
 }
 
 func BenchmarkFig02UnallocatedRegisters(b *testing.B) {
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig2(o)
 		if err != nil {
@@ -72,7 +77,7 @@ func BenchmarkFig02UnallocatedRegisters(b *testing.B) {
 }
 
 func BenchmarkFig07Performance(b *testing.B) {
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		s, err := experiments.Fig7(o)
 		if err != nil {
@@ -96,7 +101,7 @@ func BenchmarkFig07Performance(b *testing.B) {
 }
 
 func BenchmarkFig08BandwidthUtilization(b *testing.B) {
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		s, err := experiments.Fig8(o)
 		if err != nil {
@@ -118,7 +123,7 @@ func BenchmarkFig08BandwidthUtilization(b *testing.B) {
 }
 
 func BenchmarkFig09Energy(b *testing.B) {
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		s, err := experiments.Fig9(o)
 		if err != nil {
@@ -134,7 +139,7 @@ func BenchmarkFig09Energy(b *testing.B) {
 }
 
 func BenchmarkFig10Algorithms(b *testing.B) {
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig10and11(o)
 		if err != nil {
@@ -148,7 +153,7 @@ func BenchmarkFig10Algorithms(b *testing.B) {
 }
 
 func BenchmarkFig11CompressionRatio(b *testing.B) {
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig10and11(o)
 		if err != nil {
@@ -169,7 +174,7 @@ func BenchmarkFig11CompressionRatio(b *testing.B) {
 }
 
 func BenchmarkFig12BWSensitivity(b *testing.B) {
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig12(o)
 		if err != nil {
@@ -192,7 +197,7 @@ func BenchmarkFig12BWSensitivity(b *testing.B) {
 }
 
 func BenchmarkFig13CacheCompression(b *testing.B) {
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig13(o)
 		if err != nil {
@@ -206,7 +211,7 @@ func BenchmarkFig13CacheCompression(b *testing.B) {
 
 func BenchmarkMDCacheHitRate(b *testing.B) {
 	// Section 4.3.2's claim in isolation: 8KB 4-way MD cache hits ~85%.
-	o := benchOptions(b)
+	o := benchOptions()
 	for i := 0; i < b.N; i++ {
 		s, err := experiments.Study789(o)
 		if err != nil {

@@ -296,7 +296,7 @@ func RunCheckpointed(ctx context.Context, cfg Config, design Design, appName str
 	}
 	if cfg.CheckpointEvery > 0 {
 		sim.OnCheckpoint = func(cycle uint64, blob []byte) error {
-			return writeFileAtomic(ckptPath, blob)
+			return snapshot.WriteFileAtomic(ckptPath, blob)
 		}
 	}
 	if err := runSim(ctx, sim, maxCycles); err != nil {
@@ -358,27 +358,6 @@ func RunResumable(ctx context.Context, cfg Config, design Design, appName string
 // configuration binding). Blob custodians use it for progress reporting.
 func CheckpointCycle(blob []byte) (uint64, error) { return gpu.SnapshotCycle(blob) }
 
-// writeFileAtomic persists blob so that a crash mid-write can never leave
-// a torn file at path: write to a sibling temp file, fsync, rename.
-func writeFileAtomic(path string, blob []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // writeCrashReport writes the postmortem file for a failed checkpointed
 // run: the error, a one-line repro, and the flight-recorder trail. Best
 // effort — the report must never mask the run's own error.
@@ -400,7 +379,7 @@ func writeCrashReport(path, repro string, runErr error, sim *gpu.Simulator) {
 			fmt.Fprintf(&b, "  %s\n", rec.String())
 		}
 	}
-	_ = writeFileAtomic(path, []byte(b.String()))
+	_ = snapshot.WriteFileAtomic(path, []byte(b.String()))
 }
 
 // RunKernel simulates a custom kernel. prepare (optional) populates
@@ -507,7 +486,7 @@ func writeObsOutputs(cfg *Config, sim *gpu.Simulator) error {
 			err = s.WriteJSONL(&b)
 		}
 		if err == nil {
-			err = writeFileAtomic(cfg.MetricsFile, []byte(b.String()))
+			err = snapshot.WriteFileAtomic(cfg.MetricsFile, []byte(b.String()))
 		}
 		if err != nil {
 			return fmt.Errorf("caba: writing metrics series: %w", err)
@@ -518,7 +497,7 @@ func writeObsOutputs(cfg *Config, sim *gpu.Simulator) error {
 		var b strings.Builder
 		err := tr.Flush(&b)
 		if err == nil {
-			err = writeFileAtomic(cfg.TraceFile, []byte(b.String()))
+			err = snapshot.WriteFileAtomic(cfg.TraceFile, []byte(b.String()))
 		}
 		if err != nil {
 			return fmt.Errorf("caba: writing trace: %w", err)

@@ -5,14 +5,18 @@
 //	experiments -table 1          # print the live Table 1 configuration
 //	experiments -scale 0.25       # bigger working sets (slower, stabler)
 //	experiments -full             # paper-scale working sets (slow)
-//	experiments -all -checkpoint runs.ckpt -run-timeout 10m -retries 1
+//	experiments -all -checkpoint runs/ -run-timeout 10m -retries 1
 //	                              # hardened sweep: resumable, deadline-bounded
 //	experiments -obs pvc -design CABA-BDI -obs-dir obs/
 //	                              # one fully-instrumented cell: metrics
 //	                              # time-series, stall attribution, trace
 //
-// With -checkpoint, completed runs persist as the sweep goes; rerunning
-// the same command resumes from where the previous invocation stopped.
+// Every figure of one invocation shares its cells: a cell is named by the
+// farm's content key (app, seed, design and result-determining
+// configuration) and simulated once. With -checkpoint DIR, completed
+// cells also persist in DIR, a result store in the farm's layout, as the
+// sweep goes; rerunning the same command resumes from where the previous
+// invocation stopped, and a run at another scale or seed simply misses.
 // Failed cells are reported together at the end while every figure still
 // renders its completed cells.
 package main
@@ -44,7 +48,7 @@ func realMain() int {
 	seed := flag.Int64("seed", 1, "synthetic data seed")
 	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	checkpoint := flag.String("checkpoint", "",
-		"JSONL file persisting completed runs; an interrupted sweep resumes from it (parameters must match), and in-flight cells snapshot mid-run state under <file>.d/ for bit-identical resume")
+		"result-store directory (created if missing) persisting completed cells by content key; an interrupted sweep resumes from it, and in-flight cells snapshot mid-run state under DIR/blobs/ for bit-identical resume")
 	checkpointEvery := flag.Uint64("checkpoint-every", 0,
 		"mid-run snapshot cadence in simulated cycles (0 = default; needs -checkpoint)")
 	runTimeout := flag.Duration("run-timeout", 0,

@@ -7,20 +7,17 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	caba "github.com/caba-sim/caba"
+	"github.com/caba-sim/caba/internal/farm"
 	"github.com/caba-sim/caba/internal/stats"
 	"github.com/caba-sim/caba/internal/workloads"
 )
@@ -53,18 +50,23 @@ type Options struct {
 	// RetryBackoff is the delay before the first retry, doubling per
 	// attempt (default 100ms when Retries > 0).
 	RetryBackoff time.Duration
-	// Checkpoint, when non-empty, persists every completed run to this
-	// JSONL file as the sweep goes, and pre-loads it on start so an
-	// interrupted sweep resumes where it stopped. The file's header
-	// records Scale and Seed; resuming with different values is an error
-	// (the cached cells would not match the requested sweep).
+	// Checkpoint, when non-empty, names a result-store directory in the
+	// farm's layout (internal/farm.Store; FARM.md, "Cell identity"). The
+	// sweep looks every cell up there before simulating it and stores
+	// every completed cell, so an interrupted sweep resumes where it
+	// stopped. Cells are addressed by farm.Cell.Key, which covers the
+	// result-determining configuration, the design, the app and the seed:
+	// a store written at another scale, seed or configuration serves
+	// nothing to this sweep. A path naming a regular file (such as an old
+	// JSONL checkpoint) is refused and left untouched.
 	//
 	// It also enables mid-run cell snapshots: each in-flight simulation
-	// checkpoints its complete state every CheckpointEvery cycles into
-	// <Checkpoint>.d/<cell>.ckpt, so a cell that is killed, times out or
+	// checkpoints its complete state every CheckpointEvery cycles into the
+	// store's blobs/<key>.ckpt, so a cell that is killed, times out or
 	// crashes resumes from its last snapshot on the next sweep instead of
 	// restarting from cycle zero — and converges to the bit-identical
-	// result an uninterrupted run produces.
+	// result an uninterrupted run produces. A failed cell leaves its crash
+	// report beside the snapshot (blobs/<key>.ckpt.crash).
 	Checkpoint string
 	// CheckpointEvery is the mid-run snapshot cadence in simulated cycles
 	// (0 = a default suited to quick-scale runs). Only meaningful with
@@ -84,6 +86,12 @@ type Options struct {
 	// runHook replaces the simulation entry point in tests.
 	runHook func(ctx context.Context, cfg caba.Config, design caba.Design, app string, seed int64) (*caba.Result, error)
 
+	// memo is the in-memory cell-key → result map that every sweep
+	// consults before the Checkpoint store and the simulator. Defaults
+	// creates it, so every figure run from copies of one Options shares
+	// each cell; a nil memo gives each sweep its own.
+	memo *resultMap
+
 	// farmDegradedWarned dedupes the once-per-sweep warning printed when
 	// the coordinator's X-Farm-Health header reports a non-ok state.
 	farmDegradedWarned bool
@@ -97,7 +105,7 @@ type Options struct {
 
 // Defaults returns the standard quick-run options.
 func Defaults(out io.Writer) Options {
-	return Options{Scale: 0.2, Seed: 1, Parallel: 0, Out: out}
+	return Options{Scale: 0.2, Seed: 1, Parallel: 0, Out: out, memo: newResultMap()}
 }
 
 func (o *Options) cfg() caba.Config {
@@ -129,64 +137,142 @@ func (o *Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runKey identifies one simulation in a sweep.
+// runKey names one grid cell for the figures that index a sweep's
+// results.
 type runKey struct {
 	app     string
 	design  string
 	bwScale float64
 }
 
-// String renders the key as the stable "app/design@bw" checkpoint form.
+// String renders the key as the "app/design@bw" label error messages use.
 func (k runKey) String() string {
 	return k.app + "/" + k.design + "@" + strconv.FormatFloat(k.bwScale, 'g', -1, 64) + "x"
 }
 
-func parseRunKey(s string) (runKey, error) {
-	slash := strings.Index(s, "/")
-	at := strings.LastIndex(s, "@")
-	if slash < 0 || at < slash || !strings.HasSuffix(s, "x") {
-		return runKey{}, fmt.Errorf("experiments: malformed run key %q", s)
-	}
-	bw, err := strconv.ParseFloat(s[at+1:len(s)-1], 64)
-	if err != nil {
-		return runKey{}, fmt.Errorf("experiments: malformed run key %q: %w", s, err)
-	}
-	return runKey{app: s[:slash], design: s[slash+1 : at], bwScale: bw}, nil
+// resultMap holds completed results by farm cell key.
+type resultMap struct {
+	mu sync.Mutex
+	m  map[uint64]*caba.Result
 }
 
-// sweep runs every (app, design, bw) combination on a bounded worker
-// pool. Failures never abort the grid: every run is panic-isolated,
+func newResultMap() *resultMap { return &resultMap{m: make(map[uint64]*caba.Result)} }
+
+func (r *resultMap) get(id uint64) *caba.Result {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.m[id]
+}
+
+func (r *resultMap) put(id uint64, res *caba.Result) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.m[id] = res
+}
+
+// sweepCell is one grid cell: the figures' name for it, the cell the
+// simulator runs, and that cell's content address.
+type sweepCell struct {
+	key  runKey
+	cell farm.Cell
+	id   uint64
+}
+
+// gridCell builds the sweep cell for app under design at bandwidth bw.
+func (o *Options) gridCell(app string, design caba.Design, bw float64) (sweepCell, error) {
+	cfg := o.cfg()
+	cfg.BWScale = bw
+	c := sweepCell{key: runKey{app, design.Name, bw}, cell: farm.Cell{App: app, Seed: o.Seed, Config: cfg, Design: design}}
+	var err error
+	if c.id, err = c.cell.Key(); err != nil {
+		return c, fmt.Errorf("experiments: cell %s: %w", c.key, err)
+	}
+	return c, nil
+}
+
+// sweep runs every (app, design, bw) combination. Each cell is looked up
+// by its farm.Cell.Key in the Options' in-memory results, then in the
+// Checkpoint store; only a cell that misses both is simulated, on a
+// bounded worker pool or on the farm, and its result is written back to
+// both. Failures never abort the grid: every run is panic-isolated,
 // deadline-bounded (RunTimeout) and retried (Retries), and whatever
 // still fails becomes one joined error returned ALONGSIDE the completed
 // cells — callers render partial figures with holes rather than nothing.
-// With Checkpoint set, completed cells are persisted as they finish and
-// skipped on the next invocation.
+// Failed cells are not stored.
 func (o *Options) sweep(apps []string, designs []caba.Design, bws []float64) (map[runKey]*caba.Result, error) {
 	if len(bws) == 0 {
 		bws = []float64{1.0}
 	}
-	type job struct {
-		key    runKey
-		design caba.Design
+	memo := o.memo
+	if memo == nil {
+		memo = newResultMap()
 	}
-	results := make(map[runKey]*caba.Result, len(apps)*len(designs)*len(bws))
-	ck, err := o.openCheckpoint(results)
-	if err != nil {
-		return nil, err
+	var store *farm.Store
+	if o.Checkpoint != "" {
+		var err error
+		if store, err = farm.OpenStore(o.Checkpoint); err != nil {
+			return nil, fmt.Errorf("experiments: checkpoint %s cannot be opened as a result-store directory: %w", o.Checkpoint, err)
+		}
 	}
-	defer ck.close()
-	done := make(map[runKey]bool, len(results))
-	for k := range results {
-		done[k] = true
+	var grid, todo []sweepCell
+	var errs []error
+	for _, a := range apps {
+		for _, d := range designs {
+			for _, bw := range bws {
+				c, err := o.gridCell(a, d, bw)
+				if err != nil {
+					return nil, err
+				}
+				grid = append(grid, c)
+				if memo.get(c.id) != nil {
+					continue
+				}
+				if store != nil {
+					res, err := store.GetResult(c.id)
+					if err != nil {
+						errs = append(errs, fmt.Errorf("%s: %w", c.key, err))
+					}
+					if res != nil {
+						memo.put(c.id, res)
+						continue
+					}
+				}
+				todo = append(todo, c)
+			}
+		}
 	}
 
 	if o.FarmURL != "" {
-		err := o.farmSweep(apps, designs, bws, done, results, ck)
-		return results, err
+		errs = append(errs, o.farmSweep(todo, memo, store))
+	} else {
+		errs = append(errs, o.runLocal(todo, memo, store))
 	}
+	results := make(map[runKey]*caba.Result, len(grid))
+	for _, c := range grid {
+		if res := memo.get(c.id); res != nil {
+			results[c.key] = res
+		}
+	}
+	return results, errors.Join(errs...)
+}
 
+// keep records a completed cell in memo and, when the sweep has one, in
+// store.
+func keep(memo *resultMap, store *farm.Store, c sweepCell, res *caba.Result) error {
+	memo.put(c.id, res)
+	if store == nil {
+		return nil
+	}
+	if err := store.PutResult(c.id, res); err != nil {
+		return fmt.Errorf("%s: %w", c.key, err)
+	}
+	return nil
+}
+
+// runLocal simulates cells in-process on a bounded worker pool.
+func (o *Options) runLocal(cells []sweepCell, memo *resultMap, store *farm.Store) error {
 	ctx := o.ctx()
-	jobs := make(chan job)
+	jobs := make(chan sweepCell)
 	var mu sync.Mutex
 	var errs []error
 	var wg sync.WaitGroup
@@ -194,18 +280,25 @@ func (o *Options) sweep(apps []string, designs []caba.Design, bws []float64) (ma
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				res, err := o.runOne(ctx, j.design, j.key)
-				mu.Lock()
-				if err != nil {
-					errs = append(errs, fmt.Errorf("%s: %w", j.key, err))
-				} else {
-					results[j.key] = res
-					if werr := ck.append(j.key, res); werr != nil {
-						errs = append(errs, werr)
-					}
+			for c := range jobs {
+				if ctx.Err() != nil {
+					continue // handed out as the sweep was cancelled
 				}
-				mu.Unlock()
+				ckpt := ""
+				if store != nil {
+					ckpt = store.BlobPath(c.id)
+				}
+				res, err := o.runOne(ctx, c.cell, ckpt)
+				if err != nil {
+					err = fmt.Errorf("%s: %w", c.key, err)
+				} else {
+					err = keep(memo, store, c, res)
+				}
+				if err != nil {
+					mu.Lock()
+					errs = append(errs, err)
+					mu.Unlock()
+				}
 			}
 		}()
 	}
@@ -214,20 +307,12 @@ func (o *Options) sweep(apps []string, designs []caba.Design, bws []float64) (ma
 	// interrupted through the same ctx) and returns partial results.
 	cancelled := false
 dispatch:
-	for _, a := range apps {
-		for _, d := range designs {
-			for _, bw := range bws {
-				key := runKey{a, d.Name, bw}
-				if done[key] {
-					continue
-				}
-				select {
-				case jobs <- job{key, d}:
-				case <-ctx.Done():
-					cancelled = true
-					break dispatch
-				}
-			}
+	for _, c := range cells {
+		select {
+		case jobs <- c:
+		case <-ctx.Done():
+			cancelled = true
+			break dispatch
 		}
 	}
 	close(jobs)
@@ -235,12 +320,13 @@ dispatch:
 	if cancelled || ctx.Err() != nil {
 		errs = append(errs, fmt.Errorf("experiments: sweep cancelled: %w", context.Cause(ctx)))
 	}
-	return results, errors.Join(errs...)
+	return errors.Join(errs...)
 }
 
 // runOne executes a single grid cell with retry-with-backoff around the
-// panic-isolated, deadline-bounded attempt.
-func (o *Options) runOne(ctx context.Context, design caba.Design, key runKey) (*caba.Result, error) {
+// panic-isolated, deadline-bounded attempt. A non-empty ckpt is the
+// cell's mid-run snapshot file.
+func (o *Options) runOne(ctx context.Context, c farm.Cell, ckpt string) (*caba.Result, error) {
 	backoff := o.RetryBackoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
@@ -248,7 +334,7 @@ func (o *Options) runOne(ctx context.Context, design caba.Design, key runKey) (*
 	var res *caba.Result
 	var err error
 	for attempt := 0; ; attempt++ {
-		res, err = o.attemptOne(ctx, design, key)
+		res, err = o.attemptOne(ctx, c, ckpt)
 		// A wedge is a deterministic outcome of the cell's fault stream,
 		// not a transient failure: retrying replays the exact same wedge,
 		// so it is reported immediately with its retry budget unspent.
@@ -271,7 +357,7 @@ func (o *Options) runOne(ctx context.Context, design caba.Design, key runKey) (*
 // points already convert internal panics to errors, and this guard keeps
 // a worker goroutine alive even if the conversion itself has a bug (or a
 // test runHook panics).
-func (o *Options) attemptOne(ctx context.Context, design caba.Design, key runKey) (res *caba.Result, err error) {
+func (o *Options) attemptOne(ctx context.Context, c farm.Cell, ckpt string) (res *caba.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("experiments: run panicked: %v", r)
@@ -282,22 +368,20 @@ func (o *Options) attemptOne(ctx context.Context, design caba.Design, key runKey
 		ctx, cancel = context.WithTimeout(ctx, o.RunTimeout)
 		defer cancel()
 	}
-	cfg := o.cfg()
-	cfg.BWScale = key.bwScale
 	run := o.runHook
 	if run == nil {
 		run = func(ctx context.Context, cfg caba.Config, design caba.Design, app string, seed int64) (*caba.Result, error) {
-			if path := o.cellCheckpointPath(key); path != "" {
+			if ckpt != "" {
 				cfg.CheckpointEvery = o.CheckpointEvery
 				if cfg.CheckpointEvery == 0 {
 					cfg.CheckpointEvery = defaultCellCheckpointEvery
 				}
-				return caba.RunCheckpointed(ctx, cfg, design, app, seed, path)
+				return caba.RunCheckpointed(ctx, cfg, design, app, seed, ckpt)
 			}
 			return caba.RunContext(ctx, cfg, design, app, seed)
 		}
 	}
-	return run(ctx, cfg, design, key.app, o.Seed)
+	return run(ctx, c.Config, c.Design, c.App, c.Seed)
 }
 
 // defaultCellCheckpointEvery is the mid-run snapshot cadence when the
@@ -305,143 +389,6 @@ func (o *Options) attemptOne(ctx context.Context, design caba.Design, key runKey
 // that a killed quick-scale cell loses little work, sparse enough that
 // serialization stays a rounding error next to simulation.
 const defaultCellCheckpointEvery = 100_000
-
-// cellCheckpointPath returns the mid-run snapshot file for one grid cell
-// ("" when sweep checkpointing is off, or the snapshot directory cannot
-// be created — the cell then just runs without mid-run resume).
-func (o *Options) cellCheckpointPath(key runKey) string {
-	if o.Checkpoint == "" {
-		return ""
-	}
-	dir := o.Checkpoint + ".d"
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return ""
-	}
-	name := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			return r
-		}
-		return '_'
-	}, key.String())
-	return filepath.Join(dir, name+".ckpt")
-}
-
-// --- Sweep checkpointing ---
-
-// ckMeta is the checkpoint's header line: the sweep parameters the cached
-// cells depend on.
-type ckMeta struct {
-	Scale float64 `json:"scale"`
-	Seed  int64   `json:"seed"`
-}
-
-// ckLine is one JSONL checkpoint record: the header (first line) carries
-// Meta, every other line one completed cell.
-type ckLine struct {
-	Meta   *ckMeta      `json:"meta,omitempty"`
-	Key    string       `json:"key,omitempty"`
-	Result *caba.Result `json:"result,omitempty"`
-}
-
-// checkpoint appends completed cells to the JSONL file. A nil receiver
-// (no Checkpoint configured) is a no-op on every method.
-type checkpoint struct {
-	f   *os.File
-	enc *json.Encoder
-}
-
-// openCheckpoint loads a prior checkpoint (if any) into results and
-// returns an open appender. A header mismatch (different Scale/Seed) is
-// an error: those cells belong to a different sweep.
-func (o *Options) openCheckpoint(results map[runKey]*caba.Result) (*checkpoint, error) {
-	if o.Checkpoint == "" {
-		return nil, nil
-	}
-	meta := ckMeta{Scale: o.Scale, Seed: o.Seed}
-	if raw, err := os.ReadFile(o.Checkpoint); err == nil && len(raw) > 0 {
-		dec := json.NewDecoder(strings.NewReader(string(raw)))
-		var header ckLine
-		if err := dec.Decode(&header); err != nil || header.Meta == nil {
-			return nil, fmt.Errorf("experiments: checkpoint %s: missing or malformed header", o.Checkpoint)
-		}
-		if *header.Meta != meta {
-			return nil, fmt.Errorf("experiments: checkpoint %s was written for scale=%v seed=%d, this sweep uses scale=%v seed=%d — delete it or match the parameters",
-				o.Checkpoint, header.Meta.Scale, header.Meta.Seed, meta.Scale, meta.Seed)
-		}
-		// intact tracks the byte offset just past the last whole record
-		// (including its newline). A torn final line — the previous sweep
-		// was killed mid-append — is both tolerated AND truncated away, so
-		// the re-opened appender never writes a new record onto the tail
-		// of a half-written one.
-		intact := consumeNewlines(raw, dec.InputOffset())
-		torn := false
-		for {
-			var line ckLine
-			if err := dec.Decode(&line); err != nil {
-				torn = !errors.Is(err, io.EOF)
-				break
-			}
-			intact = consumeNewlines(raw, dec.InputOffset())
-			if line.Key == "" || line.Result == nil {
-				continue
-			}
-			key, err := parseRunKey(line.Key)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: checkpoint %s: %w", o.Checkpoint, err)
-			}
-			results[key] = line.Result
-		}
-		if torn {
-			if err := os.Truncate(o.Checkpoint, intact); err != nil {
-				return nil, fmt.Errorf("experiments: checkpoint: truncating torn record: %w", err)
-			}
-		}
-		f, err := os.OpenFile(o.Checkpoint, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: checkpoint: %w", err)
-		}
-		return &checkpoint{f: f, enc: json.NewEncoder(f)}, nil
-	} else if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("experiments: checkpoint: %w", err)
-	}
-	f, err := os.OpenFile(o.Checkpoint, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: checkpoint: %w", err)
-	}
-	ck := &checkpoint{f: f, enc: json.NewEncoder(f)}
-	if err := ck.enc.Encode(ckLine{Meta: &meta}); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("experiments: checkpoint: %w", err)
-	}
-	return ck, nil
-}
-
-// consumeNewlines extends a decoder offset past the record's trailing
-// newline(s), so truncation at that offset keeps the file line-aligned.
-func consumeNewlines(raw []byte, off int64) int64 {
-	for off < int64(len(raw)) && (raw[off] == '\n' || raw[off] == '\r') {
-		off++
-	}
-	return off
-}
-
-func (ck *checkpoint) append(key runKey, res *caba.Result) error {
-	if ck == nil {
-		return nil
-	}
-	if err := ck.enc.Encode(ckLine{Key: key.String(), Result: res}); err != nil {
-		return fmt.Errorf("experiments: checkpoint write: %w", err)
-	}
-	return nil
-}
-
-func (ck *checkpoint) close() {
-	if ck != nil {
-		ck.f.Close()
-	}
-}
 
 // appNames extracts names from descriptors.
 func appNames(apps []*workloads.App) []string {

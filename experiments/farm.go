@@ -14,56 +14,34 @@ import (
 	"syscall"
 	"time"
 
-	caba "github.com/caba-sim/caba"
 	"github.com/caba-sim/caba/internal/farm"
 )
 
-// farmSweep dispatches the sweep's remaining cells to the farm
-// coordinator at o.FarmURL and collects the outcomes into results. The
-// coordinator owns execution policy (leases, retries, the wedge
-// fail-fast, checkpoint resume); this client only submits, polls and
-// merges. Degradation mirrors the in-process sweep: completed cells are
-// returned even when others failed, failures come back as one joined
+// farmSweep dispatches cells to the farm coordinator at o.FarmURL and
+// keeps each completed result in memo and store, exactly as a local run
+// would. The coordinator owns execution policy (leases, retries, the
+// wedge fail-fast, checkpoint resume); this client only submits, polls
+// and merges. Degradation mirrors the in-process sweep: completed cells
+// are kept even when others failed, failures come back as one joined
 // error naming each broken cell, and a cancelled Context stops the wait
-// and returns whatever has finished with the cancellation joined in.
-func (o *Options) farmSweep(apps []string, designs []caba.Design, bws []float64, done map[runKey]bool, results map[runKey]*caba.Result, ck *checkpoint) error {
-	ctx := o.ctx()
-	base := strings.TrimRight(o.FarmURL, "/")
-
-	// Build one farm cell per missing grid cell. The farm's content
-	// address covers everything result-determining, so keys computed here
-	// and by the coordinator agree.
-	var cells []farm.Cell
-	byKey := make(map[string]runKey)
-	for _, a := range apps {
-		for _, d := range designs {
-			for _, bw := range append([]float64(nil), bws...) {
-				key := runKey{a, d.Name, bw}
-				if done[key] {
-					continue
-				}
-				cfg := o.cfg()
-				cfg.BWScale = bw
-				cell := farm.Cell{App: a, Seed: o.Seed, Config: cfg, Design: d}
-				ck64, err := cell.Key()
-				if err != nil {
-					return fmt.Errorf("experiments: farm cell %s: %w", key, err)
-				}
-				cells = append(cells, cell)
-				byKey[farm.KeyString(ck64)] = key
-			}
-		}
-	}
+// and keeps whatever has finished with the cancellation joined in.
+func (o *Options) farmSweep(cells []sweepCell, memo *resultMap, store *farm.Store) error {
 	if len(cells) == 0 {
 		return nil
 	}
+	ctx := o.ctx()
+	base := strings.TrimRight(o.FarmURL, "/")
+	req := farm.SweepRequest{Client: o.farmClientName()}
+	for _, c := range cells {
+		req.Cells = append(req.Cells, c.cell)
+	}
 
 	var sw farm.SweepResponse
-	if err := o.farmCall(ctx, http.MethodPost, base+"/sweep", &farm.SweepRequest{Cells: cells, Client: o.farmClientName()}, &sw); err != nil {
+	if err := o.farmCall(ctx, http.MethodPost, base+"/sweep", &req, &sw); err != nil {
 		return fmt.Errorf("experiments: farm submit: %w", err)
 	}
 	fmt.Fprintf(o.out(), "farm sweep: %d submitted (%d new, %d cached, %d already known) to %s\n",
-		len(cells), sw.Accepted, sw.CacheHits, sw.Known, base)
+		len(req.Cells), sw.Accepted, sw.CacheHits, sw.Known, base)
 
 	// Poll with server-side long-polling until the sweep drains or the
 	// caller cancels. Results are fetched only on the final call — status
@@ -105,18 +83,20 @@ func (o *Options) farmSweep(apps []string, designs []caba.Design, bws []float64,
 		errs = append(errs, fmt.Errorf("experiments: farm collect: %w", err))
 		return errors.Join(errs...)
 	}
-	for keyHex, res := range st.Results {
-		key, ok := byKey[keyHex]
-		if !ok || res == nil {
-			continue // a cell from some other client's sweep
-		}
-		results[key] = res
-		if werr := ck.append(key, res); werr != nil {
-			errs = append(errs, werr)
-		}
-	}
+	failed := make(map[string]farm.Failure, len(st.Failures))
 	for _, f := range st.Failures {
-		key, ok := byKey[f.Key]
+		failed[f.Key] = f
+	}
+	// The status lists every client's cells; only this sweep's are read.
+	for _, c := range cells {
+		ks := farm.KeyString(c.id)
+		if res := st.Results[ks]; res != nil {
+			if err := keep(memo, store, c, res); err != nil {
+				errs = append(errs, err)
+			}
+			continue
+		}
+		f, ok := failed[ks]
 		if !ok {
 			continue
 		}
@@ -127,7 +107,7 @@ func (o *Options) farmSweep(apps []string, designs []caba.Design, bws []float64,
 		case f.Wedge:
 			kind = "deterministic wedge"
 		}
-		errs = append(errs, fmt.Errorf("%s: farm cell failed (%s after %d attempt(s)): %s", key, kind, f.Attempts, f.Error))
+		errs = append(errs, fmt.Errorf("%s: farm cell failed (%s after %d attempt(s)): %s", c.key, kind, f.Attempts, f.Error))
 	}
 	return errors.Join(errs...)
 }

@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -90,68 +92,58 @@ func TestSweepContextCancelPartialResults(t *testing.T) {
 	}
 }
 
-// TestCheckpointTornLineTruncated: a JSONL checkpoint whose final record
-// was torn mid-write is both tolerated on load AND truncated, so the
-// appended continuation produces a cleanly parseable file.
-func TestCheckpointTornLineTruncated(t *testing.T) {
-	path := t.TempDir() + "/runs.ckpt"
-	o := Options{Scale: 0.01, Seed: 1, Parallel: 1, Out: io.Discard, Checkpoint: path}
+// TestCheckpointTornResultRerun: a store entry torn after it was written
+// (a half-copied store, bit rot) fails its seal check on read. The sweep
+// quarantines it beside the entry, re-runs only that cell, serves the
+// other cells from the store, and stores the re-run result afresh.
+func TestCheckpointTornResultRerun(t *testing.T) {
+	dir := t.TempDir()
+	apps := []string{"PVC", "SCP", "IIX"}
+	var ran []string
+	o := Options{Scale: 0.01, Seed: 1, Parallel: 1, Out: io.Discard, Checkpoint: dir}
 	o.runHook = func(_ context.Context, _ caba.Config, _ caba.Design, app string, _ int64) (*caba.Result, error) {
+		ran = append(ran, app)
 		return fakeResult(app, "Base"), nil
 	}
-	if _, err := o.sweep([]string{"PVC", "SCP"}, []caba.Design{caba.Base}, nil); err != nil {
+	if _, err := o.sweep(apps, []caba.Design{caba.Base}, nil); err != nil {
 		t.Fatalf("first sweep: %v", err)
 	}
+
+	// Tear one entry the way an interrupted copy does: keep its first half.
+	c, err := o.gridCell("SCP", caba.Base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "results", farm.KeyString(c.id)+".res")
 	intact, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Tear the file the way kill -9 does: a trailing half-record.
-	torn := append(append([]byte{}, intact...), []byte(`{"key":"IIX/Base@1x","result":{"app":"II`)...)
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
+	if err := os.WriteFile(path, intact[:len(intact)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Resume: the two intact cells load, the torn tail is dropped, and
-	// the third cell is appended onto a clean boundary.
-	var ran []string
-	o2 := Options{Scale: 0.01, Seed: 1, Parallel: 1, Out: io.Discard, Checkpoint: path}
-	o2.runHook = func(_ context.Context, _ caba.Config, _ caba.Design, app string, _ int64) (*caba.Result, error) {
-		ran = append(ran, app)
-		return fakeResult(app, "Base"), nil
+	for pass, want := range [][]string{{"SCP"}, nil} {
+		ran = nil
+		res, err := o.sweep(apps, []caba.Design{caba.Base}, nil)
+		if err != nil {
+			t.Fatalf("sweep %d over the torn store: %v", pass+1, err)
+		}
+		if len(res) != 3 {
+			t.Fatalf("sweep %d: results = %d cells, want 3", pass+1, len(res))
+		}
+		if !reflect.DeepEqual(ran, want) {
+			t.Fatalf("sweep %d ran %v, want %v", pass+1, ran, want)
+		}
 	}
-	res, err := o2.sweep([]string{"PVC", "SCP", "IIX"}, []caba.Design{caba.Base}, nil)
-	if err != nil {
-		t.Fatalf("resumed sweep: %v", err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("results = %d cells, want 3", len(res))
-	}
-	if len(ran) != 1 || ran[0] != "IIX" {
-		t.Fatalf("ran = %v, want only the cell missing from the checkpoint", ran)
-	}
-
-	// The file itself must now be pure intact JSONL: a third load sees
-	// all three cells and no torn-line fallback.
-	res3 := make(map[runKey]*caba.Result)
-	ck, err := o2.openCheckpoint(res3)
-	if err != nil {
-		t.Fatalf("reloading repaired checkpoint: %v", err)
-	}
-	ck.close()
-	if len(res3) != 3 {
-		t.Fatalf("repaired checkpoint holds %d cells, want 3", len(res3))
-	}
-	raw, _ := os.ReadFile(path)
-	if strings.Contains(string(raw), `"app":"II`+"\n") || strings.Contains(string(raw), `{"key":"IIX/Base@1x","result":{"app":"II{`) {
-		t.Error("torn fragment survived in the checkpoint file")
+	if _, err := os.Stat(path + ".quarantine"); err != nil {
+		t.Errorf("torn entry was not quarantined: %v", err)
 	}
 }
 
 // TestFarmSweepEndToEnd: Options.FarmURL dispatches the sweep through a
 // real coordinator + worker pair and produces results bit-identical to
-// the in-process sweep, persisted to the local checkpoint file too.
+// the in-process sweep, persisted to the local Checkpoint store too.
 func TestFarmSweepEndToEnd(t *testing.T) {
 	apps := []string{"PVC", "SCP"}
 	designs := []caba.Design{caba.Base, caba.CABABDI}
@@ -181,7 +173,7 @@ func TestFarmSweepEndToEnd(t *testing.T) {
 		}).Run(ctx)
 	}()
 
-	ckpt := t.TempDir() + "/farm-runs.ckpt"
+	ckpt := t.TempDir()
 	o := Options{Scale: 0.02, Seed: 11, Out: io.Discard, FarmURL: srv.URL, Checkpoint: ckpt}
 	res, err := o.sweep(apps, designs, nil)
 	if err != nil {
@@ -213,8 +205,8 @@ func TestFarmSweepEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The local checkpoint captured the farm results: a follow-up sweep
-	// is a pure cache read with no farm traffic at all.
+	// The local store captured the farm results: a follow-up sweep is a
+	// pure store read with no farm traffic at all.
 	o2 := Options{Scale: 0.02, Seed: 11, Out: io.Discard, FarmURL: "http://127.0.0.1:1", Checkpoint: ckpt}
 	res2, err := o2.sweep(apps, designs, nil)
 	if err != nil {

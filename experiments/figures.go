@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	caba "github.com/caba-sim/caba"
 	"github.com/caba-sim/caba/internal/gpu"
@@ -142,29 +141,10 @@ var study789Designs = []caba.Design{
 	caba.Base, caba.HWBDIMem, caba.HWBDI, caba.CABABDI, caba.IdealBDI,
 }
 
-// studyCache memoizes the expensive five-design sweep so Figures 7, 8, 9
-// and the MD-cache table (which all read the same runs) cost one sweep.
-var studyCache sync.Map // studyKey -> *StudyResult
-
-type studyKey struct {
-	scale float64
-	seed  int64
-}
-
 // Study789 runs the five-design sweep shared by Figures 7, 8 and 9.
+// Figures run from copies of one Options read its cells from the
+// Options' in-memory results, so the sweep simulates once.
 func Study789(o Options) (*StudyResult, error) {
-	key := studyKey{o.Scale, o.Seed}
-	if v, ok := studyCache.Load(key); ok {
-		return v.(*StudyResult), nil
-	}
-	s, err := study789(o)
-	if err == nil {
-		studyCache.Store(key, s)
-	}
-	return s, err
-}
-
-func study789(o Options) (*StudyResult, error) {
 	apps := CompressSuite()
 	results, sweepErr := o.sweep(apps, study789Designs, nil)
 	study := &StudyResult{}
@@ -195,9 +175,6 @@ func study789(o Options) (*StudyResult, error) {
 					mdRates = append(mdRates, mh)
 				}
 				dramSave = append(dramSave, 1-r.DRAMEnergyNJ/base.DRAMEnergyNJ)
-				if speedup > m.MaxSpeedup {
-					m.MaxSpeedup = speedup
-				}
 			}
 			if speedup > m.MaxSpeedup {
 				m.MaxSpeedup = speedup
@@ -522,9 +499,9 @@ var fig14Showcases = []struct {
 }
 
 // Fig14 runs the use-case comparison. The speedup grid goes through the
-// normal sweep (checkpointable, farmable — the design names key the
-// cells); the stall-shift panel re-runs the two showcases with stall
-// attribution armed, which observes without perturbing simulated state.
+// normal sweep (checkpointable, farmable, shared with the other figures);
+// the stall-shift panel re-runs the two showcases with stall attribution
+// armed, which observes without perturbing simulated state.
 func Fig14(o Options) (*Fig14Result, error) {
 	apps := UseCaseSuite()
 	designs := []caba.Design{caba.Base, caba.CABAPrefetch, caba.CABAMemo, caba.CABACombined}

@@ -106,7 +106,11 @@ func (s *Store) resultPath(key uint64) string {
 	return filepath.Join(s.dir, resultsDir, KeyString(key)+".res")
 }
 
-func (s *Store) blobPath(key uint64) string {
+// BlobPath returns the file that holds key's mid-run checkpoint blob.
+// In-process sweeps run their cells through caba.RunCheckpointed at this
+// path, so their snapshots and crash reports (BlobPath + ".crash") live
+// in the same layout the coordinator serves.
+func (s *Store) BlobPath(key uint64) string {
 	return filepath.Join(s.dir, blobsDir, KeyString(key)+".ckpt")
 }
 
@@ -145,7 +149,7 @@ func (s *Store) PutResult(key uint64, res *caba.Result) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeFileAtomic(s.resultPath(key), snapshot.Seal(key, payload))
+	return snapshot.WriteFileAtomic(s.resultPath(key), snapshot.Seal(key, payload))
 }
 
 // GetResult returns the stored result for key, or (nil, nil) when absent.
@@ -230,7 +234,7 @@ func (s *Store) PutFailure(key uint64, errMsg string, wedge bool, attempts int) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeFileAtomic(s.failPath(key), snapshot.Seal(key, payload))
+	return snapshot.WriteFileAtomic(s.failPath(key), snapshot.Seal(key, payload))
 }
 
 // GetFailure returns the recorded terminal failure for key, or ok=false
@@ -285,7 +289,7 @@ func (s *Store) PutPoison(key uint64, errMsg string, victims []string, attempts 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeFileAtomic(s.poisonPath(key), snapshot.Seal(key, payload))
+	return snapshot.WriteFileAtomic(s.poisonPath(key), snapshot.Seal(key, payload))
 }
 
 // GetPoison returns the recorded quarantine for key, or ok=false when
@@ -338,7 +342,7 @@ func (s *Store) PutBlob(key uint64, blob []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeFileAtomic(s.blobPath(key), blob)
+	return snapshot.WriteFileAtomic(s.BlobPath(key), blob)
 }
 
 // GetBlob returns the cell's stored checkpoint blob, or (nil, nil) when
@@ -347,7 +351,7 @@ func (s *Store) PutBlob(key uint64, blob []byte) error {
 func (s *Store) GetBlob(key uint64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	path := s.blobPath(key)
+	path := s.BlobPath(key)
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -366,7 +370,7 @@ func (s *Store) GetBlob(key uint64) ([]byte, error) {
 func (s *Store) HasBlob(key uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := os.Stat(s.blobPath(key))
+	_, err := os.Stat(s.BlobPath(key))
 	return err == nil
 }
 
@@ -375,26 +379,5 @@ func (s *Store) HasBlob(key uint64) bool {
 func (s *Store) DeleteBlob(key uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	os.Remove(s.blobPath(key))
-}
-
-// writeFileAtomic persists data so a crash mid-write can never leave a
-// torn file at path: write a sibling temp file, fsync, rename.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	os.Remove(s.BlobPath(key))
 }

@@ -257,7 +257,7 @@ func TestStoreBlobVerification(t *testing.T) {
 	if err != nil || string(got) != string(blob) {
 		t.Fatalf("GetBlob mismatch: %v", err)
 	}
-	corruptFile(t, s.blobPath(1))
+	corruptFile(t, s.BlobPath(1))
 	if got, _ := s.GetBlob(1); got != nil {
 		t.Error("corrupt blob served")
 	}

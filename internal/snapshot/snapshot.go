@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
 	"reflect"
 )
 
@@ -284,6 +285,29 @@ func Inspect(blob []byte) (configHash uint64, payload []byte, err error) {
 		return 0, nil, errf("payload checksum mismatch: %#x != %#x", got, want)
 	}
 	return configHash, payload, nil
+}
+
+// WriteFileAtomic persists data so that a crash mid-write can never leave
+// a torn file at path: it writes a sibling temp file, fsyncs it and
+// renames it over path. Checkpoint blobs, result-store entries and run
+// output files all go through it.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // --- Plain-struct codec ---
