@@ -7,8 +7,8 @@ GO ?= go
 # the full simulator-state loader must survive arbitrary blobs the same
 # way (checkpoint files live on disk between runs and are untrusted).
 # FuzzPredecode differentially tests the superop engine against the
-# interpreter on random Builder programs (the decoded≡interpreter
-# invariant, DESIGN.md §12). FuzzControllerDeploy differentially tests
+# test-only interpreter on random Builder programs (the
+# decoded≡interpreter invariant, DESIGN.md §12). FuzzControllerDeploy differentially tests
 # the bitmask assist-warp controller against a reference model of the
 # O(n) deploy scan and bool-ring utilization window (DESIGN.md §10).
 FUZZ_TARGETS = \
@@ -57,9 +57,10 @@ fuzz:
 	done
 
 # snapshot-check proves the checkpoint/restore guarantee in isolation:
-# run → save → load → run is bit-identical to an uninterrupted run with
-# fast-forward on or off, the invariant auditor stays quiet on clean runs,
-# and malformed blobs surface structured errors instead of panicking.
+# run → save → load → run is bit-identical to an uninterrupted run, with
+# and without a fault campaign, the invariant auditor stays quiet on
+# clean runs, and malformed blobs surface structured errors instead of
+# panicking.
 snapshot-check:
 	$(GO) test ./internal/snapshot
 	$(GO) test -run 'Snapshot|Audit|Wedge|Checkpoint' ./internal/gpu ./experiments .
@@ -98,13 +99,13 @@ soak-short:
 
 # usecase-check proves the assist-warp use-case contract (USECASES.md,
 # DESIGN.md §14) end to end: use-cases-off runs stay byte-identical to
-# the goldens, prefetch/memoization runs are bit-identical with
-# fast-forward on and off and across snapshot/resume, each showcase
+# the goldens, prefetch/memoization runs are bit-identical to the
+# per-cycle reference and across snapshot/resume, each showcase
 # workload actually wins cycles, and the Figure 14 sweep keeps its
 # shape.
 usecase-check:
 	$(GO) test -run 'TestUseCase|TestPrefetchWinsOnSTRD|TestMemoizationWinsOnTBL' .
-	$(GO) test -run 'TestStrideTable|TestPrefetchUsefulnessRing|TestMemoCache|TestMemoKey' ./internal/gpu
+	$(GO) test -run 'TestStrideTable|TestPrefetchUsefulnessRing|TestMemoCache|TestMemoKey|TestPerCycleReference/CABA-(Prefetch|Memo|Combined)' ./internal/gpu
 	$(GO) test -run 'TestFig14Hooked' ./experiments
 
 # bench-test runs the repo benchmark's own tests (BENCHMARK.json, bench/).

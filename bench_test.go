@@ -244,22 +244,10 @@ func BenchmarkSimBasePVC(b *testing.B)  { benchOneApp(b, "PVC", caba.Base) }
 func BenchmarkSimCABAPVC(b *testing.B)  { benchOneApp(b, "PVC", caba.CABABDI) }
 func BenchmarkSimBaseSSSP(b *testing.B) { benchOneApp(b, "sssp", caba.Base) }
 
-// BenchmarkSimCABAPVCInterp runs the CABA PVC workload on the
-// interpreter escape hatch (Config.Interpreter). Comparing it against
-// BenchmarkSimCABAPVC measures the pre-decoded engine's speedup
-// like-for-like on the same host and load, independent of the recorded
-// BENCH_sim.json history.
-func BenchmarkSimCABAPVCInterp(b *testing.B) {
-	cfg := caba.QuickConfig()
-	cfg.Scale = 0.05
-	cfg.Interpreter = true
-	benchOneAppCfg(b, cfg, "PVC", caba.CABABDI)
-}
-
 // BenchmarkSimHotLoop measures the simulator's inner loop — issue,
 // writeback ring, memory events, stall accounting — on a memory-bound
 // kernel with the fixed seed, reporting allocations per run. This is the
-// canary for hot-path allocation regressions: the fast-forward +
+// canary for hot-path allocation regressions: the quiescence cache and
 // preallocation work dropped it several-fold, and BENCH_sim.json records
 // the calibrated numbers.
 func BenchmarkSimHotLoop(b *testing.B) {

@@ -164,9 +164,9 @@ type Result struct {
 	FaultsInjected  uint64
 	FaultsDetected  uint64
 	FaultsRecovered uint64
-	// FFSkips / FFCycles report the fast-forward engine's clock jumps and
-	// the cycles they covered (observability; zero with FastForward off).
-	FFSkips  uint64
+	// Deprecated: always zero; the simulator no longer skips cycles.
+	FFSkips uint64
+	// Deprecated: always zero; the simulator no longer skips cycles.
 	FFCycles uint64
 
 	Occupancy Occupancy
@@ -268,7 +268,7 @@ func prepareApp(cfg *Config, design Design, appName string, seed int64) (*gpu.Si
 // ckptPath already holds a snapshot from an earlier killed, interrupted
 // or crashed invocation, the run resumes from it mid-flight instead of
 // starting over — the resumed run is bit-identical to an uninterrupted
-// one, including across a change to FastForward.
+// one.
 //
 // On success the checkpoint (and any stale crash report) is removed. On
 // failure the last checkpoint is kept for postmortem resumption and a
@@ -301,8 +301,8 @@ func RunCheckpointed(ctx context.Context, cfg Config, design Design, appName str
 	}
 	if err := runSim(ctx, sim, maxCycles); err != nil {
 		err = fmt.Errorf("caba: %s/%s: %w", appName, design.Name, err)
-		repro := fmt.Sprintf("app=%s design=%s seed=%d scale=%g fastforward=%v checkpoint_every=%d resume=%s",
-			appName, design.Name, seed, cfg.Scale, cfg.FastForward, cfg.CheckpointEvery, ckptPath)
+		repro := fmt.Sprintf("app=%s design=%s seed=%d scale=%g checkpoint_every=%d resume=%s",
+			appName, design.Name, seed, cfg.Scale, cfg.CheckpointEvery, ckptPath)
 		writeCrashReport(ckptPath+".crash", repro, err, sim)
 		return nil, err
 	}
@@ -461,7 +461,6 @@ func finishResult(app string, design Design, cfg *Config, sim *gpu.Simulator, in
 		Occupancy:        sim.Occupancy(),
 		Stats:            sim.S,
 	}
-	r.FFSkips, r.FFCycles = sim.FastForwardStats()
 	r.Series = sim.Series()
 	r.Stalls = sim.StallAttribution()
 	if err := writeObsOutputs(cfg, sim); err != nil {

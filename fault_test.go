@@ -28,16 +28,13 @@ func faultConfig() caba.Config {
 
 // TestFaultInjectionDeterminism: the same fault seed and config must
 // produce the identical fault campaign — same injected/detected/recovered
-// counts and bit-identical statistics — with the fast-forward engine on
-// or off.
+// counts and bit-identical statistics — on every run.
 func TestFaultInjectionDeterminism(t *testing.T) {
 	var ref *caba.Result
-	for _, ff := range []bool{true, false} {
-		cfg := faultConfig()
-		cfg.FastForward = ff
-		res, err := caba.Run(cfg, caba.CABABDI, "PVC", 1)
+	for run := 1; run <= 2; run++ {
+		res, err := caba.Run(faultConfig(), caba.CABABDI, "PVC", 1)
 		if err != nil {
-			t.Fatalf("ff=%v: %v", ff, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		if ref == nil {
 			ref = res
@@ -55,13 +52,13 @@ func TestFaultInjectionDeterminism(t *testing.T) {
 		if res.FaultsInjected != ref.FaultsInjected ||
 			res.FaultsDetected != ref.FaultsDetected ||
 			res.FaultsRecovered != ref.FaultsRecovered {
-			t.Errorf("ff=%v: campaign diverged: injected %d/%d detected %d/%d recovered %d/%d",
-				ff, res.FaultsInjected, ref.FaultsInjected,
+			t.Errorf("run %d: campaign diverged: injected %d/%d detected %d/%d recovered %d/%d",
+				run, res.FaultsInjected, ref.FaultsInjected,
 				res.FaultsDetected, ref.FaultsDetected,
 				res.FaultsRecovered, ref.FaultsRecovered)
 		}
 		for _, d := range ref.Stats.Diff(res.Stats) {
-			t.Errorf("ff=%v: stats diverge: %s", ff, d)
+			t.Errorf("run %d: stats diverge: %s", run, d)
 		}
 	}
 }
@@ -86,21 +83,19 @@ func TestDroppedResponsesWedge(t *testing.T) {
 }
 
 // TestWedgeErrorDeterminism: the wedge diagnosis itself is part of the
-// determinism contract — same seed, same error, same cycle, with the
-// fast-forward engine on or off.
+// determinism contract — same seed, same error, same cycle.
 func TestWedgeErrorDeterminism(t *testing.T) {
-	msg := func(ff bool) string {
+	msg := func() string {
 		cfg := faultConfig()
-		cfg.FastForward = ff
 		cfg.Faults = faults.Config{Seed: 7, ResponseDropRate: 0.5}
 		_, err := caba.Run(cfg, caba.Base, "PVC", 1)
 		if err == nil {
-			t.Fatalf("ff=%v: expected a wedge", ff)
+			t.Fatal("expected a wedge")
 		}
 		return err.Error()
 	}
-	if ref, got := msg(false), msg(true); got != ref {
-		t.Errorf("wedge error differs with fast-forward on:\n  ref %s\n  got %s", ref, got)
+	if ref, got := msg(), msg(); got != ref {
+		t.Errorf("wedge error differs between two runs of one seed:\n  first  %s\n  second %s", ref, got)
 	}
 }
 

@@ -38,6 +38,11 @@ type DRAMTiming struct {
 	TWR  int // write recovery
 }
 
+// negative reports whether any timing is below zero.
+func (t DRAMTiming) negative() bool {
+	return min(t.TCL, t.TRP, t.TRC, t.TRAS, t.TRCD, t.TRRD, t.TCCD, t.TWR) < 0
+}
+
 // Config describes the simulated GPU. The zero value is not meaningful;
 // start from Baseline().
 type Config struct {
@@ -104,15 +109,6 @@ type Config struct {
 	// Deprecated: ignored; SMs always tick serially.
 	SMWorkers int
 
-	// FastForward enables the cycle-skipping engine: when every SM is
-	// provably unable to issue (all warps stalled on memory or
-	// dependencies, or the grid is exhausted and the memory system is
-	// draining), the simulator jumps the clock to the next wake event in
-	// one step, crediting the skipped issue slots to the stall
-	// classifier in bulk. Statistics are bit-identical to per-cycle
-	// ticking; only wall-clock time changes.
-	FastForward bool
-
 	// WedgeLimit bounds how many consecutive idle drain cycles the
 	// simulator tolerates before declaring the memory system wedged and
 	// returning a structured error instead of spinning to the cycle cap.
@@ -148,11 +144,9 @@ type Config struct {
 	// breakdown, hit rates, MSHR/assist-warp occupancy, DRAM bus busy
 	// fraction, compression ratio) every N core cycles into
 	// Result.Series. Sampling reads counters after every SM has ticked;
-	// fast-forwarded windows synthesize the flat samples the per-cycle
-	// path would have recorded; snapshot/restore carries the sampler
-	// state so resumed runs emit identical series. 0 disables
-	// sampling and adds zero overhead. Simulated statistics are
-	// bit-identical either way.
+	// snapshot/restore carries the sampler state so resumed runs emit
+	// identical series. 0 disables sampling and adds zero overhead.
+	// Simulated statistics are bit-identical either way.
 	SampleEvery uint64
 
 	// MetricsFile writes the sampled series (needs SampleEvery > 0) to
@@ -170,23 +164,13 @@ type Config struct {
 	// either way.
 	TraceFile string
 
-	// Interpreter routes warp and assist-warp execution through the
-	// original field-walking instruction interpreter instead of the
-	// predecoded superop engine. The two engines are bit-identical in
-	// every observable effect (registers, predicates, SIMT stack, error
-	// text, statistics, snapshots); the interpreter survives as the
-	// differential-testing reference and is several times slower. Pure
-	// strategy: excluded from the snapshot config hash.
-	Interpreter bool
-
 	// AttributeStalls accumulates per-warp stall attribution: every
 	// cycle, each scheduler slot that fails to issue is charged to
 	// exactly one (warp, cause) pair — scoreboard, barrier, drain,
 	// LSU/SFU/ALU port contention, store-buffer full, MSHR full, assist
 	// priority, or empty SM — summed into Result.Stalls. The totals are
 	// pinned to the issue-slot counters: sum == total slots − issued
-	// slots, with FastForward on or off. false disables attribution and
-	// adds zero overhead.
+	// slots. false disables attribution and adds zero overhead.
 	AttributeStalls bool
 }
 
@@ -228,7 +212,6 @@ func Baseline() Config {
 		MDCacheAssoc:    4,
 		MDLinesPerEntry: 128,
 		Scale:           1.0,
-		FastForward:     true,
 		WedgeLimit:      10_000_000,
 	}
 }
@@ -256,8 +239,6 @@ func TestConfig() Config {
 // and may resume each other's checkpoints.
 //
 //   - SMWorkers is deprecated and ignored.
-//   - FastForward and Interpreter are execution strategies; the simulator
-//     is bit-identical with either on or off.
 //   - CheckpointEvery, AuditEvery and FlightRecorderDepth only observe
 //     the run.
 //   - MetricsFile and TraceFile are output paths.
@@ -268,8 +249,6 @@ func TestConfig() Config {
 // series only under the same settings.
 func (c Config) ResultConfig() Config {
 	c.SMWorkers = 0
-	c.FastForward = false
-	c.Interpreter = false
 	c.CheckpointEvery = 0
 	c.AuditEvery = 0
 	c.FlightRecorderDepth = 0
@@ -278,11 +257,36 @@ func (c Config) ResultConfig() Config {
 	return c
 }
 
-// Validate reports the first configuration problem found.
+// Validate reports the first configuration problem found. It rejects every
+// value the simulator cannot run: sizes, counts and clocks that are
+// divisors or capacities must be positive, and latencies and DRAM timings
+// must not be negative.
 func (c *Config) Validate() error {
 	switch {
 	case c.NumSMs <= 0:
 		return fmt.Errorf("config: NumSMs must be positive")
+	case c.MaxCTAsPerSM <= 0:
+		return fmt.Errorf("config: MaxCTAsPerSM must be positive")
+	case c.RegFilePerSM <= 0:
+		return fmt.Errorf("config: RegFilePerSM must be positive")
+	case c.CoreClockMHz <= 0:
+		return fmt.Errorf("config: CoreClockMHz must be positive")
+	case c.MemClockMHz <= 0:
+		return fmt.Errorf("config: MemClockMHz must be positive")
+	case c.ALULatency < 0 || c.SFULatency < 0 || c.L1Latency < 0 || c.L2Latency < 0:
+		return fmt.Errorf("config: latencies must be non-negative")
+	case c.L1MSHRs <= 0:
+		return fmt.Errorf("config: L1MSHRs must be positive")
+	case c.FlitSize <= 0:
+		return fmt.Errorf("config: FlitSize must be positive")
+	case c.BanksPerChannel <= 0:
+		return fmt.Errorf("config: BanksPerChannel must be positive")
+	case c.MemQueueDepth <= 0:
+		return fmt.Errorf("config: MemQueueDepth must be positive")
+	case c.Timing.negative():
+		return fmt.Errorf("config: DRAM timings must be non-negative")
+	case c.MDCacheAssoc <= 0 || c.MDLinesPerEntry <= 0:
+		return fmt.Errorf("config: MDCacheAssoc and MDLinesPerEntry must be positive")
 	case c.WarpSize <= 0 || c.WarpSize > 64:
 		return fmt.Errorf("config: WarpSize %d out of range", c.WarpSize)
 	case c.MaxWarpsPerSM <= 0:
@@ -295,9 +299,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: LineSize %d must equal compress.LineSize %d", c.LineSize, compress.LineSize)
 	case c.NumChannels <= 0:
 		return fmt.Errorf("config: NumChannels must be positive")
-	case c.L1Assoc <= 0 || c.L1Size%(c.L1Assoc*c.LineSize) != 0:
+	case c.L1Assoc <= 0 || c.L1Size <= 0 || c.L1Size%(c.L1Assoc*c.LineSize) != 0:
 		return fmt.Errorf("config: L1 geometry (%d/%d-way) not line-divisible", c.L1Size, c.L1Assoc)
-	case c.L2Assoc <= 0 || c.L2Size%(c.L2Assoc*c.LineSize*c.NumChannels) != 0:
+	case c.L2Assoc <= 0 || c.L2Size <= 0 || c.L2Size%(c.L2Assoc*c.LineSize*c.NumChannels) != 0:
 		return fmt.Errorf("config: L2 geometry (%d/%d-way/%d parts) not line-divisible", c.L2Size, c.L2Assoc, c.NumChannels)
 	case c.BWScale <= 0:
 		return fmt.Errorf("config: BWScale must be positive")
@@ -325,11 +329,6 @@ func (c *Config) PeakBandwidthGBs() float64 {
 // including the bandwidth scale factor.
 func (c *Config) MemCyclesPerCoreCycle() float64 {
 	return float64(c.MemClockMHz) * c.BWScale / float64(c.CoreClockMHz)
-}
-
-// LinesPerL2Partition returns the number of lines in one L2 partition.
-func (c *Config) LinesPerL2Partition() int {
-	return c.L2Size / c.NumChannels / c.LineSize
 }
 
 // DecompressorKind selects who performs decompression in a design.

@@ -66,6 +66,32 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		mk(func(c *Config) { c.Scale = 0 }),
 		mk(func(c *Config) { c.Scale = 2 }),
 		mk(func(c *Config) { c.NumSchedulers = 0 }),
+		// Values the simulator cannot run: divisors, capacities and clocks
+		// of zero, negative latencies and DRAM timings.
+		mk(func(c *Config) { c.MaxCTAsPerSM = 0 }),
+		mk(func(c *Config) { c.RegFilePerSM = 0 }),
+		mk(func(c *Config) { c.CoreClockMHz = 0 }),
+		mk(func(c *Config) { c.MemClockMHz = 0 }),
+		mk(func(c *Config) { c.ALULatency = -1 }),
+		mk(func(c *Config) { c.SFULatency = -1 }),
+		mk(func(c *Config) { c.L1Latency = -1 }),
+		mk(func(c *Config) { c.L2Latency = -1 }),
+		mk(func(c *Config) { c.L1MSHRs = 0 }),
+		mk(func(c *Config) { c.L1Size = 0 }),
+		mk(func(c *Config) { c.L2Size = 0 }),
+		mk(func(c *Config) { c.FlitSize = 0 }),
+		mk(func(c *Config) { c.BanksPerChannel = 0 }),
+		mk(func(c *Config) { c.MemQueueDepth = 0 }),
+		mk(func(c *Config) { c.MDCacheAssoc = 0 }),
+		mk(func(c *Config) { c.MDLinesPerEntry = 0 }),
+		mk(func(c *Config) { c.Timing.TCL = -1 }),
+		mk(func(c *Config) { c.Timing.TRP = -1 }),
+		mk(func(c *Config) { c.Timing.TRC = -1 }),
+		mk(func(c *Config) { c.Timing.TRAS = -1 }),
+		mk(func(c *Config) { c.Timing.TRCD = -1 }),
+		mk(func(c *Config) { c.Timing.TRRD = -1 }),
+		mk(func(c *Config) { c.Timing.TCCD = -1 }),
+		mk(func(c *Config) { c.Timing.TWR = -1 }),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -72,15 +72,8 @@ type StepInfo struct {
 // assist warps get a fresh small Exec whose registers model the reserved
 // slice of the parent's register file.
 type Exec struct {
-	Prog  *isa.Program
-	ipdom []int
-	dec   *isa.Decoded
-
-	// Interp selects the original per-instruction interpreter instead of
-	// the predecoded superop engine. The two are bit-identical (pinned by
-	// the differential tests and FuzzPredecode); the interpreter survives
-	// as the differential-testing reference behind Config.Interpreter.
-	Interp bool
+	Prog *isa.Program
+	dec  *isa.Decoded
 
 	PC     int
 	rpc    int // reconvergence point of the current path (len(code) = none)
@@ -142,7 +135,6 @@ func NewExec(prog *isa.Program, active uint32) *Exec {
 // Shared) are left untouched for the caller to manage.
 func (e *Exec) Reset(prog *isa.Program, active uint32) {
 	e.Prog = prog
-	e.ipdom = prog.IPDom()
 	e.dec = prog.Decoded()
 	e.PC = 0
 	e.rpc = len(prog.Code)
@@ -189,19 +181,10 @@ func (e *Exec) SetLaneSpecial(lane int, r isa.Reg, v uint64) {
 	e.special[r.SpecialIndex()][lane] = v
 }
 
-// Current returns the instruction the warp will execute next, or nil when
-// the warp is done or stopped at a barrier.
-func (e *Exec) Current() *isa.Instr {
-	if e.Done || e.AtBarrier || e.Err != nil {
-		return nil
-	}
-	return &e.Prog.Code[e.PC]
-}
-
 // CurrentSop returns the predecoded form of the instruction the warp will
 // execute next, or nil when the warp is done or stopped at a barrier.
-// Superop index == PC, so CurrentSop and Current always describe the same
-// instruction.
+// Superop index == PC, so the superop is the decoded form of
+// Prog.Code[PC].
 func (e *Exec) CurrentSop() *isa.Superop {
 	if e.Done || e.AtBarrier || e.Err != nil {
 		return nil
@@ -224,42 +207,6 @@ func (e *Exec) readReg(lane int, r isa.Reg) uint64 {
 		return e.regBack[r.GeneralIndex()*WarpSize+lane]
 	}
 	return e.special[r.SpecialIndex()][lane]
-}
-
-func (e *Exec) writeReg(lane int, r isa.Reg, v uint64) {
-	if r != isa.RegNone && r.IsGeneral() {
-		e.regBack[r.GeneralIndex()*WarpSize+lane] = v
-	}
-}
-
-// execMask returns the lanes that execute the current instruction after
-// applying its guard predicate.
-func (e *Exec) execMask(in *isa.Instr) uint32 {
-	if in.Guard == isa.PredNone {
-		return e.Active
-	}
-	var m uint32
-	for lane := 0; lane < WarpSize; lane++ {
-		if e.Active&(1<<lane) == 0 {
-			continue
-		}
-		if e.pred(lane, in.Guard) != in.GuardNeg {
-			m |= 1 << lane
-		}
-	}
-	return m
-}
-
-// pred reads lane's value of predicate register p.
-func (e *Exec) pred(lane int, p isa.Pred) bool { return e.preds[p]>>lane&1 != 0 }
-
-// setPred writes lane's value of predicate register p.
-func (e *Exec) setPred(lane int, p isa.Pred, v bool) {
-	if v {
-		e.preds[p] |= 1 << lane
-	} else {
-		e.preds[p] &^= 1 << lane
-	}
 }
 
 func (e *Exec) fail(format string, args ...any) {
@@ -301,33 +248,9 @@ func stageStore(buf []byte, off int64, v uint64, width uint8) bool {
 	return true
 }
 
-// PeekAddrs computes the per-lane effective addresses of the *current*
-// instruction without executing it, so the scheduler can coalesce and
-// check MSHR capacity before committing to issue. Returns the would-be
-// exec mask; only valid for memory ops.
-func (e *Exec) PeekAddrs(addrs *[WarpSize]uint64) uint32 {
-	in := e.Current()
-	if in == nil {
-		return 0
-	}
-	mask := e.execMask(in)
-	for lane := 0; lane < WarpSize; lane++ {
-		if mask&(1<<lane) != 0 {
-			addrs[lane] = e.readReg(lane, in.SrcA) + uint64(in.Imm)
-		}
-	}
-	return mask
-}
-
 // Step executes exactly one warp instruction functionally and returns what
 // it did. Calling Step on a done/barrier/errored warp returns ok=false.
-// The predecoded superop engine (stepDecoded) is the default; Interp
-// routes through the original field-walking interpreter, which is kept
-// bit-identical for differential testing.
 func (e *Exec) Step() (StepInfo, bool) {
-	if e.Interp {
-		return e.stepInterp()
-	}
 	if !e.stepDecoded() {
 		return StepInfo{}, false
 	}
@@ -340,235 +263,8 @@ func (e *Exec) Step() (StepInfo, bool) {
 // an earlier instruction); every consumer masks by ExecMask. The buffer
 // is overwritten by the next Step/StepRef on this Exec.
 func (e *Exec) StepRef() (*StepInfo, bool) {
-	if e.Interp {
-		info, ok := e.stepInterp()
-		e.info = info
-		return &e.info, ok
-	}
 	ok := e.stepDecoded()
 	return &e.info, ok
-}
-
-// stepInterp is the reference interpreter: it re-walks Instr fields
-// (RegNone checks, IsGeneral branches, per-lane EvalALU dispatch) on every
-// execution.
-func (e *Exec) stepInterp() (StepInfo, bool) {
-	in := e.Current()
-	if in == nil {
-		return StepInfo{}, false
-	}
-	e.Executed++
-	info := StepInfo{Instr: in, ExecMask: e.execMask(in), Width: in.Width}
-	adv := true // advance PC by 1 unless a branch redirects
-
-	switch in.Op {
-	case isa.OpBra:
-		// Unconditional (assembler only emits guard-free OpBra).
-		e.PC = int(in.Target)
-		adv = false
-
-	case isa.OpBrab:
-		adv = false
-		taken := info.ExecMask
-		notTaken := e.Active &^ taken
-		switch {
-		case taken == 0:
-			e.PC++
-		case notTaken == 0:
-			e.PC = int(in.Target)
-		default:
-			r := e.ipdom[e.PC]
-			e.stack = append(e.stack,
-				pathFrame{pc: r, rpc: e.rpc, mask: e.Active},
-				pathFrame{pc: e.PC + 1, rpc: r, mask: notTaken},
-			)
-			e.Active = taken
-			e.PC = int(in.Target)
-			e.rpc = r
-		}
-
-	case isa.OpExit:
-		adv = false
-		e.exited |= info.ExecMask
-		if rem := e.Active &^ info.ExecMask; rem != 0 {
-			// Guarded exit: surviving lanes continue.
-			e.Active = rem
-			e.PC++
-		} else {
-			e.popPath()
-		}
-
-	case isa.OpBar:
-		// PC advances in ReleaseBarrier, once all CTA warps arrive.
-		e.AtBarrier = true
-		adv = false
-
-	case isa.OpSetP, isa.OpSetPI:
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) == 0 {
-				continue
-			}
-			a := e.readReg(lane, in.SrcA)
-			b := uint64(in.Imm)
-			if in.Op == isa.OpSetP {
-				b = e.readReg(lane, in.SrcB)
-			}
-			e.setPred(lane, in.PDst, isa.EvalCmp(in.Cmp, a, b))
-		}
-
-	case isa.OpPAnd, isa.OpPOr, isa.OpPNot:
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) == 0 {
-				continue
-			}
-			pa := e.pred(lane, in.PA)
-			switch in.Op {
-			case isa.OpPAnd:
-				e.setPred(lane, in.PDst, pa && e.pred(lane, in.PB))
-			case isa.OpPOr:
-				e.setPred(lane, in.PDst, pa || e.pred(lane, in.PB))
-			case isa.OpPNot:
-				e.setPred(lane, in.PDst, !pa)
-			}
-		}
-
-	case isa.OpVoteAll, isa.OpVoteAny:
-		all, any := true, false
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) == 0 {
-				continue
-			}
-			if e.pred(lane, in.PA) {
-				any = true
-			} else {
-				all = false
-			}
-		}
-		v := any
-		if in.Op == isa.OpVoteAll {
-			v = all
-		}
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) != 0 {
-				e.setPred(lane, in.PDst, v)
-			}
-		}
-
-	case isa.OpBallot:
-		var mask uint64
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) != 0 && e.pred(lane, in.PA) {
-				mask |= 1 << lane
-			}
-		}
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) != 0 {
-				e.writeReg(lane, in.Dst, mask)
-			}
-		}
-
-	case isa.OpShfl:
-		// Snapshot pre-instruction values of SrcA across the warp.
-		for lane := 0; lane < WarpSize; lane++ {
-			e.tmp[lane] = e.readReg(lane, in.SrcA)
-		}
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) == 0 {
-				continue
-			}
-			src := int(e.readReg(lane, in.SrcB) & 31)
-			var v uint64
-			if info.ExecMask&(1<<src) != 0 {
-				v = e.tmp[src]
-			}
-			e.writeReg(lane, in.Dst, v)
-		}
-
-	case isa.OpSel:
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) == 0 {
-				continue
-			}
-			if e.pred(lane, in.PA) {
-				e.writeReg(lane, in.Dst, e.readReg(lane, in.SrcA))
-			} else {
-				e.writeReg(lane, in.Dst, e.readReg(lane, in.SrcB))
-			}
-		}
-
-	case isa.OpLdGlobal, isa.OpStGlobal, isa.OpAtomAdd:
-		info.IsGlobal = true
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) == 0 {
-				continue
-			}
-			addr := e.readReg(lane, in.SrcA) + uint64(in.Imm)
-			info.Addrs[lane] = addr
-			switch in.Op {
-			case isa.OpLdGlobal:
-				e.writeReg(lane, in.Dst, e.Mem.LoadGlobal(addr, in.Width))
-			case isa.OpStGlobal:
-				e.Mem.StoreGlobal(addr, e.readReg(lane, in.SrcB), in.Width)
-			case isa.OpAtomAdd:
-				e.writeReg(lane, in.Dst, e.Mem.AtomicAdd(addr, e.readReg(lane, in.SrcB), in.Width))
-			}
-		}
-
-	case isa.OpLdShared, isa.OpStShared:
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) == 0 {
-				continue
-			}
-			off := int64(e.readReg(lane, in.SrcA)) + in.Imm
-			if in.Op == isa.OpLdShared {
-				e.writeReg(lane, in.Dst, stageLoad(e.Shared, off, in.Width))
-			} else {
-				if !stageStore(e.Shared, off, e.readReg(lane, in.SrcB), in.Width) {
-					e.fail("shared store out of range: off %d", off)
-					return info, true
-				}
-			}
-		}
-
-	case isa.OpLdStage, isa.OpStStage:
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) == 0 {
-				continue
-			}
-			off := int64(e.readReg(lane, in.SrcA)) + in.Imm
-			if in.Op == isa.OpLdStage {
-				e.writeReg(lane, in.Dst, stageLoad(e.StageIn, off, in.Width))
-			} else {
-				if !stageStore(e.StageOut, off, e.readReg(lane, in.SrcB), in.Width) {
-					e.fail("stage store out of range: off %d", off)
-					return info, true
-				}
-			}
-		}
-
-	default:
-		// Scalar ALU/SFU ops.
-		for lane := 0; lane < WarpSize; lane++ {
-			if info.ExecMask&(1<<lane) == 0 {
-				continue
-			}
-			a := e.readReg(lane, in.SrcA)
-			b := e.readReg(lane, in.SrcB)
-			c := e.readReg(lane, in.SrcC)
-			v, err := isa.EvalALU(in, a, b, c)
-			if err != nil {
-				e.fail("%v", err)
-				return info, true
-			}
-			e.writeReg(lane, in.Dst, v)
-		}
-	}
-
-	if adv && !e.Done {
-		e.PC++
-	}
-	e.checkReconverge()
-	return info, true
 }
 
 // checkReconverge pops SIMT-stack frames when the current path reaches its

@@ -6,14 +6,15 @@ import (
 	"github.com/caba-sim/caba/internal/isa"
 )
 
-// This file is the predecoded execution engine: stepDecoded executes one
-// warp instruction from the program's superop form (isa.Decoded). It is
-// the default engine; Exec.Interp routes through stepInterp instead. The
-// two must stay bit-identical in every observable effect — register and
-// predicate files, SIMT stack, PC/rpc, Done/AtBarrier/Err (including
-// error text), Executed, and the returned StepInfo — a property pinned by
-// FuzzPredecode, TestFullWarpKernelsMatchInterpreter and the gpu
-// differential tests.
+// This file is the execution engine: stepDecoded executes one warp
+// instruction from the program's superop form (isa.Decoded). Its test
+// oracle is the field-walking interpreter in interp_test.go, which
+// re-reads every Instr field per step. The two must stay bit-identical in
+// every observable effect — register and predicate files, SIMT stack,
+// PC/rpc, Done/AtBarrier/Err (including error text), Executed, and the
+// returned StepInfo — a property pinned by FuzzPredecode,
+// TestFullWarpKernelsMatchInterpreter, TestLibraryRoutinesMatchInterpreter
+// and TestWorkloadKernelsMatchInterpreter.
 //
 // The speed comes from predecode and warp-wide execution, not from
 // different semantics. Operands are direct register-file indices, so each

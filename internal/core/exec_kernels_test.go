@@ -100,7 +100,7 @@ func TestFullWarpKernelsMatchInterpreter(t *testing.T) {
 						prog := b.MustBuild()
 						for _, launch := range []uint32{FullMask, 0x0F0F00FF} {
 							label := fmt.Sprintf("%s d=%v a=%v b=%v %s launch=%#x", o.name, d, a, c, g.name, launch)
-							lockstep(t, label, prog, launch)
+							lockstep(t, label, prog, launch, nil)
 						}
 					}
 				}

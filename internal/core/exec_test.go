@@ -464,31 +464,3 @@ top:
 		t.Errorf("loop branch ipdom = %d, want 4", ipdom[3])
 	}
 }
-
-func TestPeekAddrsNoSideEffects(t *testing.T) {
-	p := isa.MustAssemble("peek", `
-  mov r0, %lane
-  shl r1, r0, 2
-  ld.global.u32 r2, [r1+256]
-  exit`)
-	e := NewExec(p, 0xFF)
-	e.Step() // mov
-	e.Step() // shl
-	var addrs [WarpSize]uint64
-	mask := e.PeekAddrs(&addrs)
-	if mask != 0xFF {
-		t.Fatalf("mask = %#x", mask)
-	}
-	if addrs[3] != 3*4+256 {
-		t.Errorf("addr[3] = %d", addrs[3])
-	}
-	pcBefore := e.PC
-	e.PeekAddrs(&addrs) // idempotent, no state change
-	if e.PC != pcBefore || e.Executed != 2 {
-		t.Error("PeekAddrs must not execute anything")
-	}
-	info, _ := e.Step() // the actual load must agree with the peek
-	if info.Addrs[3] != addrs[3] {
-		t.Error("peeked address differs from executed address")
-	}
-}

@@ -262,8 +262,8 @@ func (c *Controller) NoteIssueSlot(busy bool) {
 // NoteIdleSlots advances the utilization monitor by n idle slots, exactly
 // as if NoteIssueSlot(false) had been called n times: it clears the n
 // bits from windowPos on (all of them once n covers the window). The
-// fast-forward engine and the quiescent tick use it to credit idle slots
-// in bulk.
+// SM's quiescent tick uses it to credit a whole cycle's idle slots at
+// once.
 func (c *Controller) NoteIdleSlots(n int) {
 	if n <= 0 {
 		return

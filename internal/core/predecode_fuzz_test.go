@@ -26,19 +26,22 @@ func FuzzPredecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		lockstep(t, fmt.Sprintf("seed %d", seed), randomProgram(rand.New(rand.NewSource(seed))), FullMask)
+		lockstep(t, fmt.Sprintf("seed %d", seed), randomProgram(rand.New(rand.NewSource(seed))), FullMask, nil)
 	})
 }
 
 // lockstep runs prog on the predecoded engine and on the interpreter side
 // by side, from the given launch mask, and fails t at the first
 // divergence in the StepInfo fields the pipeline consumes, the
-// architectural state (diffExecState) or global memory.
-func lockstep(t *testing.T, label string, prog *isa.Program, launch uint32) {
+// architectural state (diffExecState) or global memory. Each engine gets
+// a fresh Exec with small shared and staging buffers, a per-lane %tid and
+// its own fuzzMem; setup, when non-nil, then runs on each Exec to install
+// live-ins, special registers or other buffers. lockstep returns the
+// decoded engine's Exec so the caller can check how the program ended.
+func lockstep(t *testing.T, label string, prog *isa.Program, launch uint32, setup func(*Exec)) *Exec {
 	t.Helper()
-	mkExec := func(interp bool) (*Exec, *fuzzMem) {
+	mkExec := func() (*Exec, *fuzzMem) {
 		e := NewExec(prog, launch)
-		e.Interp = interp
 		e.Shared = make([]byte, 256)
 		e.StageIn = make([]byte, 128)
 		e.StageOut = make([]byte, 128)
@@ -50,14 +53,17 @@ func lockstep(t *testing.T, label string, prog *isa.Program, launch uint32) {
 		}
 		m := &fuzzMem{data: make(map[uint64]byte)}
 		e.Mem = m
+		if setup != nil {
+			setup(e)
+		}
 		return e, m
 	}
-	dec, decMem := mkExec(false)
-	ref, refMem := mkExec(true)
+	dec, decMem := mkExec()
+	ref, refMem := mkExec()
 
-	for step := 0; step < 4096; step++ {
+	for step := 0; step < 1<<15; step++ {
 		di, dok := dec.Step()
-		ri, rok := ref.Step()
+		ri, rok := ref.stepInterp()
 		if dok != rok {
 			t.Fatalf("%s step %d: decoded stepped=%v interp stepped=%v", label, step, dok, rok)
 		}
@@ -92,6 +98,7 @@ func lockstep(t *testing.T, label string, prog *isa.Program, launch uint32) {
 	if diff := decMem.diff(refMem); diff != "" {
 		t.Fatalf("%s final: global memory: %s", label, diff)
 	}
+	return dec
 }
 
 // diffExecState compares every piece of architectural state the two
@@ -136,13 +143,18 @@ func diffExecState(a, b *Exec) string {
 }
 
 // fuzzMem is a byte-granular functional memory; two instances fed the
-// same store sequence hold identical contents.
+// same store sequence hold identical contents. A byte never stored reads
+// as a hash of its address, so loads see varied data without a fill.
 type fuzzMem struct{ data map[uint64]byte }
 
 func (m *fuzzMem) LoadGlobal(addr uint64, width uint8) uint64 {
 	var v uint64
 	for i := uint64(0); i < uint64(width); i++ {
-		v |= uint64(m.data[addr+i]) << (8 * i)
+		b, ok := m.data[addr+i]
+		if !ok {
+			b = byte((addr + i) * 0x9E3779B97F4A7C15 >> 56)
+		}
+		v |= uint64(b) << (8 * i)
 	}
 	return v
 }

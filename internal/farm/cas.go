@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -182,29 +181,6 @@ func (s *Store) GetResult(key uint64) (*caba.Result, error) {
 		return nil, nil
 	}
 	return &res, nil
-}
-
-// ResultKeys lists every key with a verified-looking entry present (by
-// filename; entries are still re-verified on read). Used to rebuild the
-// completed set when a coordinator restarts over an existing store.
-func (s *Store) ResultKeys() ([]uint64, error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, resultsDir))
-	if err != nil {
-		return nil, fmt.Errorf("farm: list results: %w", err)
-	}
-	var keys []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".res") {
-			continue
-		}
-		key, err := ParseKey(strings.TrimSuffix(name, ".res"))
-		if err != nil {
-			continue
-		}
-		keys = append(keys, key)
-	}
-	return keys, nil
 }
 
 // failRecord is the durable form of a terminal failure.

@@ -96,9 +96,10 @@ func leaseOne(t *testing.T, base, worker string) *LeaseResponse {
 	return nil
 }
 
-// TestCellKeyStrategyInvariance: strategy knobs (worker counts, engine
-// selection, checkpoint cadence, output paths) must not move a cell's
-// content address; anything result-determining must.
+// TestCellKeyStrategyInvariance: result-neutral knobs (the ignored worker
+// count, checkpoint and audit cadence, the flight recorder, output paths)
+// must not move a cell's content address; anything result-determining
+// must.
 func TestCellKeyStrategyInvariance(t *testing.T) {
 	base := testCell("PVC", "Base", 0.02, 11)
 	ref, err := base.Key()
@@ -107,8 +108,6 @@ func TestCellKeyStrategyInvariance(t *testing.T) {
 	}
 	strategies := []func(*Cell){
 		func(c *Cell) { c.Config.SMWorkers = 7 },
-		func(c *Cell) { c.Config.FastForward = !c.Config.FastForward },
-		func(c *Cell) { c.Config.Interpreter = true },
 		func(c *Cell) { c.Config.CheckpointEvery = 123 },
 		func(c *Cell) { c.Config.AuditEvery = 9 },
 		func(c *Cell) { c.Config.FlightRecorderDepth = 4 },

@@ -11,7 +11,7 @@
 // simulated schedule (SM ticks in index order, then event delivery), so
 // the decision sequence is a pure function of the seed and the schedule:
 // same seed + same config ⇒ bit-identical fault sites, recovery counters
-// and final statistics, with fast-forward on or off. A zero-value
+// and final statistics. A zero-value
 // Config disables injection entirely and leaves the simulator's behavior
 // untouched.
 package faults

@@ -4,8 +4,7 @@ package gpu
 // and trace-span recording for the simulator. Everything here is a pure
 // observer — nil-gated at every call site, reading machine state without
 // mutating it — so the simulated statistics are bit-identical whether
-// the knobs are on or off, with or without fast-forward, and across
-// snapshot/restore.
+// the knobs are on or off, and across snapshot/restore.
 
 import (
 	"fmt"
@@ -213,9 +212,8 @@ func assistTraceCat(rt *core.Routine) string {
 // --- Metrics sampler ---
 
 // obsTotals is a cumulative snapshot of the counters the sampler
-// windows over. Totals fold sim.S (which holds memory-side counters and
-// fast-forward bulk credits) with every per-SM shard, so they are exact
-// in all engine modes.
+// windows over. Totals fold sim.S (which holds the memory-side counters)
+// with every per-SM shard.
 type obsTotals struct {
 	instrs   uint64
 	issue    [stats.NumStallKinds]uint64
@@ -238,12 +236,8 @@ type sampler struct {
 	series    obs.Series
 }
 
-// gather folds the current cumulative counters. extraTicks synthesizes a
-// mid-skip boundary during fast-forward: each SM is credited with
-// extraTicks × schedulers slots of its cached quiescent classification —
-// exactly what per-cycle ticking would have accumulated by then, since a
-// skip window is a proven accounting no-op.
-func (sim *Simulator) gather(extraTicks uint64) obsTotals {
+// gather folds the current cumulative counters.
+func (sim *Simulator) gather() obsTotals {
 	t := obsTotals{
 		instrs:   sim.S.ThreadInstrs,
 		issue:    sim.S.IssueSlots,
@@ -253,27 +247,22 @@ func (sim *Simulator) gather(extraTicks uint64) obsTotals {
 		l2m:      sim.S.L2Misses,
 		dramBusy: sim.S.DRAMBusyCycles,
 	}
-	sched := uint64(sim.Cfg.NumSchedulers)
-	for i, sm := range sim.sms {
+	for _, sm := range sim.sms {
 		t.instrs += sm.stat.ThreadInstrs
 		for k := range t.issue {
 			t.issue[k] += sm.stat.IssueSlots[k]
 		}
 		t.l1h += sm.stat.L1Hits
 		t.l1m += sm.stat.L1Misses
-		if extraTicks > 0 {
-			t.issue[sim.ffKinds[i]] += extraTicks * sched
-		}
 	}
 	return t
 }
 
 // sample closes the window ending at cycle boundary t and appends the
-// row. extraTicks is non-zero only for boundaries synthesized inside a
-// fast-forward skip (see gather).
-func (sim *Simulator) sample(t, extraTicks uint64) {
+// row.
+func (sim *Simulator) sample(t uint64) {
 	smp := sim.smp
-	cur := sim.gather(extraTicks)
+	cur := sim.gather()
 	dc := t - smp.prevCycle
 	row := obs.Sample{Cycle: t}
 	if dc > 0 {
@@ -315,19 +304,6 @@ func (sim *Simulator) sample(t, extraTicks uint64) {
 	smp.series.Append(row)
 	smp.prev, smp.prevCycle = cur, t
 	smp.next = t + smp.every
-}
-
-// sampleSkip synthesizes the samples for every boundary a fast-forward
-// skip will cross. Called with sim.cycle still at the skip start,
-// before creditSkip: inside the window no event fires and every SM's
-// per-tick contribution is its cached quiescent classification, so the
-// boundary-t totals are the pre-skip totals plus (t − skipStart) ticks
-// of linear credit — bit-identical to the rows per-cycle ticking would
-// have recorded.
-func (sim *Simulator) sampleSkip(wake uint64) {
-	for t := sim.smp.next; t <= wake; t += sim.smp.every {
-		sim.sample(t, t-sim.cycle)
-	}
 }
 
 // save serializes the sampler state (cadence cursor, previous-boundary

@@ -3,7 +3,6 @@ package gpu
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"github.com/caba-sim/caba/internal/compress"
@@ -44,12 +43,10 @@ type Simulator struct {
 
 	occ Occupancy
 
-	// ffKinds is per-SM scratch for the fast-forward stall classification.
-	ffKinds []stats.StallKind
-	// ffSkips / ffCycles count fast-forward jumps and the cycles they
-	// covered (observability; not part of the equivalence-checked stats).
-	ffSkips  uint64
-	ffCycles uint64
+	// perCycle turns off the SMs' quiescence caches, so every SM runs its
+	// full tick every cycle. It is the reference the cache is tested
+	// against; only tests set it.
+	perCycle bool
 
 	// interrupted is set asynchronously by Interrupt(); Run polls it and
 	// returns an ErrInterrupted-wrapping error. It is the only simulator
@@ -94,8 +91,8 @@ type Simulator struct {
 	dbgFetchN   uint64
 }
 
-// Interrupt asks a running Run to stop at the next poll point (every few
-// thousand loop iterations). Safe to call from any goroutine; caba's
+// Interrupt asks a running Run to stop at the next poll point (every
+// 1024 simulated cycles). Safe to call from any goroutine; caba's
 // context-aware entry points use it to implement deadlines without
 // leaking the simulation goroutine.
 func (sim *Simulator) Interrupt() { sim.interrupted.Store(true) }
@@ -158,7 +155,6 @@ func New(cfg *config.Config, design config.Design, k *Kernel) (*Simulator, error
 	for i := range sim.sms {
 		sim.sms[i] = newSM(i, sim)
 	}
-	sim.ffKinds = make([]stats.StallKind, cfg.NumSMs)
 	sim.wireObs()
 	sim.S.RegsPerThread = k.Prog.NumReg
 	sim.S.ThreadsPerSM = sim.occ.ThreadsPerSM
@@ -213,11 +209,10 @@ func (sim *Simulator) assistRegDemand() int {
 // Occupancy returns the static occupancy analysis for this run.
 func (sim *Simulator) Occupancy() Occupancy { return sim.occ }
 
-// FastForwardStats returns the number of clock jumps the fast-forward
-// engine performed and the total cycles they covered.
-func (sim *Simulator) FastForwardStats() (skips, cycles uint64) {
-	return sim.ffSkips, sim.ffCycles
-}
+// FastForwardStats returns zeros.
+//
+// Deprecated: the simulator no longer skips cycles; every cycle ticks.
+func (sim *Simulator) FastForwardStats() (skips, cycles uint64) { return 0, 0 }
 
 // DecompMismatches returns the racing-write counter (tests assert zero).
 // The count lives in the per-SM shards, which survive the end-of-run fold.
@@ -246,9 +241,8 @@ func (sim *Simulator) dispatch(sm *SM) {
 //
 // Every elapsed cycle contributes its issue slots to the Figure 1
 // breakdown (idle slots included), so SMs tick through stalls and the
-// final memory drain. When Config.FastForward is set and every SM is
-// provably unable to act, the skipped ticks are credited in bulk instead
-// of executed — the statistics are bit-identical either way.
+// final memory drain. An SM whose quiescence cache holds replays its
+// proven stall classification in O(1) instead of scanning its warps.
 //
 // Each cycle delivers the memory events due, then ticks the SMs in index
 // order. An SM's effects on shared state apply as it ticks, so its
@@ -289,7 +283,6 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 	if wedgeLimit <= 0 {
 		wedgeLimit = defaultWedgeLimit
 	}
-	ff := sim.Cfg.FastForward
 	if !sim.restored {
 		sim.idleStreak = 0
 	}
@@ -302,12 +295,10 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 		sim.nextAudit = start + sim.Cfg.AuditEvery
 	}
 	sim.nextMaint = min(sim.nextCkpt, sim.nextAudit)
-	iter := 0
 	for sim.cycle = start; sim.cycle < maxCycles; sim.cycle++ {
 		// Maintenance runs before this cycle's events are delivered, so a
-		// snapshot taken here restores to exactly this loop position. A
-		// fast-forward jump that crosses a boundary lands the work at the
-		// wake cycle; with both knobs at zero this is one dead compare.
+		// snapshot taken here restores to exactly this loop position; with
+		// both knobs at zero this is one dead compare.
 		if sim.cycle >= sim.nextMaint {
 			if err := sim.maintain(); err != nil {
 				return err
@@ -317,8 +308,7 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 		if err := sim.firstFatal(); err != nil {
 			return err
 		}
-		iter++
-		if iter&1023 == 0 && sim.interrupted.Load() {
+		if sim.cycle&1023 == 0 && sim.interrupted.Load() {
 			return fmt.Errorf("gpu: %w at cycle %d", ErrInterrupted, sim.cycle)
 		}
 		busy := false
@@ -344,45 +334,11 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 		// (the only source of lost responses): if SMs still hold work but
 		// the event queue and memory system are empty and no SM can ever
 		// act again on its own, the hang is converted into a structured
-		// wedge error at the first such cycle — identical with
-		// fast-forward on or off.
+		// wedge error at the first such cycle.
 		if sim.Sys.Inj != nil && busy && sim.Q.Len() == 0 && sim.Sys.Drained() &&
 			sim.allWedged() {
 			return sim.wedged(&WedgeError{Cycle: sim.cycle,
 				Dropped: sim.S.ResponsesDropped})
-		}
-		if ff {
-			if wake, ok := sim.ffWake(maxCycles); ok {
-				skip := wake - sim.cycle // ticks credited: cycle .. wake-1
-				if drainIdle && sim.idleStreak+int(skip-1) > wedgeLimit {
-					// The wedge detector would fire inside the window:
-					// credit exactly up to its firing cycle so the error
-					// reports the same cycle as per-cycle ticking.
-					fire := sim.cycle + uint64(wedgeLimit-sim.idleStreak) + 1
-					sim.creditSkip(fire-sim.cycle, fire)
-					sim.cycle = fire
-					return sim.wedged(&WedgeError{Cycle: sim.cycle, Drain: true})
-				}
-				if sim.smp != nil {
-					// Synthesize the samples the skipped ticks would have
-					// recorded, before the bulk credit lands.
-					sim.sampleSkip(wake)
-				}
-				sim.creditSkip(skip, wake)
-				if drainIdle {
-					sim.idleStreak += int(skip - 1)
-				}
-				// A fast-forward jump can cover millions of cycles in one
-				// iteration, so the interrupt flag is checked per jump —
-				// context cancellation stays prompt even mid-skip.
-				if sim.interrupted.Load() {
-					sim.cycle = wake
-					sim.record("interrupted during fast-forward skip", 0)
-					return fmt.Errorf("gpu: %w at cycle %d", ErrInterrupted, sim.cycle)
-				}
-				sim.cycle = wake - 1 // loop increment resumes at wake
-				continue
-			}
 		}
 		for _, sm := range sim.sms {
 			sm.tickSafe(sim.cycle)
@@ -394,7 +350,7 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 		// reached (cycle+1 cycles are now complete). Sampling only reads,
 		// so obs on or off cannot perturb the simulated statistics.
 		if sim.smp != nil && sim.cycle+1 == sim.smp.next {
-			sim.sample(sim.smp.next, 0)
+			sim.sample(sim.smp.next)
 		}
 	}
 	if sim.cycle >= maxCycles {
@@ -411,17 +367,14 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 // maintain performs the scheduled maintenance due at the current cycle:
 // the invariant audit, then the checkpoint (so a checkpoint is only taken
 // from audited-clean state when both fire together). Neither mutates
-// simulated state, so cadence never affects results. FF jumps may cross
-// several boundaries at once; each duty fires once, at the wake cycle.
+// simulated state, so cadence never affects results.
 func (sim *Simulator) maintain() error {
 	if sim.cycle >= sim.nextAudit {
 		if err := sim.Audit(); err != nil {
 			return err
 		}
 		sim.record("audit passed", 0)
-		for sim.nextAudit <= sim.cycle {
-			sim.nextAudit += sim.Cfg.AuditEvery
-		}
+		sim.nextAudit += sim.Cfg.AuditEvery
 	}
 	if sim.cycle >= sim.nextCkpt {
 		blob, err := sim.SaveState()
@@ -432,9 +385,7 @@ func (sim *Simulator) maintain() error {
 			return fmt.Errorf("gpu: checkpoint at cycle %d: %w", sim.cycle, err)
 		}
 		sim.record("checkpoint saved", 0)
-		for sim.nextCkpt <= sim.cycle {
-			sim.nextCkpt += sim.Cfg.CheckpointEvery
-		}
+		sim.nextCkpt += sim.Cfg.CheckpointEvery
 	}
 	sim.nextMaint = min(sim.nextCkpt, sim.nextAudit)
 	return nil
@@ -460,7 +411,7 @@ func (sim *Simulator) firstFatal() error {
 // allWedged reports whether every SM is quiescent with no self-wake
 // horizon — i.e. nothing in the machine can ever act again without a
 // memory-system event, and the caller has established that no events are
-// pending. It seeds the per-SM quiescence caches exactly as ffWake does.
+// pending. It seeds the per-SM quiescence caches the tick replays.
 func (sim *Simulator) allWedged() bool {
 	for _, sm := range sim.sms {
 		if !sm.qValid || sim.cycle >= sm.qHorizon {
@@ -476,66 +427,6 @@ func (sim *Simulator) allWedged() bool {
 		}
 	}
 	return true
-}
-
-// ffWake computes the fast-forward wake cycle: the earliest future cycle
-// at which any SM could act, bounded by the next memory-system event and
-// the cycle cap. ok is false when some SM can act this cycle (no skip) or
-// the window is too short to be worth skipping.
-func (sim *Simulator) ffWake(maxCycles uint64) (uint64, bool) {
-	wake := maxCycles
-	if t, qok := sim.Q.NextTime(); qok {
-		// An event at time T affects tick(ceil(T)) at the earliest: events
-		// run during RunUntil at the top of that iteration.
-		if w := uint64(math.Ceil(t)); w < wake {
-			wake = w
-		}
-	}
-	if wake <= sim.cycle+1 {
-		return 0, false
-	}
-	for i, sm := range sim.sms {
-		// Reuse the SM's quiescence cache when it is still valid; a fresh
-		// verdict seeds it for the per-SM tick fast path even when the
-		// global skip below turns out to be too short.
-		if !sm.qValid || sim.cycle >= sm.qHorizon {
-			kind, horizon, ok := sm.quiescent(sim.cycle)
-			if !ok {
-				sm.qValid = false
-				return 0, false
-			}
-			sm.qValid, sm.qKind, sm.qHorizon = true, kind, horizon
-		}
-		sim.ffKinds[i] = sm.qKind
-		if sm.qHorizon < wake {
-			wake = sm.qHorizon
-		}
-	}
-	if wake <= sim.cycle+1 {
-		return 0, false
-	}
-	return wake, true
-}
-
-// creditSkip applies the bulk stall accounting for n skipped ticks
-// (cycles sim.cycle .. wake-1): each SM's issue slots are credited with
-// its quiescent classification, the AWC utilization windows advance by
-// the same slot count, and per-SM clocks move to wake-1 exactly as if
-// tick(wake-1) had run.
-func (sim *Simulator) creditSkip(n, wake uint64) {
-	sched := sim.Cfg.NumSchedulers
-	for i, sm := range sim.sms {
-		sim.S.IssueSlots[sim.ffKinds[i]] += n * uint64(sched)
-		if sm.attr != nil {
-			// Charge the quiescence-cached blame pair for every credited
-			// slot, exactly as the per-cycle fast path would have.
-			sm.attr.Charge(sm.qBlameW, sm.qBlameC, n*uint64(sched))
-		}
-		sm.awc.NoteIdleSlots(int(n) * sched)
-		sm.cycle = wake - 1
-	}
-	sim.ffSkips++
-	sim.ffCycles += n
 }
 
 func (sim *Simulator) l1Evictions() uint64 {

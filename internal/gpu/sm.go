@@ -191,9 +191,9 @@ type SM struct {
 	// classified as qKind, so tick() replays that verdict in O(1) instead
 	// of re-scanning the warp list. Any event-side entry into the SM
 	// (fills, delayed decompression, store releases, CTA placement)
-	// invalidates it via touch(). This is what makes memory-stall cycles
-	// cheap even when dense memory-system events pin the global clock to
-	// per-cycle stepping.
+	// invalidates it via touch(). This is what makes memory-stall and
+	// drain cycles cheap: the clock ticks every cycle, but a stalled SM
+	// costs a few compares per tick.
 	qValid   bool
 	qKind    stats.StallKind
 	qHorizon uint64
@@ -216,9 +216,9 @@ type SM struct {
 	// only by its owning SM.
 	attr *obs.Attr
 	// qBlameW/qBlameC cache the attribution target alongside the
-	// quiescence verdict (qKind): the tick fast path and the
-	// fast-forward bulk credit charge the cached pair, so a skipped
-	// window attributes exactly like the per-cycle replay it replaces.
+	// quiescence verdict (qKind): the tick fast path charges the cached
+	// pair, so a replayed tick attributes exactly like the full tick it
+	// replaces.
 	qBlameW int
 	qBlameC obs.Cause
 
@@ -283,13 +283,9 @@ func (sm *SM) newAssistExec(rt *core.Routine) *core.Exec {
 	if n := len(sm.execPool); n > 0 {
 		ex := sm.execPool[n-1]
 		sm.execPool = sm.execPool[:n-1]
-		core.ResetAssistExec(ex, rt)
-		ex.Interp = sm.sim.Cfg.Interpreter
-		return ex
+		return core.ResetAssistExec(ex, rt)
 	}
-	ex := core.NewAssistExec(rt)
-	ex.Interp = sm.sim.Cfg.Interpreter
-	return ex
+	return core.NewAssistExec(rt)
 }
 
 // releaseAssistExec returns a retired assist exec to the pool. The exec
@@ -398,8 +394,8 @@ func (sm *SM) wbPop(cycle uint64) {
 }
 
 // wbNext returns the cycle of the earliest pending writeback after `from`
-// (exclusive); ok is false when the ring is empty. Used by the
-// fast-forward engine to bound the skip window.
+// (exclusive); ok is false when the ring is empty. Used by quiescent()
+// to bound the cached verdict.
 func (sm *SM) wbNext(from uint64) (uint64, bool) {
 	if sm.wbPending == 0 {
 		return 0, false
@@ -448,7 +444,6 @@ func (sm *SM) placeCTA(ctaID int) {
 		} else {
 			ex = core.NewExec(k.Prog, mask)
 		}
-		ex.Interp = cfg.Interpreter
 		ex.Mem = sm.sim.Mem
 		ex.Shared = cta.shared
 		for lane := 0; lane < cfg.WarpSize; lane++ {
@@ -544,8 +539,9 @@ func (sm *SM) tick(cycle uint64) {
 	// classification without touching the pipeline. Bit-identical to the
 	// full tick below — quiescent() guarantees the tick would be a pure
 	// accounting no-op, and NoteIdleSlots matches NumSchedulers failed
-	// NoteIssueSlot calls exactly.
-	if sm.sim.Cfg.FastForward {
+	// NoteIssueSlot calls exactly. perCycle (tests only) always runs the
+	// full tick, as the reference the cache is checked against.
+	if !sm.sim.perCycle {
 		if !sm.qValid && sm.qTry {
 			if kind, horizon, ok := sm.quiescent(cycle); ok {
 				sm.qValid, sm.qKind, sm.qHorizon = true, kind, horizon
@@ -648,9 +644,9 @@ type slotFlags struct {
 // the earliest future cycle at which this SM's own state can make a tick
 // act again (pipeline writeback, LSU/SFU port release, store-buffer
 // aging); ^uint64(0) when the SM is waiting purely on memory-system
-// events. The fast-forward engine may then skip ticks up to
-// min(horizon, next event) while crediting `kind` in bulk, with results
-// bit-identical to per-cycle ticking.
+// events. tick() may then replay `kind` for every cycle before horizon
+// until touch() invalidates the verdict, with results bit-identical to
+// running the full tick.
 func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok bool) {
 	horizon = ^uint64(0)
 

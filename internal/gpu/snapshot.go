@@ -17,7 +17,7 @@ import (
 // blob. LoadState restores it into a freshly built Simulator with the same
 // configuration. The contract is bit-identical resume: run(N cycles),
 // Save, Load into a new sim, run(M−N more) produces exactly the stats and
-// error behavior of run(M) straight through, with fast-forward on or off.
+// error behavior of run(M) straight through.
 //
 // Pending work is held in pointer-linked structures (loadReq, storeEntry,
 // fillCtx, decompCtx, decompPlain) that are shared between warps, MSHR
@@ -448,8 +448,6 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 	w.U64(sim.cycle)
 	w.Int(sim.nextCTA)
 	w.Int(sim.idleStreak)
-	w.U64(sim.ffSkips)
-	w.U64(sim.ffCycles)
 	if err := snapshot.EncodePlain(w, *sim.S); err != nil {
 		return nil, err
 	}
@@ -986,8 +984,6 @@ func (sim *Simulator) LoadState(blob []byte) (err error) {
 	sim.cycle = r.U64()
 	sim.nextCTA = r.Int()
 	sim.idleStreak = r.Int()
-	sim.ffSkips = r.U64()
-	sim.ffCycles = r.U64()
 	if err := snapshot.DecodePlain(r, sim.S); err != nil {
 		return err
 	}
@@ -1295,7 +1291,6 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		wp.depStalled = false // pure caches: recomputed on the next probe
 		wp.idle = false
 		wp.exec = core.NewExec(k.Prog, 0)
-		wp.exec.Interp = sm.sim.Cfg.Interpreter
 		if err := wp.exec.Load(r, k.Prog, false); err != nil {
 			return err
 		}
@@ -1308,7 +1303,6 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		if e.Warp >= len(sm.warps) {
 			return snapErrf("AWT entry parent warp %d out of range", e.Warp)
 		}
-		e.Exec.Interp = sm.sim.Cfg.Interpreter
 		user, err := t.decUser(r)
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -20,31 +21,18 @@ import (
 type snapMatrixCase struct {
 	name    string
 	workers int
-	ff      bool
 	faults  bool
 }
 
 func snapMatrix() []snapMatrixCase {
 	var out []snapMatrixCase
 	for _, w := range []int{1, 4} {
-		for _, ff := range []bool{false, true} {
-			for _, flt := range []bool{false, true} {
-				name := "w1"
-				if w == 4 {
-					name = "w4"
-				}
-				if ff {
-					name += "-ff"
-				} else {
-					name += "-noff"
-				}
-				if flt {
-					name += "-faults"
-				} else {
-					name += "-clean"
-				}
-				out = append(out, snapMatrixCase{name, w, ff, flt})
+		for _, flt := range []bool{false, true} {
+			name := fmt.Sprintf("w%d-clean", w)
+			if flt {
+				name = fmt.Sprintf("w%d-faults", w)
 			}
+			out = append(out, snapMatrixCase{name, w, flt})
 		}
 	}
 	return out
@@ -58,7 +46,6 @@ func newSnapSim(t *testing.T, c snapMatrixCase, fill bool) *Simulator {
 	const threads, iters = 1536, 8
 	cfg := config.TestConfig()
 	cfg.SMWorkers = c.workers
-	cfg.FastForward = c.ff
 	cfg.BWScale = 0.25
 	cfg.MaxWarpsPerSM = 24
 	cfg.MaxThreadsPerSM = 768
@@ -96,8 +83,7 @@ func outChecksum(sim *Simulator) uint64 {
 // TestSnapshotRestoreEquivalence is the tentpole guarantee: run(N) →
 // Save → Load into a fresh simulator → run(M−N) is bit-identical to
 // run(M), at snapshot points near 25%, 50% and 90% of the run, across
-// SMWorkers {1,4} (deprecated, ignored), fast-forward settings and fault
-// campaigns. It also
+// SMWorkers {1,4} (deprecated, ignored) and fault campaigns. It also
 // checks that a run with checkpointing (and auditing) enabled produces
 // exactly the stats of one without — maintenance must not perturb
 // simulated state.
@@ -180,12 +166,6 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				}
 				if outChecksum(straight) != outChecksum(resumed) {
 					t.Fatalf("resume at %d%%: output memory diverged", pct)
-				}
-				sk1, cy1 := straight.FastForwardStats()
-				sk2, cy2 := resumed.FastForwardStats()
-				if sk1 != sk2 || cy1 != cy2 {
-					t.Fatalf("resume at %d%%: fast-forward stats diverged: %d/%d vs %d/%d",
-						pct, sk1, cy1, sk2, cy2)
 				}
 			}
 		})
@@ -274,8 +254,7 @@ func TestSnapshotRejectsWrongConfig(t *testing.T) {
 
 	// Same blob, every field config.Config.ResultConfig zeroes set to
 	// something else: loads.
-	ok := newSnapSim(t, snapMatrixCase{workers: 4, ff: true}, false)
-	ok.Cfg.Interpreter = true
+	ok := newSnapSim(t, snapMatrixCase{workers: 4}, false)
 	ok.Cfg.CheckpointEvery = 123
 	ok.Cfg.AuditEvery = 9
 	ok.Cfg.FlightRecorderDepth = 4
@@ -517,7 +496,7 @@ func TestStoreReleaseArmsRetry(t *testing.T) {
 // TestAuditEveryPassesCleanRun: continuous auditing over a full CABA run
 // finds nothing and changes nothing.
 func TestAuditEveryPassesCleanRun(t *testing.T) {
-	c := snapMatrixCase{workers: 4, ff: true}
+	c := snapMatrixCase{workers: 4}
 	plain := newSnapSim(t, c, true)
 	if err := plain.Run(20_000_000); err != nil {
 		t.Fatal(err)
@@ -529,28 +508,6 @@ func TestAuditEveryPassesCleanRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain.S, audited.S) {
 		t.Fatal("auditing changed the run's statistics")
-	}
-}
-
-// TestInterruptDuringFastForward: an interrupt must be observed inside
-// the fast-forward path, not just at the slow-path poll.
-func TestInterruptDuringFastForward(t *testing.T) {
-	const threads, iters = 512, 8
-	cfg := config.TestConfig()
-	cfg.FastForward = true
-	cfg.Faults = faults.Config{Seed: 3, ResponseDelayRate: 1.0, ResponseDelayCycles: 40_000}
-	k := &Kernel{Prog: streamSumKernel(), GridCTAs: 4, CTAThreads: 64,
-		Params: [4]uint64{inBase, outBase, uint64(threads * 4), iters}}
-	sim, err := New(&cfg, config.DesignCABABDI, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillInput(sim, threads*iters, true)
-	sim.Dom.Precompress(inBase, uint64(threads*iters*4))
-	sim.Interrupt()
-	runErr := sim.Run(50_000_000)
-	if !errors.Is(runErr, ErrInterrupted) {
-		t.Fatalf("Run = %v, want ErrInterrupted", runErr)
 	}
 }
 
@@ -602,14 +559,13 @@ func TestSnapshotBlobWellFormed(t *testing.T) {
 // TestSnapshotEncodingPinned pins the bytes of two mid-run CABA-FPC
 // states: at cycle 1000 the AWT is full (32 entries) and the utilization
 // windows saturated; at cycle 8500 a few entries remain and the windows
-// are part busy. The digests were recorded before the AWT became bitmask
-// tables and the decoded core went warp-wide, so an unchanged encoding
-// shows that older checkpoints and farm blobs still load without a
-// snapshot version bump.
+// are part busy. The digests cover the whole sealed blob: format version,
+// config hash and payload. A change to them needs a snapshot.Version
+// bump, since older checkpoints and farm blobs would no longer restore.
 func TestSnapshotEncodingPinned(t *testing.T) {
 	want := map[uint64]string{
-		1000: "47fe8448f3bb25d4f139fea37ba50171870b09929670ae55f48eef278daee4bb",
-		8500: "e4c1d3d1db995e8a58f591cf6fa42eee300b4feb95e64cfeca5f35bb1ee73373",
+		1000: "31489f4cd2c8f54c621c4fd137c9b913d6facfcb66469164c2f6709937ef35c5",
+		8500: "e7d6c835fa45e417cc92b7cbf3e9b9cbab3fb6434fe71c2afc44f55bec8401fa",
 	}
 	const threads, iters = 1536, 8
 	cfg := config.TestConfig()

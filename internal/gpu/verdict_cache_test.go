@@ -17,7 +17,7 @@ import (
 // finishes bit-identical to the uninterrupted run.
 func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 	const maxCycles = 20_000_000
-	c := snapMatrixCase{name: "w1-ff-clean", ff: true}
+	c := snapMatrixCase{name: "w1-clean", workers: 1}
 
 	straight := newSnapSim(t, c, true)
 	if err := straight.Run(maxCycles); err != nil {

@@ -133,9 +133,8 @@ func decodeProgram(p *Program) *Decoded {
 
 		// Conflict set: every general register and predicate the
 		// instruction touches (sources and destinations; the guard and
-		// predicate operands). The shift semantics mirror core.RegMask
-		// exactly, including the uint8 shift-out-of-range behavior for
-		// malformed predicate numbers.
+		// predicate operands). Predicate bits are uint8 shifts, so a
+		// malformed predicate number shifts out of range and sets nothing.
 		for _, r := range [...]Reg{in.SrcA, in.SrcB, in.SrcC, in.Dst} {
 			if r != RegNone && r.IsGeneral() && r.GeneralIndex() < 256 {
 				gi := r.GeneralIndex()

@@ -7,12 +7,12 @@
 // observability knobs at their zero values the simulator executes the
 // exact same instruction stream and allocates nothing extra, and with
 // them enabled the simulated statistics remain bit-identical. The layer
-// composes with the repo's other runtime engines:
+// composes with the simulator's other runtime mechanisms:
 //
-//   - Fast-forward (Config.FastForward): skipped windows are pure
-//     stall-accounting no-ops, so crossed sample boundaries synthesize
-//     flat samples from the quiescence credit formula and skipped slots
-//     are bulk-charged to the cached quiescent blame.
+//   - The per-SM quiescence cache: a tick it replays charges its slots
+//     to the cached quiescent blame, exactly as the full tick would, and
+//     samples are read after every tick, so the series and attribution
+//     match the per-cycle reference.
 //   - Snapshot/restore: Series and Attr serialize into the simulator
 //     snapshot payload, so a resumed run emits the identical series a
 //     straight-through run would; open trace spans are re-opened for

@@ -18,7 +18,7 @@ import (
 
 // Version is the current snapshot format version. Bump on any encoding
 // change; Open rejects blobs from other versions.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // magic identifies a snapshot blob ("CABASNAP").
 const magic uint64 = 0x43414241534e4150

@@ -284,9 +284,9 @@ func (s *Sim) AddShard(sh *Shard) {
 }
 
 // Diff compares every field of two runs and returns a human-readable
-// line per mismatch (empty when identical). The fast-forward golden
-// equivalence tests use it so a divergence names the counter that moved
-// instead of dumping two structs.
+// line per mismatch (empty when identical). The equivalence tests use it
+// so a divergence names the counter that moved instead of dumping two
+// structs.
 func (s *Sim) Diff(o *Sim) []string {
 	var out []string
 	va, vb := reflect.ValueOf(*s), reflect.ValueOf(*o)

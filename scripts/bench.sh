@@ -39,7 +39,7 @@ prev_allocs=$(awk -F'[,: ]+' '/BenchmarkSimHotLoop/ { for (i=1;i<=NF;i++) if ($i
 # against these numbers — a floor-vs-floor comparison is the only one a
 # 10% threshold survives.
 go test -run '^$' \
-  -bench 'BenchmarkSimBasePVC$|BenchmarkSimCABAPVC$|BenchmarkSimCABAPVCInterp$|BenchmarkSimBaseSSSP$|BenchmarkSimCABASSSP$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$|BenchmarkSimCABAFPCMUM$' \
+  -bench 'BenchmarkSimBasePVC$|BenchmarkSimCABAPVC$|BenchmarkSimBaseSSSP$|BenchmarkSimCABASSSP$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$|BenchmarkSimCABAFPCMUM$' \
   -benchtime 5x -count 3 -benchmem . | tee "$tmp"
 go test -run '^$' -bench 'BenchmarkQueue$' -count 3 -benchmem ./internal/timing | tee -a "$tmp"
 
