@@ -275,6 +275,19 @@ func BenchmarkSimCABAFPCMUM(b *testing.B) {
 	benchOneAppCfg(b, cfg, "MUM", caba.CABAFPC)
 }
 
+// BenchmarkSimMemoTBL runs TBL under CABA-Memo with Baseline() at scale
+// 0.05: the compute-usecase benchmark workload's slowest cell and the
+// sentinel for the SM's issue stage. TBL runs the same 1,396,800 warp
+// instructions at every scale from 0.005 to 0.05, nearly all of them
+// waiting on one busy SFU, so every issue slot scans warps whose
+// verdict is already known, and each memoization probe needs the
+// instruction's operand hash.
+func BenchmarkSimMemoTBL(b *testing.B) {
+	cfg := caba.Baseline()
+	cfg.Scale = 0.05
+	benchOneAppCfg(b, cfg, "TBL", caba.CABAMemo)
+}
+
 // BenchmarkSimPrefetchPVC runs PVC under the CABA-Prefetch design: the
 // stride tables train on every L1 miss and the throttle gates nearly
 // every trigger (PVC's access pattern gives the detector little to work

@@ -80,7 +80,7 @@ type Config struct {
 	NumChannels     int // GDDR5 memory controllers
 	BanksPerChannel int
 	MemClockMHz     int // DRAM data-clock; one 32B burst per memory cycle
-	BurstSize       int // bytes per DRAM burst
+	BurstSize       int // bytes per DRAM burst; must equal compress.BurstSize
 	Timing          DRAMTiming
 	MemQueueDepth   int // per-channel request queue
 
@@ -297,6 +297,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: MaxWarpsPerSM %d exceeds 64", c.MaxWarpsPerSM)
 	case c.LineSize != compress.LineSize:
 		return fmt.Errorf("config: LineSize %d must equal compress.LineSize %d", c.LineSize, compress.LineSize)
+	case c.BurstSize != compress.BurstSize:
+		// The DRAM and compression models burst at the constant; only
+		// PeakBandwidthGBs reads the field.
+		return fmt.Errorf("config: BurstSize %d must equal compress.BurstSize %d", c.BurstSize, compress.BurstSize)
 	case c.NumChannels <= 0:
 		return fmt.Errorf("config: NumChannels must be positive")
 	case c.L1Assoc <= 0 || c.L1Size <= 0 || c.L1Size%(c.L1Assoc*c.LineSize) != 0:

@@ -60,6 +60,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		mk(func(c *Config) { c.WarpSize = 0 }),
 		mk(func(c *Config) { c.MaxWarpsPerSM = 65 }), // wider than the AWT bitmasks
 		mk(func(c *Config) { c.LineSize = 64 }),
+		mk(func(c *Config) { c.BurstSize = 0 }), // the models burst at compress.BurstSize
 		mk(func(c *Config) { c.L1Size = 1000 }),
 		mk(func(c *Config) { c.NumChannels = 0 }),
 		mk(func(c *Config) { c.BWScale = 0 }),

@@ -5,7 +5,9 @@ import (
 	"sort"
 
 	"github.com/caba-sim/caba/internal/audit"
+	"github.com/caba-sim/caba/internal/config"
 	"github.com/caba-sim/caba/internal/core"
+	"github.com/caba-sim/caba/internal/isa"
 )
 
 // Runtime invariant auditor and crash flight recorder.
@@ -13,10 +15,10 @@ import (
 // The auditor (Config.AuditEvery) walks the machine's bookkeeping at
 // cycle boundaries — writeback-ring conservation, scoreboard/in-flight
 // consistency, SIMT stack bounds, MSHR waiter balance, store-buffer
-// bounds, the trigger retry gate — and fails fast with an
-// *audit.Violation naming the invariant, cycle and SM, instead of letting
-// corrupted state surface thousands of cycles later as a wedge or
-// silently wrong statistics.
+// bounds, the trigger retry gate, the issue scan's verdicts — and fails
+// fast with an *audit.Violation naming the invariant, cycle and SM,
+// instead of letting corrupted state surface thousands of cycles later
+// as a wedge or silently wrong statistics.
 //
 // The flight recorder (Config.FlightRecorderDepth) keeps a bounded ring
 // of recent notable events per SM plus one simulator-level ring; wedges
@@ -127,7 +129,7 @@ func (sim *Simulator) Audit() error {
 				"%d writebacks in ring buckets but wbPending=%d", n, sm.wbPending)
 		}
 		for _, wp := range sm.warps {
-			if !wp.valid {
+			if !sm.resident(wp) {
 				continue
 			}
 			if wp.inFlight < 0 || wp.pendingLoads < 0 {
@@ -185,6 +187,11 @@ func (sim *Simulator) Audit() error {
 				}
 			}
 		}
+		// Issue-scan state: the masks, memo keys and GTO list the issue
+		// stage skips and walks by must agree with architected state.
+		if d := sm.scanViolation(); d != "" {
+			return sim.violation("issue-scan", sm.id, "%s", d)
+		}
 		for _, cta := range sm.ctas {
 			if cta.liveWarps < 0 || cta.atBarrier < 0 || cta.atBarrier > cta.liveWarps {
 				return sim.violation("cta-barrier", sm.id,
@@ -210,4 +217,73 @@ func (sm *SM) triggerCanLand(pt *pendingTrigger) bool {
 	default:
 		return sm.findAssistHost(sm.sim.AWS.MustGet(core.RtECCCheck).Priority, pt.dc.warp) >= 0
 	}
+}
+
+// scanViolation checks the issue stage's derived state and returns ""
+// when it holds: empty slots hold no verdicts; a dep bit means the
+// scoreboard conflicts with the warp's current instruction, an idle bit
+// that it has none, an sfu bit that it is a conflict-free SFU op; a
+// cached memo key equals a fresh hash. Under GTO, unless a rebuild is
+// due, the order list links exactly the valid warps, and the warps with
+// no pending move are in stable-sort order by (lastIssueCycle, slot): a
+// pending warp carries its new issue cycle in its old place until the
+// next settle.
+func (sm *SM) scanViolation() string {
+	for _, w := range sm.warps {
+		b := w.bit()
+		if sm.scan.valid&b == 0 {
+			if (sm.scan.dep|sm.scan.idle|sm.scan.sfu)&b != 0 {
+				return fmt.Sprintf("invalid slot %d holds scan verdicts", w.id)
+			}
+			continue
+		}
+		in := w.exec.CurrentSop()
+		free := in != nil && !w.sb.ConflictsSop(in)
+		switch {
+		case sm.scan.idle&b != 0 && in != nil:
+			return fmt.Sprintf("warp %d: idle bit set with a current instruction", w.id)
+		case sm.scan.dep&b != 0 && (in == nil || free):
+			return fmt.Sprintf("warp %d: dep bit set without a scoreboard conflict", w.id)
+		case sm.scan.sfu&b != 0 && !(free && in.Class == isa.ClassSFU):
+			return fmt.Sprintf("warp %d: sfu bit set but its instruction is not a conflict-free SFU op", w.id)
+		case w.memoKeyOK && (in == nil || w.memoKey != memoKeyFor(w.exec, in)):
+			return fmt.Sprintf("warp %d: cached memo key is stale", w.id)
+		}
+	}
+	if sm.sim.Cfg.Scheduler == config.SchedLRR || sm.orderDirty {
+		return ""
+	}
+	var pending uint64
+	for _, w := range sm.issuedBuf {
+		pending |= w.bit()
+	}
+	var prev *warpCtx
+	var listed uint64
+	last, n := int8(-1), 0
+	for i := sm.head; i >= 0; i = sm.next[i] {
+		if n++; n > len(sm.warps) || int(i) >= len(sm.warps) {
+			return "GTO order list does not end in the warp slots"
+		}
+		if sm.prev[i] != last {
+			return fmt.Sprintf("GTO order list: slot %d's back link is broken", i)
+		}
+		w := sm.warps[i]
+		listed |= w.bit()
+		last = i
+		if pending&w.bit() != 0 {
+			continue
+		}
+		if prev != nil && !gtoBefore(prev, w) {
+			return fmt.Sprintf("GTO order lists warp %d (last issue %d) after warp %d (last issue %d)",
+				w.id, w.lastIssueCycle, prev.id, prev.lastIssueCycle)
+		}
+		prev = w
+	}
+	if sm.tail != last {
+		return "GTO order list: tail is not the last slot"
+	}
+	if listed != sm.scan.valid {
+		return fmt.Sprintf("GTO order lists warps %#x, valid warps are %#x", listed, sm.scan.valid)
+	}
+	return ""
 }

@@ -382,7 +382,7 @@ func (sim *Simulator) reopenTraceSpans() {
 	}
 	for _, sm := range sim.sms {
 		for _, w := range sm.warps {
-			if w.valid {
+			if sm.resident(w) {
 				sm.traceWarpBegin(w, w.cta.id)
 			}
 		}

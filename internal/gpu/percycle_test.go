@@ -1,6 +1,7 @@
 package gpu_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -20,6 +21,8 @@ type refRun struct {
 	mismatches uint64
 	series     *obs.Series
 	stalls     [obs.NumCauses]uint64
+	perWarp    [][][obs.NumCauses]uint64 // per SM, the attribution rows
+	out        []byte                    // the output region
 }
 
 // runRow runs app under design on cfg with seed 1, set up as caba.Run
@@ -62,7 +65,12 @@ func runRow(t *testing.T, cfg config.Config, design config.Design, appName strin
 	r.series = sim.Series()
 	if at := sim.StallAttribution(); at != nil {
 		r.stalls = at.Totals()
+		for _, a := range at.PerSM {
+			r.perWarp = append(r.perWarp, a.Counts)
+		}
 	}
+	r.out = make([]byte, inst.OutBytes)
+	sim.Mem.Read(workloads.OutBase, r.out)
 	return r
 }
 
@@ -71,7 +79,8 @@ func runRow(t *testing.T, cfg config.Config, design config.Design, appName strin
 // row runs both ways and must agree on the error text, the cycle count,
 // every stats.Sim counter (fault counters included), the decompression
 // mismatch count and, with observability on, the sampled series and the
-// per-cause stall attribution totals.
+// stall attribution, per cause and per warp: a replayed slot must blame
+// the warp the full tick would blame.
 func TestPerCycleReference(t *testing.T) {
 	base := config.Baseline()
 	base.Scale = 0.03
@@ -80,38 +89,47 @@ func TestPerCycleReference(t *testing.T) {
 		f(&c)
 		return c
 	}
+	// refCap caps the per-cycle reference run; 0 leaves the workload's
+	// own cap (at least 20,000,000 cycles).
 	rows := []struct {
 		name    string
 		app     string
 		design  config.Design
 		cfg     config.Config
 		wantErr bool
+		refCap  uint64
 	}{
-		{"sssp_Base", "sssp", config.DesignBase, base, false},
-		{"PVC_CABA-BDI", "PVC", config.DesignCABABDI, base, false},
-		{"bfs_HW-BDI", "bfs", config.DesignHWBDI, base, false},
-		{"TRA_CABA-BDI", "TRA", config.DesignCABABDI, base, false},
-		{"KM_Ideal-BDI", "KM", config.DesignIdealBDI, base, false},
-		{"STRD_CABA-Prefetch", "STRD", config.DesignCABAPrefetch, base, false},
+		{"sssp_Base", "sssp", config.DesignBase, base, false, 0},
+		{"PVC_CABA-BDI", "PVC", config.DesignCABABDI, base, false, 0},
+		{"bfs_HW-BDI", "bfs", config.DesignHWBDI, base, false, 0},
+		{"TRA_CABA-BDI", "TRA", config.DesignCABABDI, base, false, 0},
+		{"KM_Ideal-BDI", "KM", config.DesignIdealBDI, base, false, 0},
+		{"STRD_CABA-Prefetch", "STRD", config.DesignCABAPrefetch, base, false, 0},
 		{"TBL_CABA-Memo", "TBL", config.DesignCABAMemo,
-			with(func(c *config.Config) { c.MaxThreadsPerSM = 512 }), false},
-		{"STRD_CABA-Combined", "STRD", config.DesignCABACombined, base, false},
+			with(func(c *config.Config) { c.MaxThreadsPerSM = 512; c.AttributeStalls = true }), false, 0},
+		{"STRD_CABA-Combined", "STRD", config.DesignCABACombined, base, false, 0},
 		{"PVC_CABA-BDI_faults", "PVC", config.DesignCABABDI, with(func(c *config.Config) {
 			c.Faults = faults.Config{Seed: 42, BitFlipRate: 0.05, MDCorruptRate: 0.02, ResponseDelayRate: 0.01}
-		}), false},
+		}), false, 0},
 		{"PVC_Base_dropped-responses", "PVC", config.DesignBase, with(func(c *config.Config) {
 			c.Faults = faults.Config{Seed: 7, ResponseDropRate: 0.5}
-		}), true},
+		}), true, 0},
 		{"PVC_CABA-BDI_observed", "PVC", config.DesignCABABDI, with(func(c *config.Config) {
 			c.SampleEvery = 500
 			c.AttributeStalls = true
-		}), false},
+		}), false, 0},
+		// An LRR livelock must fail here, not spin to the workload's cap:
+		// GTO runs hs at this scale in 4,666 cycles.
+		{"hs_Base_LRR", "hs", config.DesignBase, with(func(c *config.Config) {
+			c.Scheduler = config.SchedLRR
+			c.AttributeStalls = true
+		}), false, 200_000},
 	}
 	for _, row := range rows {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			ref := runRow(t, row.cfg, row.design, row.app, true, 0)
+			ref := runRow(t, row.cfg, row.design, row.app, true, row.refCap)
 			// A cache that stalls an SM for good would otherwise spin to
 			// the workload's cap; past twice the reference's cycles the
 			// cached run stops with a cycle-cap error, which fails below.
@@ -150,6 +168,58 @@ func TestPerCycleReference(t *testing.T) {
 					t.Errorf("stall attribution totals diverge:\n  cached:    %v\n  per-cycle: %v",
 						cached.stalls, ref.stalls)
 				}
+				if !reflect.DeepEqual(cached.perWarp, ref.perWarp) {
+					t.Errorf("per-warp stall attribution diverges in %d slots", perWarpDiff(cached.perWarp, ref.perWarp))
+				}
+			}
+		})
+	}
+}
+
+// perWarpDiff sums the absolute per-(SM, warp, cause) differences of two
+// attribution tables of the same shape.
+func perWarpDiff(a, b [][][obs.NumCauses]uint64) uint64 {
+	var d uint64
+	for i := range a {
+		for w := range a[i] {
+			for c := range a[i][w] {
+				x, y := a[i][w][c], b[i][w][c]
+				if x > y {
+					d += x - y
+				} else {
+					d += y - x
+				}
+			}
+		}
+	}
+	return d
+}
+
+// TestLRRSchedulerRuns runs apps under the loose round-robin scheduler.
+// It must finish them within 200,000 cycles (GTO needs at most about
+// 76,000, on TBL) and compute the same output as GTO. An LRR walk that
+// never revisits the last issuer livelocks as soon as that warp is the
+// only one that can issue.
+func TestLRRSchedulerRuns(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.Scale = 0.01
+	for _, app := range []string{"hs", "STRD", "PVC", "TBL"} {
+		app := app
+		t.Run(app, func(t *testing.T) {
+			t.Parallel()
+			gto := runRow(t, cfg, config.DesignBase, app, false, 0)
+			lrrCfg := cfg
+			lrrCfg.Scheduler = config.SchedLRR
+			lrr := runRow(t, lrrCfg, config.DesignBase, app, false, 200_000)
+			if gto.err != "" || lrr.err != "" {
+				t.Fatalf("GTO error %q, LRR error %q", gto.err, lrr.err)
+			}
+			if !bytes.Equal(gto.out, lrr.out) {
+				t.Error("LRR computed a different output than GTO")
+			}
+			t.Logf("GTO %d cycles, LRR %d", gto.cycles, lrr.cycles)
+			if lrr.s.WarpInstrs != gto.s.WarpInstrs {
+				t.Errorf("LRR issued %d warp instructions, GTO %d", lrr.s.WarpInstrs, gto.s.WarpInstrs)
 			}
 		})
 	}

@@ -271,12 +271,20 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 			sim.S.AddShard(&sm.stat)
 		}
 	}()
-	// Backstop for panics outside an SM tick (event callbacks): a
-	// simulator bug must surface as a structured error, never escape
-	// caba.Run. Tick panics are caught by tickSafe.
+	// Backstop for panics: a simulator bug must surface as a structured
+	// error, never escape caba.Run. A panic inside an SM tick becomes that
+	// SM's fatal error, and the run returns the lowest-indexed SM's, as
+	// for any other fatal error in that cycle: SMs above the ticking one
+	// have not ticked yet, so they hold none.
+	ticking := -1
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("gpu: internal panic at cycle %d: %v", sim.cycle, r)
+			if ticking < 0 {
+				err = fmt.Errorf("gpu: internal panic at cycle %d: %v", sim.cycle, r)
+				return
+			}
+			sim.sms[ticking].fail(fmt.Errorf("gpu: sm%d: internal panic at cycle %d: %v", ticking, sim.cycle, r))
+			err = sim.firstFatal()
 		}
 	}()
 	wedgeLimit := int(sim.Cfg.WedgeLimit)
@@ -340,9 +348,11 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 			return sim.wedged(&WedgeError{Cycle: sim.cycle,
 				Dropped: sim.S.ResponsesDropped})
 		}
-		for _, sm := range sim.sms {
-			sm.tickSafe(sim.cycle)
+		for i, sm := range sim.sms {
+			ticking = i
+			sm.tick(sim.cycle)
 		}
+		ticking = -1
 		if err := sim.firstFatal(); err != nil {
 			return err
 		}

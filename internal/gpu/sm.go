@@ -162,16 +162,22 @@ type SM struct {
 	sfuFree  uint64 // SFU initiation interval
 	lsuFree  uint64 // LSU busy from multi-line coalesced accesses
 
+	// greedy is the last warp that issued: GTO tries it first, LRR
+	// rotates from the slot after it.
 	greedy *warpCtx
-	// order is the GTO scheduling order (valid warps, stable-sorted by
-	// lastIssueCycle then warp slot). It is maintained incrementally:
-	// issued warps recorded in issuedBuf are re-placed at the back on the
-	// next tick, and orderDirty forces a full rebuild after warp validity
-	// changes (CTA placement/retirement). LRR rebuilds every tick. Entries
-	// are warp slot indices rather than pointers so the per-issue
-	// move-to-back shift is a barrier-free memmove and the position scan
-	// stays within a few cache lines.
-	order       []int32
+	// scan holds the issue stage's per-slot verdict masks (warp.go).
+	scan scanMasks
+	// head..tail is the GTO order, a doubly linked list over warp slots
+	// (next/prev hold slot indices, -1 ends the list) holding the valid
+	// warps stable-sorted by (lastIssueCycle, slot). The links live here
+	// rather than in the warps, so walking past skipped warps reads only
+	// this array. Warps that issue are recorded in issuedBuf and re-placed
+	// at the next full tick (settleOrder); orderDirty forces a full
+	// rebuild after warp validity changes (CTA placement and retirement,
+	// LoadState). LRR keeps no list: it walks scan.valid. Derived state,
+	// never serialized.
+	head, tail  int8
+	next, prev  [64]int8
 	orderDirty  bool
 	issuedBuf   []*warpCtx
 	lineBuf     []uint64
@@ -253,17 +259,6 @@ func (sm *SM) fail(err error) {
 	sm.touch()
 }
 
-// tickSafe runs one tick with a panic backstop that converts a panic into
-// the SM's fatal error, so the surfaced error names the SM that failed.
-func (sm *SM) tickSafe(cycle uint64) {
-	defer func() {
-		if r := recover(); r != nil {
-			sm.fail(fmt.Errorf("gpu: sm%d: internal panic at cycle %d: %v", sm.id, cycle, r))
-		}
-	}()
-	sm.tick(cycle)
-}
-
 // domCompressLine compresses the line's current bytes with the domain
 // algorithm and records the result.
 func (sm *SM) domCompressLine(ln uint64) {
@@ -323,6 +318,7 @@ func newSM(id int, sim *Simulator) *SM {
 	}
 	sm.wbRing = make([][]wbRec, ringSize)
 	sm.wbMask = uint64(ringSize - 1)
+	sm.head, sm.tail = -1, -1
 	sm.orderDirty = true
 	entries := sim.awtEntries
 	if entries <= 0 {
@@ -380,7 +376,7 @@ func (sm *SM) wbPop(cycle uint64) {
 		switch rec.kind {
 		case wbWarp:
 			rec.w.sb.ClearSop(rec.sop)
-			rec.w.depStalled = false
+			sm.scan.dep &^= rec.w.bit()
 			rec.w.inFlight--
 		case wbAssist:
 			rec.e.SB.ClearSop(rec.sop)
@@ -428,7 +424,7 @@ func (sm *SM) placeCTA(ctaID int) {
 		if placed == warpsNeeded {
 			break
 		}
-		if w.valid {
+		if sm.resident(w) {
 			continue
 		}
 		threadsLeft := k.CTAThreads - placed*cfg.WarpSize
@@ -462,9 +458,8 @@ func (sm *SM) placeCTA(ctaID int) {
 		w.cta = cta
 		w.exec = ex
 		w.sb = regMask{}
-		w.depStalled = false
-		w.idle = false
-		w.valid = true
+		sm.clearScan(w)
+		sm.scan.valid |= w.bit()
 		w.inFlight = 0
 		w.pendingLoads = 0
 		cta.warps = append(cta.warps, w)
@@ -487,13 +482,19 @@ func (sm *SM) placeCTA(ctaID int) {
 
 // freeWarps reports how many warp slots are free.
 func (sm *SM) freeWarps() int {
-	n := 0
-	for _, w := range sm.warps {
-		if !w.valid {
-			n++
-		}
-	}
-	return n
+	return len(sm.warps) - bits.OnesCount64(sm.scan.valid)
+}
+
+// clearScan drops every scan verdict for w's slot, valid included, and
+// its cached memo key: placement and retirement change what the slot
+// holds.
+func (sm *SM) clearScan(w *warpCtx) {
+	b := w.bit()
+	sm.scan.valid &^= b
+	sm.scan.dep &^= b
+	sm.scan.idle &^= b
+	sm.scan.sfu &^= b
+	w.memoKeyOK = false
 }
 
 // retireCTAIfDone frees a finished CTA and reports whether it did.
@@ -510,7 +511,7 @@ func (sm *SM) retireCTAIfDone(cta *ctaCtx) bool {
 		if sm.tr != nil {
 			sm.traceWarpEnd(w)
 		}
-		w.valid = false
+		sm.clearScan(w)
 		sm.warpExecPool = append(sm.warpExecPool, w.exec)
 		w.exec = nil
 		w.cta = nil
@@ -585,7 +586,7 @@ func (sm *SM) tick(cycle uint64) {
 
 	sm.awc.Tick()
 	sm.processReplays()
-	sm.rebuildOrder()
+	sm.settleOrder()
 
 	idle := true
 	for s := 0; s < sm.sim.Cfg.NumSchedulers; s++ {
@@ -704,86 +705,35 @@ func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok 
 			horizon = t
 		}
 	}
-	// Warps: replicate issueSlot's classification flags without issuing.
+	// Warps: replicate issueSlot's classification flags without issuing,
+	// in issueSlot's visit order, so that attribution blames the same
+	// first warp: GTO's greedy warp and then the GTO order, or LRR's
+	// rotation. settleOrder first applies the moves the full tick would
+	// apply; nothing the order depends on changes before that tick.
 	// Per-tick port counters (aluPorts/lsuPorts) reset every cycle, so
-	// only the lsuFree/sfuFree time gates matter here. Under LRR the last
-	// issuer is skipped by the issue loop, so it is skipped here too.
+	// only the lsuFree/sfuFree time gates matter here.
 	var f slotFlags
 	if sm.attr != nil {
 		f.initBlame()
 	}
-	lrr := sm.sim.Cfg.Scheduler == config.SchedLRR
-	for _, w := range sm.warps {
-		if !w.valid || (lrr && w == sm.greedy) {
-			continue
+	if sm.sim.Cfg.Scheduler == config.SchedLRR {
+		start := sm.lrrStart()
+		for m := bits.RotateLeft64(sm.scan.valid, -start); m != 0; m &= m - 1 {
+			w := sm.warps[(bits.TrailingZeros64(m)+start)&63]
+			if !sm.quietWarp(w, cycle, &f, &horizon) {
+				return 0, 0, false
+			}
 		}
-		in := w.exec.CurrentSop()
-		if in == nil {
-			// Done or at barrier: contributes to idle.
-			if f.blame {
-				f.noteIdleWarp(w)
-			}
-			continue
-		}
-		if w.sb.ConflictsSop(in) {
-			f.dep = true
-			if f.blame && f.depW < 0 {
-				f.depW, f.depC = w.id, sm.depCause(w)
-			}
-			continue
-		}
-		switch in.Class {
-		case isa.ClassMem:
-			if cycle < sm.lsuFree {
-				f.memS = true
-				if f.blame && f.memW < 0 {
-					f.memW, f.memC = w.id, obs.CauseLSUBusy
-				}
-				if sm.lsuFree < horizon {
-					horizon = sm.lsuFree
-				}
-				continue
-			}
-			if in.GlobalMem && in.StoreOp &&
-				len(sm.storeBuf) >= storeBufCap && !sm.canEvictStore() {
-				// Unblocks only via compression/RMW completion events.
-				f.memS = true
-				if f.blame && f.memW < 0 {
-					f.memW, f.memC = w.id, obs.CauseStoreBufFull
-				}
-				continue
-			}
-			if in.GlobalMem && w.replay != nil {
-				// Blocks behind the warp's replaying load, which drains
-				// via fill events or the LSU horizon handled above.
-				f.memS = true
-				if f.blame && f.memW < 0 {
-					f.memW, f.memC = w.id, sm.mshrCause()
-				}
-				continue
-			}
-			return 0, 0, false // the LSU is free: this warp would issue
-		case isa.ClassSFU:
-			if cycle < sm.sfuFree {
-				if sm.memo != nil {
-					// With memoization on, a busy SFU port is not a
-					// stall: the live tick may issue this warp through
-					// the probe path. Never claim quiescence over it.
-					return 0, 0, false
-				}
-				f.compS = true
-				if f.blame && f.compW < 0 {
-					f.compW, f.compC = w.id, obs.CauseSFUBusy
-				}
-				if sm.sfuFree < horizon {
-					horizon = sm.sfuFree
-				}
-				continue
-			}
+	} else {
+		sm.settleOrder()
+		g := sm.greedy
+		if g != nil && sm.resident(g) && !sm.quietWarp(g, cycle, &f, &horizon) {
 			return 0, 0, false
-		default:
-			// ALU and control ports are always available at tick start.
-			return 0, 0, false
+		}
+		for i := sm.head; i >= 0; i = sm.next[i] {
+			if w := sm.warps[i]; w != g && !sm.quietWarp(w, cycle, &f, &horizon) {
+				return 0, 0, false
+			}
 		}
 	}
 	kind = classify(&f)
@@ -791,6 +741,81 @@ func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok 
 		sm.qBlameW, sm.qBlameC = blameFor(kind, &f)
 	}
 	return kind, horizon, true
+}
+
+// quietWarp is quiescent's probe of one valid warp: it raises the flags
+// (and blame) tryWarp would raise at tick start, lowers horizon to the
+// port release that could unblock the warp, and reports false when the
+// warp would issue. It reads state only.
+func (sm *SM) quietWarp(w *warpCtx, cycle uint64, f *slotFlags, horizon *uint64) bool {
+	in := w.exec.CurrentSop()
+	if in == nil {
+		// Done or at barrier: contributes to idle.
+		if f.blame {
+			f.noteIdleWarp(w)
+		}
+		return true
+	}
+	if w.sb.ConflictsSop(in) {
+		f.dep = true
+		if f.blame && f.depW < 0 {
+			f.depW, f.depC = w.id, sm.depCause(w)
+		}
+		return true
+	}
+	switch in.Class {
+	case isa.ClassMem:
+		if cycle < sm.lsuFree {
+			f.memS = true
+			if f.blame && f.memW < 0 {
+				f.memW, f.memC = w.id, obs.CauseLSUBusy
+			}
+			if sm.lsuFree < *horizon {
+				*horizon = sm.lsuFree
+			}
+			return true
+		}
+		if in.GlobalMem && in.StoreOp &&
+			len(sm.storeBuf) >= storeBufCap && !sm.canEvictStore() {
+			// Unblocks only via compression/RMW completion events.
+			f.memS = true
+			if f.blame && f.memW < 0 {
+				f.memW, f.memC = w.id, obs.CauseStoreBufFull
+			}
+			return true
+		}
+		if in.GlobalMem && w.replay != nil {
+			// Blocks behind the warp's replaying load, which drains via
+			// fill events or the LSU horizon quiescent already took.
+			f.memS = true
+			if f.blame && f.memW < 0 {
+				f.memW, f.memC = w.id, sm.mshrCause()
+			}
+			return true
+		}
+		return false // the LSU is free: this warp would issue
+	case isa.ClassSFU:
+		if cycle < sm.sfuFree {
+			if sm.memo != nil {
+				// With memoization on, a busy SFU port is not a stall:
+				// the live tick may issue this warp through the probe
+				// path. Never claim quiescence over it.
+				return false
+			}
+			f.compS = true
+			if f.blame && f.compW < 0 {
+				f.compW, f.compC = w.id, obs.CauseSFUBusy
+			}
+			if sm.sfuFree < *horizon {
+				*horizon = sm.sfuFree
+			}
+			return true
+		}
+		return false
+	default:
+		// ALU and control ports are always available at tick start.
+		return false
+	}
 }
 
 // issueSlot tries to issue one instruction and classifies the slot. A
@@ -826,20 +851,45 @@ func (sm *SM) issueSlot() stats.StallKind {
 	}
 
 	// GTO: greedy on the last warp, then oldest (least-recently issued).
-	// LRR skips the greedy step and rotates.
-	if sm.sim.Cfg.Scheduler == config.SchedGTO {
-		if g := sm.greedy; g != nil && g.valid && sm.tryWarp(g, &f) {
+	// LRR rotates from the slot after the last issuer, which it visits
+	// last.
+	lrr := sm.sim.Cfg.Scheduler == config.SchedLRR
+	todo := sm.scan.valid
+	if g := sm.greedy; g != nil && !lrr {
+		if todo&g.bit() != 0 && sm.tryWarp(g, &f) {
 			return stats.Active
 		}
+		todo &^= g.bit()
 	}
-	for _, wi := range sm.order {
-		w := sm.warps[wi]
-		if w == sm.greedy {
-			continue
+	// Without blame the slot keeps only which flags were raised, not by
+	// whom, so warps whose failure the masks prove are skipped. With blame,
+	// every warp is visited, because attribution charges the first warp
+	// in visit order to raise the slot's flag.
+	if !f.blame {
+		todo = sm.skipKnown(todo, &f)
+	}
+	if lrr {
+		start := sm.lrrStart()
+		for m := bits.RotateLeft64(todo, -start); m != 0; m &= m - 1 {
+			w := sm.warps[(bits.TrailingZeros64(m)+start)&63]
+			if sm.tryWarp(w, &f) {
+				sm.greedy = w
+				return stats.Active
+			}
 		}
-		if sm.tryWarp(w, &f) {
-			sm.greedy = w
-			return stats.Active
+	} else {
+		// The list holds exactly the valid warps, so it cannot run out
+		// before todo does.
+		for i := sm.head; todo != 0; i = sm.next[i] {
+			b := uint64(1) << uint(i)
+			if todo&b == 0 {
+				continue
+			}
+			todo &^= b
+			if w := sm.warps[i]; sm.tryWarp(w, &f) {
+				sm.greedy = w
+				return stats.Active
+			}
 		}
 	}
 
@@ -862,25 +912,54 @@ func (sm *SM) issueSlot() stats.StallKind {
 	return kind
 }
 
+// skipKnown drops from todo the warps whose probe would fail in a way
+// the scan masks already prove, and raises the flags those probes would
+// raise: dep-stalled warps raise dep, idle warps nothing, and warps
+// whose only blocker is a busy SFU port compS. With memoization on, an
+// SFU-blocked warp may still issue through a result-cache probe
+// (tryMemoIssue), so it stays in todo.
+func (sm *SM) skipKnown(todo uint64, f *slotFlags) uint64 {
+	if todo&sm.scan.dep != 0 {
+		f.dep = true
+	}
+	skip := sm.scan.dep | sm.scan.idle
+	if sm.cycle < sm.sfuFree && sm.memo == nil {
+		if todo&sm.scan.sfu != 0 {
+			f.compS = true
+		}
+		skip |= sm.scan.sfu
+	}
+	return todo &^ skip
+}
+
+// lrrStart is LRR's first slot: the one after the last issuer. Rotating
+// a valid mask right by it visits every slot once, the last issuer
+// last.
+func (sm *SM) lrrStart() int {
+	if sm.greedy == nil {
+		return 0
+	}
+	return (sm.greedy.id + 1) & 63
+}
+
 // tryWarp attempts to issue for one warp: its high-priority assist warp
 // first (which takes precedence over the parent, Section 3.2.3), then its
-// own next instruction.
+// own next instruction. It records the verdicts it proves in sm.scan.
+// w must be resident.
 func (sm *SM) tryWarp(w *warpCtx, f *slotFlags) bool {
-	if !w.valid {
-		return false
-	}
 	// Replay verdicts already proven: a dependence failure (and its blame
 	// pair) holds until one of this warp's scoreboard bits clears; a
 	// done/at-barrier verdict holds until a barrier release or a fresh
 	// CTA placement.
-	if w.depStalled {
+	b := w.bit()
+	if sm.scan.dep&b != 0 {
 		f.dep = true
 		if f.blame && f.depW < 0 {
 			f.depW, f.depC = w.id, sm.depCause(w)
 		}
 		return false
 	}
-	if w.idle {
+	if sm.scan.idle&b != 0 {
 		if f.blame {
 			f.noteIdleWarp(w)
 		}
@@ -889,19 +968,22 @@ func (sm *SM) tryWarp(w *warpCtx, f *slotFlags) bool {
 	in := w.exec.CurrentSop()
 	if in == nil {
 		// Done or at barrier: contributes to idle.
-		w.idle = true
+		sm.scan.idle |= b
 		if f.blame {
 			f.noteIdleWarp(w)
 		}
 		return false
 	}
 	if w.sb.ConflictsSop(in) {
-		w.depStalled = true
+		sm.scan.dep |= b
 		f.dep = true
 		if f.blame && f.depW < 0 {
 			f.depW, f.depC = w.id, sm.depCause(w)
 		}
 		return false
+	}
+	if in.Class == isa.ClassSFU {
+		sm.scan.sfu |= b
 	}
 	ok, memS, compS := sm.portsAvailable(in)
 	if !ok {
@@ -935,82 +1017,89 @@ func (sm *SM) tryWarp(w *warpCtx, f *slotFlags) bool {
 	return true
 }
 
-// rebuildOrder maintains the scheduling order. LRR rotates round-robin
-// from the slot after the last issuer every tick. GTO (oldest-first,
-// stable on warp slot) is kept incrementally: a full filter+sort only
-// after validity changes (orderDirty); otherwise each warp that issued
-// last tick is re-placed at the back, which reproduces the stable sort
-// exactly — issued warps share the previous tick's (maximal) issue cycle,
-// and ties within that group are restored to slot order.
-func (sm *SM) rebuildOrder() {
+// stepped records that w issued: the GTO order re-places it at the next
+// settle, and the verdicts that read its current instruction or its
+// registers (the sfu bit and the memo key) are dropped.
+func (sm *SM) stepped(w *warpCtx) {
+	w.lastIssueCycle = sm.cycle
+	sm.issuedBuf = append(sm.issuedBuf, w)
+	b := w.bit()
+	sm.scan.sfu &^= b
+	w.memoKeyOK = false
+}
+
+// settleOrder brings the GTO order up to date before the issue stage
+// reads it: a full rebuild after validity changes (orderDirty),
+// otherwise each warp that issued since the last settle is re-placed
+// from the back. That reproduces the stable sort exactly, because the
+// issued warps carry the maximal lastIssueCycle, so insertSorted walks
+// back only over warps with that cycle and a larger slot. While the
+// cycle is 0 that tie group also holds every warp that has never issued:
+// a warp issuing at cycle 0 stays in front of the never-issued warps in
+// larger slots. LRR keeps no list.
+func (sm *SM) settleOrder() {
 	if sm.sim.Cfg.Scheduler == config.SchedLRR {
+		sm.orderDirty = false
 		sm.issuedBuf = sm.issuedBuf[:0]
-		sm.order = sm.order[:0]
-		start := 0
-		if sm.greedy != nil {
-			start = sm.greedy.id + 1
-		}
-		n := len(sm.warps)
-		for i := 0; i < n; i++ {
-			wi := (start + i) % n
-			if sm.warps[wi].valid {
-				sm.order = append(sm.order, int32(wi))
-			}
-		}
 		return
 	}
 	if sm.orderDirty {
 		sm.orderDirty = false
 		sm.issuedBuf = sm.issuedBuf[:0]
-		sm.order = sm.order[:0]
-		for i, w := range sm.warps {
-			if w.valid {
-				sm.order = append(sm.order, int32(i))
-			}
-		}
-		cyc := func(wi int32) uint64 { return sm.warps[wi].lastIssueCycle }
-		for i := 1; i < len(sm.order); i++ {
-			for j := i; j > 0 && cyc(sm.order[j]) < cyc(sm.order[j-1]); j-- {
-				sm.order[j], sm.order[j-1] = sm.order[j-1], sm.order[j]
-			}
+		sm.head, sm.tail = -1, -1
+		for m := sm.scan.valid; m != 0; m &= m - 1 {
+			sm.insertSorted(sm.warps[bits.TrailingZeros64(m)])
 		}
 		return
 	}
-	if len(sm.issuedBuf) > 0 {
-		for _, w := range sm.issuedBuf {
-			sm.orderMoveToBack(w)
-		}
-		sm.issuedBuf = sm.issuedBuf[:0]
+	for _, w := range sm.issuedBuf {
+		sm.unlink(w.id)
+		sm.insertSorted(w)
+	}
+	sm.issuedBuf = sm.issuedBuf[:0]
+}
+
+// gtoBefore reports whether a precedes b in the GTO order: least
+// recently issued first, ties in slot order.
+func gtoBefore(a, b *warpCtx) bool {
+	return a.lastIssueCycle < b.lastIssueCycle ||
+		a.lastIssueCycle == b.lastIssueCycle && a.id < b.id
+}
+
+// insertSorted links the unlinked warp w behind the last listed warp
+// that precedes it, walking back from the tail.
+func (sm *SM) insertSorted(w *warpCtx) {
+	i := int8(w.id)
+	p := sm.tail
+	for p >= 0 && gtoBefore(w, sm.warps[p]) {
+		p = sm.prev[p]
+	}
+	sm.prev[i] = p
+	if p < 0 {
+		sm.next[i], sm.head = sm.head, i
+	} else {
+		sm.next[i], sm.next[p] = sm.next[p], i
+	}
+	if n := sm.next[i]; n < 0 {
+		sm.tail = i
+	} else {
+		sm.prev[n] = i
 	}
 }
 
-// orderMoveToBack re-places w (which just issued, so its lastIssueCycle is
-// maximal) at the back of the GTO order, keeping equal-cycle ties in warp
-// slot order.
-func (sm *SM) orderMoveToBack(w *warpCtx) {
-	id := int32(w.id)
-	pos := -1
-	for i, o := range sm.order {
-		if o == id {
-			pos = i
-			break
-		}
+// unlink removes slot id from the GTO order.
+func (sm *SM) unlink(id int) {
+	p, n := sm.prev[id], sm.next[id]
+	if p < 0 {
+		sm.head = n
+	} else {
+		sm.next[p] = n
 	}
-	if pos < 0 {
-		return
+	if n < 0 {
+		sm.tail = p
+	} else {
+		sm.prev[n] = p
 	}
-	n := len(sm.order)
-	copy(sm.order[pos:], sm.order[pos+1:])
-	k := n - 1
-	for k > pos {
-		p := sm.warps[sm.order[k-1]]
-		if p.lastIssueCycle != w.lastIssueCycle || p.id <= w.id {
-			break
-		}
-		sm.order[k] = sm.order[k-1]
-		k--
-	}
-	sm.order[k] = id
 }
 
 // portsAvailable checks structural hazards for an op class; (ok, memStall,
@@ -1096,7 +1185,7 @@ func (sm *SM) issueRegular(w *warpCtx, in *isa.Superop) {
 	var memoKey uint64
 	memoMiss := false
 	if sm.memo != nil && in.Class == isa.ClassSFU {
-		memoKey = memoKeyFor(w.exec, in)
+		memoKey = sm.memoKey(w, in)
 		memoMiss = !sm.memo.lookup(memoKey)
 	}
 	info, ok := w.exec.StepRef()
@@ -1109,8 +1198,7 @@ func (sm *SM) issueRegular(w *warpCtx, in *isa.Superop) {
 		sm.fail(fmt.Errorf("gpu: sm%d warp %d: %w", sm.id, w.id, w.exec.Err))
 		return
 	}
-	w.lastIssueCycle = sm.cycle
-	sm.issuedBuf = append(sm.issuedBuf, w)
+	sm.stepped(w)
 	sm.stat.WarpInstrs++
 	sm.stat.ThreadInstrs += uint64(popcount32(info.ExecMask))
 	sm.countClass(in)
@@ -1158,7 +1246,7 @@ func (sm *SM) handleControl(w *warpCtx, in *isa.Superop) {
 			cta.atBarrier = 0
 			for _, ww := range cta.warps {
 				ww.exec.ReleaseBarrier()
-				ww.idle = false
+				sm.scan.idle &^= ww.bit()
 			}
 		}
 	}
@@ -1178,7 +1266,7 @@ func (sm *SM) noteWarpDone(w *warpCtx) {
 		for _, ww := range cta.warps {
 			if !ww.exec.Done {
 				ww.exec.ReleaseBarrier()
-				ww.idle = false
+				sm.scan.idle &^= ww.bit()
 			}
 		}
 	}
@@ -1228,7 +1316,7 @@ func (sm *SM) issueMemory(w *warpCtx, in *isa.Superop, info *core.StepInfo) {
 		if req.linesPending == 0 && len(req.todo) == 0 {
 			// Guard predicate disabled every lane: nothing to wait for.
 			w.sb.ClearSop(in)
-			w.depStalled = false
+			sm.scan.dep &^= w.bit()
 			w.inFlight--
 			w.pendingLoads--
 		}
@@ -1328,7 +1416,7 @@ func (sm *SM) loadLineDone(req *loadReq) {
 	}
 	w := req.warp
 	w.sb.ClearSop(req.sop)
-	w.depStalled = false
+	sm.scan.dep &^= w.bit()
 	w.inFlight--
 	w.pendingLoads--
 	sm.stat.LoadCount++

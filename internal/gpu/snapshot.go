@@ -619,8 +619,9 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 		}
 	}
 	for _, wp := range sm.warps {
-		w.Bool(wp.valid)
-		if !wp.valid {
+		valid := sm.resident(wp)
+		w.Bool(valid)
+		if !valid {
 			continue
 		}
 		ctaIdx := -1
@@ -1258,16 +1259,20 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		sm.ctas = append(sm.ctas, cta)
 	}
 
-	// Warps.
+	// Warps. The scan masks restart from the restored residency: the
+	// verdicts are derived state and start empty (a clear bit claims
+	// nothing), and zeroing the warps zeroed their memo keys.
+	sm.scan = scanMasks{}
 	for _, wp := range sm.warps {
 		*wp = warpCtx{id: wp.id}
-		wp.valid = r.Bool()
+		valid := r.Bool()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if !wp.valid {
+		if !valid {
 			continue
 		}
+		sm.scan.valid |= wp.bit()
 		ctaIdx := r.Int()
 		if r.Err() != nil {
 			return r.Err()
@@ -1288,8 +1293,6 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 			return err
 		}
 		wp.lastIssueCycle = r.U64()
-		wp.depStalled = false // pure caches: recomputed on the next probe
-		wp.idle = false
 		wp.exec = core.NewExec(k.Prog, 0)
 		if err := wp.exec.Load(r, k.Prog, false); err != nil {
 			return err
@@ -1452,9 +1455,9 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		return err
 	}
 
-	// Scratch and caches rebuilt from scratch on the next tick.
+	// Scratch and caches rebuilt from scratch on the next tick;
+	// orderDirty rebuilds the GTO list.
 	sm.orderDirty = true
-	sm.order = sm.order[:0]
 	sm.issuedBuf = sm.issuedBuf[:0]
 	sm.qValid = false
 	// The retry gate is not serialized: rescan the restored queue once.

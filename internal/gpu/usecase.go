@@ -227,6 +227,18 @@ func memoKeyFor(ex *core.Exec, in *isa.Superop) uint64 {
 	return h
 }
 
+// memoKey returns memoKeyFor(w.exec, in) for in, w's current
+// instruction, hashing its operand rows once per instruction: the key
+// reads only the PC and w's registers, which change only when w steps
+// (SM.stepped drops the cached key). Failed probes of an SFU-blocked
+// warp re-use it every slot until the warp issues.
+func (sm *SM) memoKey(w *warpCtx, in *isa.Superop) uint64 {
+	if !w.memoKeyOK {
+		w.memoKey, w.memoKeyOK = memoKeyFor(w.exec, in), true
+	}
+	return w.memoKey
+}
+
 // memoCtx links an in-flight memo probe back to the parent instruction
 // it replays: the warp whose scoreboard holds the SFU destinations, and
 // the superop to release on completion. It is an AWT entry User payload,
@@ -360,7 +372,7 @@ func (sm *SM) finishMemoProbe(mc *memoCtx) {
 	sm.touch()
 	w := mc.w
 	w.sb.ClearSop(mc.sop)
-	w.depStalled = false
+	sm.scan.dep &^= w.bit()
 	w.inFlight--
 	w.memoPending = false
 }
@@ -373,7 +385,7 @@ func (sm *SM) finishMemoProbe(mc *memoCtx) {
 // where the pipe is the bottleneck. Returns true when the instruction
 // issued (consuming the caller's issue slot, but no SFU port).
 func (sm *SM) tryMemoIssue(w *warpCtx, in *isa.Superop) bool {
-	key := memoKeyFor(w.exec, in) // reads pre-step register state
+	key := sm.memoKey(w, in) // reads pre-step register state
 	if !sm.memo.lookup(key) {
 		return false
 	}
@@ -392,8 +404,7 @@ func (sm *SM) tryMemoIssue(w *warpCtx, in *isa.Superop) bool {
 		sm.fail(fmt.Errorf("gpu: sm%d warp %d: %w", sm.id, w.id, w.exec.Err))
 		return true
 	}
-	w.lastIssueCycle = sm.cycle
-	sm.issuedBuf = append(sm.issuedBuf, w)
+	sm.stepped(w)
 	sm.stat.WarpInstrs++
 	sm.stat.ThreadInstrs += uint64(popcount32(info.ExecMask))
 	sm.countClass(in)

@@ -1,20 +1,20 @@
 package gpu
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 )
 
-// TestVerdictCachesAcrossSnapshot is the scheduler verdict caches'
-// snapshot contract, pinned directly rather than only through whole-run
-// equivalence: a mid-run LoadState resets every warp's depStalled/idle
-// verdict to the conservative false (the caches are pure — recomputed on
-// the next scheduler probe, never serialized) and arms every SM's retry
-// scan (SM.retryArmed, likewise not serialized), the verdicts the resumed
-// run rebuilds are always consistent with architected state (depStalled
-// only while the scoreboard conflicts with the current instruction, idle
-// only while there is no current instruction), and the resumed run
-// finishes bit-identical to the uninterrupted run.
+// TestVerdictCachesAcrossSnapshot is the issue scan's snapshot
+// contract, pinned directly rather than only through whole-run
+// equivalence: a mid-run LoadState restores the valid mask, clears every
+// scan verdict (dep/idle/sfu) and cached memo key to the
+// conservative nothing-known state (they are derived, never serialized)
+// and arms every SM's retry scan (SM.retryArmed, likewise not
+// serialized); the verdicts and GTO order the resumed run rebuilds pass
+// Audit's issue-scan invariant at every checkpoint boundary; and the
+// resumed run finishes bit-identical to the uninterrupted run.
 func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 	const maxCycles = 20_000_000
 	c := snapMatrixCase{name: "w1-clean", workers: 1}
@@ -59,16 +59,18 @@ func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 		if !sm.retryArmed {
 			t.Fatalf("SM %d retry scan not armed straight out of LoadState", sm.id)
 		}
+		if v := sm.scan; v.dep|v.idle|v.sfu != 0 {
+			t.Fatalf("SM %d holds scan verdicts %+v straight out of LoadState", sm.id, v)
+		}
 		for _, w := range sm.warps {
-			if w.valid && (w.depStalled || w.idle) {
-				t.Fatalf("warp %d/%d holds a verdict (dep=%v idle=%v) straight out of LoadState",
-					sm.id, w.id, w.depStalled, w.idle)
+			if w.memoKeyOK {
+				t.Fatalf("warp %d/%d holds a memo key straight out of LoadState", sm.id, w.id)
 			}
 		}
 	}
-	// Rebuilt-verdict consistency, audited at every checkpoint
-	// boundary of the resumed run: a cached true verdict must match
-	// what a fresh probe of architected state would conclude.
+	// Rebuilt-verdict consistency, audited at every checkpoint boundary
+	// of the resumed run: every set bit must be what a fresh probe of
+	// architected state would conclude.
 	audited := 0
 	resumed.Cfg.CheckpointEvery = total / 16
 	if resumed.Cfg.CheckpointEvery == 0 {
@@ -76,26 +78,12 @@ func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 	}
 	resumed.OnCheckpoint = func(cycle uint64, b []byte) error {
 		for _, sm := range resumed.sms {
-			for _, w := range sm.warps {
-				if !w.valid {
-					continue
-				}
-				if w.depStalled {
-					audited++
-					in := w.exec.CurrentSop()
-					if in == nil || !w.sb.ConflictsSop(in) {
-						t.Errorf("cycle %d: warp %d/%d depStalled with no scoreboard conflict",
-							cycle, sm.id, w.id)
-					}
-				}
-				if w.idle {
-					audited++
-					if w.exec.CurrentSop() != nil {
-						t.Errorf("cycle %d: warp %d/%d idle with a current instruction",
-							cycle, sm.id, w.id)
-					}
-				}
-			}
+			v := sm.scan
+			audited += bits.OnesCount64(v.dep) + bits.OnesCount64(v.idle) +
+				bits.OnesCount64(v.sfu)
+		}
+		if err := resumed.Audit(); err != nil {
+			t.Errorf("cycle %d: %v", cycle, err)
 		}
 		return nil
 	}

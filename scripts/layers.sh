@@ -6,12 +6,22 @@
 # Runs benchmark BENCH (an exact name, e.g. BenchmarkSimCABAFPCMUM) of
 # package PKG (default: the repository root package) once under
 # -cpuprofile, then buckets every function's flat self-time by the
-# package it belongs to and prints each bucket's share of the samples:
-# the decoded core and ISA, the SM (issue, scheduler, assist-warp
-# triggers), the memory hierarchy, the event queue, the compression
-# algorithms, the snapshot codec, the Go runtime (maps, GC, allocation,
-# memmove) and everything else. The benchmark runs 5 iterations, as in
-# scripts/bench.sh. Needs go and awk.
+# layer it belongs to and prints each bucket's share of the samples:
+#   core+isa  the decoded core and ISA
+#   issue     the SM's issue stage: tick, quiescent, the warp scan, the
+#             GTO order, ports, the writeback ring, the assist and memo
+#             issue paths, and the core code it inlines: the probes
+#             (CurrentSop, RegMask's ...Sop methods) and Exec.Reg, which
+#             only the memo key reads
+#   gpu-mem   the rest of internal/gpu: loads, stores, fills, the
+#             assist-warp triggers, the run loop
+#   caches    internal/mem's L1/L2 caches, MSHRs, partitions, crossbar,
+#             domain and backing store
+#   dram      internal/mem's DRAM channels and metadata cache
+#   timing, compress, snapshot, runtime (maps, GC, allocation, memmove)
+#   and other.
+# The benchmark runs 5 iterations, as in scripts/bench.sh. Needs go and
+# awk.
 set -eu
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
 	echo "usage: $0 BENCH [PKG]" >&2
@@ -42,9 +52,24 @@ go tool pprof -top -unit=ms -nodecount=1000000 -nodefraction=0 -edgefraction=0 \
 	$1 ~ /^[0-9.]+ms$/ && $2 ~ /%$/ {
 		ms = $1; sub(/ms$/, "", ms)
 		fn = $6
-		if (fn ~ /\/internal\/(core|isa)\./) b = "core+isa"
-		else if (fn ~ /\/internal\/gpu\./) b = "gpu"
-		else if (fn ~ /\/internal\/mem\./) b = "mem"
+		if (fn ~ /\/internal\/core\.\(\*(Exec\)\.(CurrentSop|Reg)|RegMask\)\.[A-Za-z]+Sop)$/) b = "issue"
+		else if (fn ~ /\/internal\/(core|isa)\./) b = "core+isa"
+		else if (fn ~ /\/internal\/gpu\./) {
+			# SM methods by name. The family patterns (tick*, *order*,
+			# *memo*) also match the names earlier commits use
+			# (tickSafe, rebuildOrder, orderMoveToBack), so a parent and
+			# a change profiled for an A/B bucket the same work alike.
+			m = fn
+			sub(/^.*\/internal\/gpu\./, "", m)
+			sub(/^\(\*SM\)\./, "", m)
+			if (m ~ /^(tick.*|quiescent|quietWarp|issueSlot|skipKnown|lrrStart|tryWarp|stepped|.*[Oo]rder.*|insertSorted|unlink|portsAvailable|portCause|wb(Add|Pop|Next)|tryIssueAssist|issueRegular|finishAfter|handleControl|noteWarpDone|countClass|checkAssistDone|chargeSlot|depCause|classify|blameFor|gtoBefore|mix64|.*[Mm]emo.*)$/ ||
+				m ~ /^\(\*(slotFlags|warpCtx|memoCache)\)\./)
+				b = "issue"
+			else
+				b = "gpu-mem"
+		}
+		else if (fn ~ /\/internal\/mem\.(\(\*(Channel|MDCache)\)|actServe)/) b = "dram"
+		else if (fn ~ /\/internal\/mem\./) b = "caches"
 		else if (fn ~ /\/internal\/timing\./) b = "timing"
 		else if (fn ~ /\/internal\/compress\./) b = "compress"
 		else if (fn ~ /\/internal\/snapshot\./) b = "snapshot"
@@ -56,7 +81,7 @@ go tool pprof -top -unit=ms -nodecount=1000000 -nodefraction=0 -edgefraction=0 \
 	}
 	END {
 		if (total == 0) { print "layers: empty profile" > "/dev/stderr"; exit 1 }
-		n = split("core+isa gpu mem timing compress snapshot runtime other", order, " ")
+		n = split("core+isa issue gpu-mem caches dram timing compress snapshot runtime other", order, " ")
 		printf "%-10s %10s %7s\n", "layer", "flat_ms", "share"
 		for (i = 1; i <= n; i++)
 			printf "%-10s %10.0f %6.1f%%\n", order[i], flat[order[i]], 100 * flat[order[i]] / total
