@@ -57,13 +57,14 @@ fuzz:
 	done
 
 # snapshot-check proves the checkpoint/restore guarantee in isolation:
-# run → save → load → run is bit-identical to an uninterrupted run, with
-# and without a fault campaign, the invariant auditor stays quiet on
-# clean runs, and malformed blobs surface structured errors instead of
-# panicking.
+# run → save → load → run is bit-identical to an uninterrupted run (the
+# differential harness's split variants, fault campaigns and a wedge
+# included), the invariant auditor stays quiet on clean runs, and
+# malformed blobs surface structured errors instead of panicking.
 snapshot-check:
 	$(GO) test ./internal/snapshot
 	$(GO) test -run 'Snapshot|Audit|Wedge|Checkpoint' ./internal/gpu ./experiments .
+	$(GO) test -run 'TestDifferential/.*/on/split' ./internal/gpu
 
 # trace-check proves the trace exporter's schema promise end to end: a
 # small instrumented PVC run must produce a Perfetto-loadable trace with
@@ -99,13 +100,13 @@ soak-short:
 
 # usecase-check proves the assist-warp use-case contract (USECASES.md,
 # DESIGN.md §14) end to end: use-cases-off runs stay byte-identical to
-# the goldens, prefetch/memoization runs are bit-identical to the
-# per-cycle reference and across snapshot/resume, each showcase
-# workload actually wins cycles, and the Figure 14 sweep keeps its
-# shape.
+# the goldens, prefetch/memoization runs pass every variant of the
+# differential harness (per-cycle reference, result-neutral knobs,
+# snapshot splits), each showcase workload actually wins cycles, and the
+# Figure 14 sweep keeps its shape.
 usecase-check:
-	$(GO) test -run 'TestUseCase|TestPrefetchWinsOnSTRD|TestMemoizationWinsOnTBL' .
-	$(GO) test -run 'TestStrideTable|TestPrefetchUsefulnessRing|TestMemoCache|TestMemoKey|TestPerCycleReference/CABA-(Prefetch|Memo|Combined)' ./internal/gpu
+	$(GO) test -run 'TestZeroFaultGolden|TestPrefetchWinsOnSTRD|TestMemoizationWinsOnTBL' .
+	$(GO) test -run 'TestStrideTable|TestPrefetchUsefulnessRing|TestMemoCache|TestMemoKey|TestDifferential/CABA-(Prefetch|Memo|Combined)' ./internal/gpu
 	$(GO) test -run 'TestFig14Hooked' ./experiments
 
 # bench-test runs the repo benchmark's own tests (BENCHMARK.json, bench/).

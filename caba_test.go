@@ -2,6 +2,7 @@ package caba_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	caba "github.com/caba-sim/caba"
@@ -160,9 +161,11 @@ func TestAssistWarpToolkit(t *testing.T) {
 	if lib.Len() < 17 {
 		t.Errorf("library has %d routines", lib.Len())
 	}
+	// 32 little-endian words base+i: one base and small deltas, which BDI
+	// compresses.
 	line := make([]byte, caba.LineSize)
-	for i := range line {
-		line[i] = byte(i % 7) // compressible-ish
+	for i := 0; i < caba.LineSize/4; i++ {
+		binary.LittleEndian.PutUint32(line[4*i:], 0x12345600+uint32(i))
 	}
 	c, instrs, err := caba.CompressWithAssistWarp(caba.AlgBDI, line)
 	if err != nil {
@@ -172,7 +175,7 @@ func TestAssistWarpToolkit(t *testing.T) {
 		t.Error("assist compression must execute instructions")
 	}
 	if !c.IsCompressed() {
-		t.Skip("line did not compress under BDI")
+		t.Fatal("a base+delta line did not compress under BDI")
 	}
 	out, dinstrs, err := caba.DecompressWithAssistWarp(c)
 	if err != nil {

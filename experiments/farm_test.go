@@ -310,9 +310,12 @@ func TestFarmClientConnRefusedRecovery(t *testing.T) {
 
 // TestFarmClientDegradedWarning: when responses carry a non-ok
 // X-Farm-Health header the client warns the user exactly once per
-// sweep, not once per poll.
+// sweep, not once per poll. A disk-headroom floor no volume meets keeps
+// every response "degraded" for the whole sweep; a saturated queue alone
+// does not, because the worker may finish the cell before the client's
+// first status poll.
 func TestFarmClientDegradedWarning(t *testing.T) {
-	c, err := farm.NewCoordinator(farm.CoordinatorConfig{Dir: t.TempDir(), MaxQueue: 1})
+	c, err := farm.NewCoordinator(farm.CoordinatorConfig{Dir: t.TempDir(), MaxQueue: 1, MinDiskFree: 1 << 62})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,9 +333,6 @@ func TestFarmClientDegradedWarning(t *testing.T) {
 		}).Run(ctx)
 	}()
 
-	// One cell against a cap-1 queue: the moment it is admitted the
-	// queue is saturated, so the client's status polls see a non-ok
-	// health header until the worker reports the result.
 	var buf strings.Builder
 	o := Options{Scale: 0.02, Seed: 11, Out: &buf, FarmURL: srv.URL}
 	res, err := o.sweep([]string{"PVC"}, []caba.Design{caba.CABABDI}, nil)

@@ -6,24 +6,23 @@ import (
 	"fmt"
 
 	"github.com/caba-sim/caba/internal/compress"
+	"github.com/caba-sim/caba/internal/core"
 	"github.com/caba-sim/caba/internal/faults"
 )
 
-// SchedPolicy selects the warp scheduling policy.
+// SchedPolicy selects the warp scheduling policy. Greedy-then-oldest is
+// the only one the simulator implements; Validate rejects other values.
 type SchedPolicy uint8
 
-// Warp scheduler policies.
-const (
-	SchedGTO SchedPolicy = iota // greedy-then-oldest (baseline, Table 1)
-	SchedLRR                    // loose round-robin
-)
+// SchedGTO is greedy-then-oldest (baseline, Table 1).
+const SchedGTO SchedPolicy = 0
 
 // String returns the policy name.
 func (s SchedPolicy) String() string {
-	if s == SchedLRR {
-		return "lrr"
+	if s == SchedGTO {
+		return "gto"
 	}
-	return "gto"
+	return fmt.Sprintf("sched(%d)", uint8(s))
 }
 
 // DRAMTiming is the GDDR5 timing set (Table 1, in memory-clock cycles).
@@ -287,8 +286,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: DRAM timings must be non-negative")
 	case c.MDCacheAssoc <= 0 || c.MDLinesPerEntry <= 0:
 		return fmt.Errorf("config: MDCacheAssoc and MDLinesPerEntry must be positive")
-	case c.WarpSize <= 0 || c.WarpSize > 64:
-		return fmt.Errorf("config: WarpSize %d out of range", c.WarpSize)
+	case c.WarpSize != core.WarpSize:
+		// The decoded core executes fixed 32-lane warps.
+		return fmt.Errorf("config: WarpSize %d must equal core.WarpSize %d", c.WarpSize, core.WarpSize)
 	case c.MaxWarpsPerSM <= 0:
 		return fmt.Errorf("config: MaxWarpsPerSM must be positive")
 	case c.MaxWarpsPerSM > 64:
@@ -313,6 +313,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: Scale %v out of (0,1]", c.Scale)
 	case c.NumSchedulers <= 0:
 		return fmt.Errorf("config: NumSchedulers must be positive")
+	case c.Scheduler != SchedGTO:
+		return fmt.Errorf("config: Scheduler %v unsupported; GTO is the only policy", c.Scheduler)
 	case c.FlightRecorderDepth < 0:
 		return fmt.Errorf("config: FlightRecorderDepth must be non-negative")
 	case c.MetricsFile != "" && c.SampleEvery == 0:

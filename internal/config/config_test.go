@@ -58,6 +58,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	bad := []Config{
 		mk(func(c *Config) { c.NumSMs = 0 }),
 		mk(func(c *Config) { c.WarpSize = 0 }),
+		mk(func(c *Config) { c.WarpSize = 16 }), // the core runs 32-lane warps
+		mk(func(c *Config) { c.WarpSize = 48 }),
+		mk(func(c *Config) { c.Scheduler = 1 }),      // GTO is the only policy
 		mk(func(c *Config) { c.MaxWarpsPerSM = 65 }), // wider than the AWT bitmasks
 		mk(func(c *Config) { c.LineSize = 64 }),
 		mk(func(c *Config) { c.BurstSize = 0 }), // the models burst at compress.BurstSize
@@ -161,7 +164,7 @@ func TestMemClockRatio(t *testing.T) {
 }
 
 func TestSchedPolicyNames(t *testing.T) {
-	if SchedGTO.String() != "gto" || SchedLRR.String() != "lrr" {
+	if SchedGTO.String() != "gto" || SchedPolicy(1).String() != "sched(1)" {
 		t.Error("policy names wrong")
 	}
 }

@@ -199,19 +199,28 @@ type Coordinator struct {
 	mux     *http.ServeMux
 	handler http.Handler
 
+	// mu guards the queue state below. It is held across fsyncs (storing
+	// a result, journaling a victim, compacting), so nothing a lease
+	// renewal needs sits behind it: the lease table has its own lock, the
+	// health inputs are atomics and subscribers have subsMu.
 	mu           sync.Mutex
 	cells        map[uint64]*cellState
 	order        []uint64
 	journal      *os.File
-	journalLines int // lines in the journal file (compaction trigger)
-	subs         map[chan ProgressEvent]struct{}
+	journalLines int            // lines in the journal file (compaction trigger)
 	clientLive   map[string]int // live (pending+leased) cells per client
-	draining     bool           // Quiesce called: no new leases or admissions
 	pendingN     int
 	leasedN      int
 	doneN        int
 	failedN      int
 	poisonedN    int
+	closed       bool // Close called: the journal is closed
+
+	draining atomic.Bool  // Quiesce called: no new leases or admissions
+	liveN    atomic.Int64 // pendingN + leasedN, for healthState
+
+	subsMu sync.Mutex
+	subs   map[chan ProgressEvent]struct{}
 
 	compactions atomic.Uint64
 	rejected429 atomic.Uint64
@@ -290,15 +299,17 @@ func (c *Coordinator) now() time.Time {
 	return time.Now()
 }
 
-// Close stops the lease janitor and fsyncs and closes the journal.
-// In-memory state is discarded; the durable state in Dir survives for
-// the next open.
+// Close stops the lease janitor and fsyncs and closes the journal; a
+// request still in flight records no lease expiry after it. In-memory
+// state is discarded; the durable state in Dir survives for the next
+// open.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.janitorStop)
 		<-c.janitorDone
 		c.mu.Lock()
 		defer c.mu.Unlock()
+		c.closed = true
 		c.journal.Sync()
 		c.journal.Close()
 	})
@@ -310,9 +321,9 @@ func (c *Coordinator) Close() {
 // In-flight leases may still heartbeat and report — a computed result in
 // hand is always worth storing.
 func (c *Coordinator) Quiesce() {
+	c.draining.Store(true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.draining = true
 	c.journal.Sync()
 }
 
@@ -351,6 +362,7 @@ func (c *Coordinator) addCellLocked(st *cellState) {
 			c.poisonedN++
 		}
 	}
+	c.liveN.Store(int64(c.pendingN + c.leasedN))
 }
 
 // transitionLocked moves a cell between lifecycle states, keeping the
@@ -398,6 +410,7 @@ func (c *Coordinator) transitionLocked(st *cellState, to cellStatus) {
 	if !wasLive && isLive {
 		c.clientLive[st.client]++
 	}
+	c.liveN.Store(int64(c.pendingN + c.leasedN))
 }
 
 // janitor periodically harvests expired leases (so dead workers surface
@@ -426,12 +439,14 @@ func (c *Coordinator) janitor() {
 // charging the expiry as a transient failure and recording the worker as
 // a presumed victim of the cell: a worker that died or hung mid-cell is
 // indistinguishable from one the cell killed, and enough distinct
-// victims trip the poison breaker.
+// victims trip the poison breaker. A closed coordinator, whose journal
+// could no longer record the victim, re-queues nothing: a request still
+// in flight when Close ran must not mutate sweep state.
 func (c *Coordinator) harvestExpired(now time.Time) {
 	for _, l := range c.leases.harvest(now) {
 		c.mu.Lock()
 		st := c.cells[l.Key]
-		if st != nil && st.status == cellLeased {
+		if st != nil && st.status == cellLeased && !c.closed {
 			st.history = append(st.history, Attempt{Worker: l.Worker, Outcome: "expired"})
 			msg := fmt.Sprintf("lease expired (worker %s died or hung)", l.Worker)
 			if !c.recordVictimLocked(st, l.Worker, msg) {
@@ -482,7 +497,7 @@ func (c *Coordinator) poisonLocked(st *cellState, reason string) {
 		c.logf("farm: recording poison for %s: %v", st.cell.Label(), err)
 	}
 	c.store.DeleteBlob(st.key)
-	c.publishLocked(ProgressEvent{Type: "poisoned", Cell: st.cell.Label(), Key: KeyString(st.key), Error: st.errMsg, Attempt: st.failures})
+	c.publish(ProgressEvent{Type: "poisoned", Cell: st.cell.Label(), Key: KeyString(st.key), Error: st.errMsg, Attempt: st.failures})
 	c.logf("farm: cell %s poisoned: %s", st.cell.Label(), st.errMsg)
 }
 
@@ -497,12 +512,12 @@ func (c *Coordinator) chargeTransient(st *cellState, now time.Time, msg string) 
 		if err := c.store.PutFailure(st.key, st.errMsg, false, st.failures); err != nil {
 			c.logf("farm: recording failure for %s: %v", st.cell.Label(), err)
 		}
-		c.publishLocked(ProgressEvent{Type: "failed", Cell: st.cell.Label(), Key: KeyString(st.key), Error: st.errMsg, Attempt: st.failures})
+		c.publish(ProgressEvent{Type: "failed", Cell: st.cell.Label(), Key: KeyString(st.key), Error: st.errMsg, Attempt: st.failures})
 		return
 	}
 	c.transitionLocked(st, cellPending)
 	st.notBefore = now.Add(c.backoffFor(st.failures))
-	c.publishLocked(ProgressEvent{Type: "requeue", Cell: st.cell.Label(), Key: KeyString(st.key), Error: msg, Attempt: st.failures})
+	c.publish(ProgressEvent{Type: "requeue", Cell: st.cell.Label(), Key: KeyString(st.key), Error: msg, Attempt: st.failures})
 }
 
 // backoffFor computes the re-queue delay after n transient failures:
@@ -526,15 +541,13 @@ func (c *Coordinator) backoffFor(n int) time.Duration {
 // healthState classifies the coordinator's condition for /healthz and
 // the X-Farm-Health response header: "draining" during Quiesce,
 // "saturated" at a full live queue, "degraded" at ≥80% occupancy or low
-// store disk, else "ok".
+// store disk, else "ok". It reads atomics only, never c.mu: every
+// request computes it first, lease renewals included.
 func (c *Coordinator) healthState() string {
-	c.mu.Lock()
-	draining := c.draining
-	live := c.pendingN + c.leasedN
-	c.mu.Unlock()
+	live := int(c.liveN.Load())
 	mq := c.cfg.maxQueue()
 	switch {
-	case draining:
+	case c.draining.Load():
 		return "draining"
 	case live >= mq:
 		return "saturated"
@@ -595,30 +608,27 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 // blocked on, when a listener falls behind.
 func (c *Coordinator) subscribe() (ch chan ProgressEvent, cancel func()) {
 	ch = make(chan ProgressEvent, 256)
-	c.mu.Lock()
+	c.subsMu.Lock()
 	c.subs[ch] = struct{}{}
-	c.mu.Unlock()
+	c.subsMu.Unlock()
 	return ch, func() {
-		c.mu.Lock()
+		c.subsMu.Lock()
 		delete(c.subs, ch)
-		c.mu.Unlock()
+		c.subsMu.Unlock()
 	}
 }
 
-// publishLocked fans an event out to subscribers; caller holds c.mu.
-func (c *Coordinator) publishLocked(ev ProgressEvent) {
+// publish fans an event out to subscribers. It may be called with or
+// without c.mu held.
+func (c *Coordinator) publish(ev ProgressEvent) {
+	c.subsMu.Lock()
+	defer c.subsMu.Unlock()
 	for ch := range c.subs {
 		select {
 		case ch <- ev:
 		default: // slow subscriber: drop rather than stall the sweep
 		}
 	}
-}
-
-func (c *Coordinator) publish(ev ProgressEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.publishLocked(ev)
 }
 
 // --- HTTP handlers ---
@@ -676,7 +686,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		c.mu.Lock()
-		if c.draining {
+		if c.draining.Load() {
 			c.mu.Unlock()
 			c.journal.Sync()
 			w.Header().Set("Retry-After", strconv.Itoa(c.retryAfterSecs()))
@@ -724,7 +734,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			st.cacheHit = true
 			resp.CacheHits++
 			c.addCellLocked(st)
-			c.publishLocked(ProgressEvent{Type: "cachehit", Cell: cell.Label(), Key: KeyString(key)})
+			c.publish(ProgressEvent{Type: "cachehit", Cell: cell.Label(), Key: KeyString(key)})
 			c.mu.Unlock()
 			continue
 		}
@@ -756,7 +766,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		c.addCellLocked(st)
 		resp.Accepted++
-		c.publishLocked(ProgressEvent{Type: "queued", Cell: cell.Label(), Key: KeyString(key)})
+		c.publish(ProgressEvent{Type: "queued", Cell: cell.Label(), Key: KeyString(key)})
 		c.mu.Unlock()
 	}
 	// One fsync per submission, not per cell: the queue is durable at
@@ -782,7 +792,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	now := c.now()
 	c.harvestExpired(now)
 	c.mu.Lock()
-	if c.draining {
+	if c.draining.Load() {
 		c.mu.Unlock()
 		writeJSON(w, &LeaseResponse{RetryMs: max64(10, (c.cfg.ttl() / 2).Milliseconds())})
 		return
@@ -829,18 +839,22 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	c.transitionLocked(pick, cellLeased)
 	attempt := pick.failures + 1
-	l := c.leases.grant(pick.cell, pick.key, req.Worker, attempt, c.cfg.ttl(), now)
-	c.publishLocked(ProgressEvent{Type: "lease", Cell: pick.cell.Label(), Key: KeyString(pick.key), Worker: req.Worker, Attempt: attempt})
 	cell := pick.cell
 	key := pick.key
 	c.mu.Unlock()
+	// The TTL runs from the response, not from the request: waiting for
+	// c.mu and for the store (both held across other requests' fsyncs)
+	// must not eat into the worker's first heartbeat interval.
+	ckpt := c.store.HasBlob(key)
+	l := c.leases.grant(cell, key, req.Worker, attempt, c.cfg.ttl(), c.now())
+	c.publish(ProgressEvent{Type: "lease", Cell: cell.Label(), Key: KeyString(key), Worker: req.Worker, Attempt: attempt})
 	writeJSON(w, &LeaseResponse{
 		Lease:      l.Token,
 		Cell:       &cell,
 		Key:        KeyString(key),
 		Attempt:    attempt,
 		TTLMs:      c.cfg.ttl().Milliseconds(),
-		Checkpoint: c.store.HasBlob(key),
+		Checkpoint: ckpt,
 	})
 }
 
@@ -852,19 +866,21 @@ func max64(a, b int64) int64 {
 }
 
 // handleHeartbeat extends a live lease; a stale token gets 409 so the
-// worker abandons the zombie cell. Expired leases are harvested first,
-// making the TTL boundary exact: a heartbeat arriving at precisely the
-// deadline still extends (harvest evicts strictly after it), one
-// arriving any later finds the lease gone.
+// worker abandons the zombie cell. The TTL boundary is exact: a
+// heartbeat arriving at precisely the deadline still extends (a lease
+// expires strictly after it), one arriving any later is refused, and
+// every expired lease, this one included, is harvested before the 409.
+// Renewing a live lease never waits for c.mu, which is held across
+// fsyncs; the janitor harvests the other expired leases.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
 	now := c.now()
-	c.harvestExpired(now)
 	l, ok := c.leases.extend(req.Lease, c.cfg.ttl(), now)
 	if !ok {
+		c.harvestExpired(now)
 		httpError(w, http.StatusConflict, "lease %s is not live (expired and re-queued?)", req.Lease)
 		return
 	}
@@ -957,7 +973,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		c.transitionLocked(st, cellPending)
 		st.notBefore = now // no backoff: the worker drained, the cell is healthy
 		st.history = append(st.history, Attempt{Worker: l.Worker, Outcome: "released"})
-		c.publishLocked(ProgressEvent{Type: "requeue", Cell: st.cell.Label(), Key: KeyString(st.key), Worker: l.Worker, Attempt: l.Attempt})
+		c.publish(ProgressEvent{Type: "requeue", Cell: st.cell.Label(), Key: KeyString(st.key), Worker: l.Worker, Attempt: l.Attempt})
 	case req.Result != nil:
 		if err := c.store.PutResult(st.key, req.Result); err != nil {
 			// Failing to persist is the coordinator's problem, not the
@@ -971,7 +987,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		st.result = req.Result
 		st.history = append(st.history, Attempt{Worker: l.Worker, Outcome: "ok", ResumeCycle: req.ResumeCycle})
 		c.store.DeleteBlob(st.key)
-		c.publishLocked(ProgressEvent{Type: "done", Cell: st.cell.Label(), Key: KeyString(st.key), Worker: l.Worker, Cycle: req.Result.Cycles, Attempt: l.Attempt})
+		c.publish(ProgressEvent{Type: "done", Cell: st.cell.Label(), Key: KeyString(st.key), Worker: l.Worker, Cycle: req.Result.Cycles, Attempt: l.Attempt})
 		c.streamSeriesLocked(st, req.Result)
 	case req.Wedge:
 		// A wedge is a deterministic outcome of the cell's fault
@@ -986,7 +1002,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 			c.logf("farm: recording wedge for %s: %v", st.cell.Label(), err)
 		}
 		c.store.DeleteBlob(st.key)
-		c.publishLocked(ProgressEvent{Type: "failed", Cell: st.cell.Label(), Key: KeyString(st.key), Worker: l.Worker, Error: req.Error, Attempt: l.Attempt})
+		c.publish(ProgressEvent{Type: "failed", Cell: st.cell.Label(), Key: KeyString(st.key), Worker: l.Worker, Error: req.Error, Attempt: l.Attempt})
 	case req.Resource != "":
 		// The worker's own budget watchdog killed the cell. The worker
 		// survived to tell us, but the cell is still a presumed killer:
@@ -1009,12 +1025,15 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 // "sample" progress events (only when the cell's config enabled
 // sampling); caller holds c.mu.
 func (c *Coordinator) streamSeriesLocked(st *cellState, res *caba.Result) {
-	if res.Series == nil || len(c.subs) == 0 {
+	c.subsMu.Lock()
+	listening := len(c.subs) > 0
+	c.subsMu.Unlock()
+	if res.Series == nil || !listening {
 		return
 	}
 	for i := 0; i < res.Series.Len(); i++ {
 		s := res.Series.At(i)
-		c.publishLocked(ProgressEvent{Type: "sample", Cell: st.cell.Label(), Key: KeyString(st.key), Sample: &s})
+		c.publish(ProgressEvent{Type: "sample", Cell: st.cell.Label(), Key: KeyString(st.key), Sample: &s})
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -96,54 +97,69 @@ func leaseOne(t *testing.T, base, worker string) *LeaseResponse {
 	return nil
 }
 
-// TestCellKeyStrategyInvariance: result-neutral knobs (the ignored worker
-// count, checkpoint and audit cadence, the flight recorder, output paths)
-// must not move a cell's content address; anything result-determining
-// must.
+// TestCellKeyStrategyInvariance: a cell's content address moves if and
+// only if config.Config.ResultConfig does, for every Config field, so the
+// result-neutral knobs (the ignored worker count, checkpoint and audit
+// cadence, the flight recorder, output paths) share cached results and
+// everything result-determining does not. The cell's own identity (seed,
+// app, design) always moves it.
 func TestCellKeyStrategyInvariance(t *testing.T) {
 	base := testCell("PVC", "Base", 0.02, 11)
 	ref, err := base.Key()
 	if err != nil {
 		t.Fatalf("Key: %v", err)
 	}
-	strategies := []func(*Cell){
-		func(c *Cell) { c.Config.SMWorkers = 7 },
-		func(c *Cell) { c.Config.CheckpointEvery = 123 },
-		func(c *Cell) { c.Config.AuditEvery = 9 },
-		func(c *Cell) { c.Config.FlightRecorderDepth = 4 },
-		func(c *Cell) { c.Config.MetricsFile = "m.jsonl" },
-		func(c *Cell) { c.Config.TraceFile = "t.json" },
-	}
-	for i, mutate := range strategies {
+	typ := reflect.TypeOf(base.Config)
+	for i := range typ.NumField() {
 		c := base
-		mutate(&c)
+		perturb(t, reflect.ValueOf(&c.Config).Elem().Field(i))
 		got, err := c.Key()
 		if err != nil {
-			t.Fatalf("strategy %d: %v", i, err)
+			t.Fatalf("%s: %v", typ.Field(i).Name, err)
 		}
-		if got != ref {
-			t.Errorf("strategy knob %d changed the cell key: %016x != %016x", i, got, ref)
+		neutral := c.Config.ResultConfig() == base.Config.ResultConfig()
+		if (got == ref) != neutral {
+			t.Errorf("%s: key moved %v, ResultConfig moved %v", typ.Field(i).Name, got != ref, !neutral)
 		}
 	}
-	semantic := []func(*Cell){
+	for i, mutate := range []func(*Cell){
 		func(c *Cell) { c.Seed = 12 },
 		func(c *Cell) { c.App = "SCP" },
 		func(c *Cell) { c.Design = caba.CABABDI },
 		func(c *Cell) { c.Design.UseCase = caba.UsePrefetch },
-		func(c *Cell) { c.Config.Scale = 0.03 },
-		func(c *Cell) { c.Config.SampleEvery = 500 },
-		func(c *Cell) { c.Config.Faults.Seed = 1; c.Config.Faults.BitFlipRate = 0.1 },
-	}
-	for i, mutate := range semantic {
+	} {
 		c := base
 		mutate(&c)
 		got, err := c.Key()
 		if err != nil {
-			t.Fatalf("semantic %d: %v", i, err)
+			t.Fatalf("identity %d: %v", i, err)
 		}
 		if got == ref {
-			t.Errorf("result-determining change %d did not change the cell key", i)
+			t.Errorf("identity change %d did not change the cell key", i)
 		}
+	}
+}
+
+// perturb sets v to a value other than its current one: numbers grow by
+// one, booleans flip, strings gain a suffix, and a struct perturbs its
+// first field.
+func perturb(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Struct:
+		perturb(t, v.Field(0))
+	default:
+		t.Fatalf("cannot perturb a %s", v.Type())
 	}
 }
 

@@ -209,7 +209,7 @@ func (c *Coordinator) compactLocked() error {
 	c.journal = j
 	c.journalLines = lines
 	c.compactions.Add(1)
-	c.publishLocked(ProgressEvent{Type: "compact"})
+	c.publish(ProgressEvent{Type: "compact"})
 	c.logf("farm: journal compacted to %d lines", lines)
 	return nil
 }

@@ -58,12 +58,13 @@ func (t *leaseTable) grant(cell Cell, key uint64, worker string, attempt int, tt
 }
 
 // extend pushes the lease's deadline to now+ttl. It reports false for an
-// unknown (expired or already settled) token.
+// unknown (harvested or already settled) token and for a lease past its
+// deadline, which stays for harvest to collect.
 func (t *leaseTable) extend(token string, ttl time.Duration, now time.Time) (*Lease, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	l, ok := t.leases[token]
-	if !ok {
+	if !ok || now.After(l.Deadline) {
 		return nil, false
 	}
 	l.Deadline = now.Add(ttl)

@@ -107,6 +107,59 @@ func TestHeartbeatTTLBoundary(t *testing.T) {
 	}
 }
 
+// TestHeartbeatRenewsWhileStateLocked: a heartbeat extends its lease
+// without waiting for the coordinator's state lock, which storing a
+// result, recording a victim or compacting the journal holds across
+// fsyncs. Holding the lock for twice the TTL while the worker heartbeats
+// must not expire the lease.
+func TestHeartbeatRenewsWhileStateLocked(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	c, srv := newTestFarm(t, t.TempDir(), CoordinatorConfig{LeaseTTL: ttl})
+	call(t, srv.URL+"/sweep", &SweepRequest{Cells: []Cell{testCell("SCP", "Base", 0.02, 11)}}, nil)
+	lr := leaseOne(t, srv.URL, "w1")
+	body, err := json.Marshal(&HeartbeatRequest{Lease: lr.Lease})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heartbeat := func() int {
+		resp, err := http.Post(srv.URL+"/heartbeat", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			return 0
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	stop := make(chan struct{})
+	codes := make(chan int, 100)
+	go func() {
+		defer close(codes)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(ttl / 5):
+				codes <- heartbeat()
+			}
+		}
+	}()
+	c.mu.Lock()
+	time.Sleep(2 * ttl)
+	c.mu.Unlock()
+	close(stop)
+	for code := range codes {
+		if code != http.StatusNoContent {
+			t.Errorf("heartbeat while the state lock was held: HTTP %d, want 204", code)
+		}
+	}
+	if code := heartbeat(); code != http.StatusNoContent {
+		t.Fatalf("heartbeat after the lock was released: HTTP %d, want 204 (lease lost)", code)
+	}
+	if st := getStatus(t, srv.URL, "?results=0"); st.Leased != 1 {
+		t.Fatalf("status = %+v, want the cell still leased", st)
+	}
+}
+
 // TestDoubleRelease: the second release of the same lease token must be
 // rejected with 409 — the first settle consumed the worker's authority.
 func TestDoubleRelease(t *testing.T) {

@@ -190,17 +190,19 @@ func TestSoakSeededChaos(t *testing.T) {
 	// Coordinator kill/restart with torn-write and stale-compaction-tmp
 	// injection: the journal gets a garbage tail (a write torn by the
 	// "crash") and a leftover compaction temp file, both of which the
-	// reopen must survive.
+	// reopen must survive. The old coordinator stops its janitor before
+	// the address starts refusing requests: a dead coordinator harvests
+	// no leases, so none may expire while heartbeats get 503.
 	restart := func() {
 		mu.Lock()
 		defer mu.Unlock()
 		if soakCtx.Err() != nil {
 			return
 		}
-		cur.Store(downHandler)
 		coord.Quiesce()
-		compactTotal.Add(coord.compactions.Load())
 		coord.Close()
+		compactTotal.Add(coord.compactions.Load()) // the janitor has stopped
+		cur.Store(downHandler)
 		if f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_WRONLY|os.O_APPEND, 0); err == nil {
 			f.WriteString(`{"key":"torn-by-soak-crash`)
 			f.Close()

@@ -193,41 +193,14 @@ func (w *Worker) runCell(ctx context.Context, lr *LeaseResponse) {
 		}
 	}
 
-	var resume []byte
-	if lr.Checkpoint {
-		blob, err := w.fetchCheckpoint(ctx, lr.Lease)
-		if err != nil {
-			// A missing or unreachable blob is not fatal: the engine's
-			// contract is resume-when-possible, restart-from-zero
-			// otherwise, converging to the identical result.
-			w.logf("farm worker %s: checkpoint fetch for %s: %v (starting from cycle 0)", w.cfg.Name, cell.Label(), err)
-		} else {
-			resume = blob
-		}
-	}
-
-	runCtx, cancel := context.WithCancelCause(ctx)
+	// Heartbeats: keep the lease alive from the moment the worker holds
+	// it until the run ends — fetching the resume blob below can wait
+	// behind other workers' uploads for longer than the TTL. A 409 means
+	// the lease expired underneath us (we were presumed dead); the run is
+	// cancelled — finishing a zombie cell is wasted work and its report
+	// would be discarded anyway.
+	leaseCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	// The resource watchdog cancels through the cause-carrying cancel so
-	// the classification switch below can read the typed *ResourceError
-	// back out of context.Cause; the wall-clock timeout wraps afterwards
-	// and stays a plain DeadlineExceeded.
-	memLimit := w.cfg.MemLimit
-	if h := w.hooks.memLimitFor; h != nil {
-		memLimit = h(cell, lr.Attempt)
-	}
-	stopWatch := startResourceWatch(cancel, memLimit, w.cfg.CPUTime)
-	defer stopWatch()
-	if w.cfg.CellTimeout > 0 {
-		var tcancel context.CancelFunc
-		runCtx, tcancel = context.WithTimeout(runCtx, w.cfg.CellTimeout)
-		defer tcancel()
-	}
-
-	// Heartbeats: keep the lease alive while the simulation runs. A 409
-	// means the lease expired underneath us (we were presumed dead);
-	// the run is cancelled — finishing a zombie cell is wasted work and
-	// its report would be discarded anyway.
 	hbStop := make(chan struct{})
 	hbDone := make(chan struct{})
 	ttl := time.Duration(lr.TTLMs) * time.Millisecond
@@ -243,7 +216,7 @@ func (w *Worker) runCell(ctx context.Context, lr *LeaseResponse) {
 			select {
 			case <-hbStop:
 				return
-			case <-runCtx.Done():
+			case <-leaseCtx.Done():
 				return
 			case <-t.C:
 				if err := w.heartbeat(lr.Lease, lastCycle.Load()); err != nil {
@@ -256,6 +229,36 @@ func (w *Worker) runCell(ctx context.Context, lr *LeaseResponse) {
 			}
 		}
 	}()
+
+	var resume []byte
+	if lr.Checkpoint {
+		blob, err := w.fetchCheckpoint(leaseCtx, lr.Lease)
+		if err != nil {
+			// A missing or unreachable blob is not fatal: the engine's
+			// contract is resume-when-possible, restart-from-zero
+			// otherwise, converging to the identical result.
+			w.logf("farm worker %s: checkpoint fetch for %s: %v (starting from cycle 0)", w.cfg.Name, cell.Label(), err)
+		} else {
+			resume = blob
+		}
+	}
+
+	// The resource watchdog cancels through the cause-carrying cancel so
+	// the classification switch below can read the typed *ResourceError
+	// back out of context.Cause; the wall-clock timeout wraps afterwards
+	// and stays a plain DeadlineExceeded.
+	memLimit := w.cfg.MemLimit
+	if h := w.hooks.memLimitFor; h != nil {
+		memLimit = h(cell, lr.Attempt)
+	}
+	stopWatch := startResourceWatch(cancel, memLimit, w.cfg.CPUTime)
+	defer stopWatch()
+	runCtx := leaseCtx
+	if w.cfg.CellTimeout > 0 {
+		var tcancel context.CancelFunc
+		runCtx, tcancel = context.WithTimeout(leaseCtx, w.cfg.CellTimeout)
+		defer tcancel()
+	}
 
 	cfg := cell.Config
 	if cfg.CheckpointEvery == 0 {

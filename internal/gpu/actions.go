@@ -55,6 +55,7 @@ type actHWCompress struct {
 
 // Run compresses and releases.
 func (a actHWCompress) Run() {
+	a.sm.touch()
 	a.sm.domCompressLine(a.se.lineAddr)
 	a.sm.releaseStore(a.se)
 }
@@ -68,7 +69,10 @@ type actCompleteFill struct {
 }
 
 // Run completes the fill.
-func (a actCompleteFill) Run() { a.sm.completeFill(a.ln, a.fill) }
+func (a actCompleteFill) Run() {
+	a.sm.touch()
+	a.sm.completeFill(a.ln, a.fill)
+}
 
 // actHWDetect is the dedicated decompressor's output check tripping on an
 // injected bit flip: count the detection and refetch the raw line, with
@@ -81,6 +85,7 @@ type actHWDetect struct {
 
 // Run detects and recovers.
 func (a actHWDetect) Run() {
+	a.sm.touch()
 	a.sm.stat.FaultsDetected++
 	a.sm.refetchRaw(a.ln, cont{kind: contCompleteFill, ln: a.ln, fill: a.fill})
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/caba-sim/caba/internal/audit"
-	"github.com/caba-sim/caba/internal/config"
 	"github.com/caba-sim/caba/internal/core"
 	"github.com/caba-sim/caba/internal/isa"
 )
@@ -223,9 +222,9 @@ func (sm *SM) triggerCanLand(pt *pendingTrigger) bool {
 // when it holds: empty slots hold no verdicts; a dep bit means the
 // scoreboard conflicts with the warp's current instruction, an idle bit
 // that it has none, an sfu bit that it is a conflict-free SFU op; a
-// cached memo key equals a fresh hash. Under GTO, unless a rebuild is
-// due, the order list links exactly the valid warps, and the warps with
-// no pending move are in stable-sort order by (lastIssueCycle, slot): a
+// cached memo key equals a fresh hash. Unless a rebuild is due, the GTO
+// order list links exactly the valid warps, and the warps with no
+// pending move are in stable-sort order by (lastIssueCycle, slot): a
 // pending warp carries its new issue cycle in its old place until the
 // next settle.
 func (sm *SM) scanViolation() string {
@@ -250,7 +249,7 @@ func (sm *SM) scanViolation() string {
 			return fmt.Sprintf("warp %d: cached memo key is stale", w.id)
 		}
 	}
-	if sm.sim.Cfg.Scheduler == config.SchedLRR || sm.orderDirty {
+	if sm.orderDirty {
 		return ""
 	}
 	var pending uint64

@@ -1,5 +1,5 @@
 // Package gpu implements the cycle-level SIMT core model: streaming
-// multiprocessors with GTO/LRR warp schedulers, a scoreboard, SIMT
+// multiprocessors with GTO warp schedulers, a scoreboard, SIMT
 // divergence, ALU/SFU/LSU pipelines with structural hazards, a memory
 // coalescer, per-SM L1 caches and MSHRs, the pending-store buffer, and the
 // Figure 1 stall-cycle taxonomy. It integrates the CABA framework

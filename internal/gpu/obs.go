@@ -102,6 +102,28 @@ func (f *slotFlags) noteIdleWarp(w *warpCtx) {
 	}
 }
 
+// computeHazard reports whether a structural hazard is a compute stall
+// (the SFU and ALU ports); every other one is a memory stall.
+func computeHazard(c obs.Cause) bool {
+	return c == obs.CauseSFUBusy || c == obs.CauseALUBusy
+}
+
+// noteHazard raises the flag warp w's structural hazard c files under
+// and, with blame armed, blames w for it if it is the first to raise it.
+func (f *slotFlags) noteHazard(w int, c obs.Cause) {
+	if computeHazard(c) {
+		f.compS = true
+		if f.blame && f.compW < 0 {
+			f.compW, f.compC = w, c
+		}
+		return
+	}
+	f.memS = true
+	if f.blame && f.memW < 0 {
+		f.memW, f.memC = w, c
+	}
+}
+
 // noteAssist records a blocked high-priority assist warp for blame. The
 // charge lands on the assist's host warp slot as CauseAssist, filed
 // under whichever stall flag the assist's hazard raised so it stays

@@ -68,7 +68,7 @@ type Simulator struct {
 	restored bool
 	// Maintenance schedule (checkpoints and invariant audits). nextMaint
 	// is min(nextCkpt, nextAudit) so the run loop pays a single compare
-	// per iteration; all three are ^uint64(0) when the knobs are off.
+	// per iteration; all three are never when the knobs are off.
 	nextCkpt  uint64
 	nextAudit uint64
 	nextMaint uint64
@@ -294,7 +294,6 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 	if !sim.restored {
 		sim.idleStreak = 0
 	}
-	const never = ^uint64(0)
 	sim.nextCkpt, sim.nextAudit = never, never
 	if sim.Cfg.CheckpointEvery > 0 && sim.OnCheckpoint != nil {
 		sim.nextCkpt = start + sim.Cfg.CheckpointEvery
@@ -432,7 +431,7 @@ func (sim *Simulator) allWedged() bool {
 			}
 			sm.qValid, sm.qKind, sm.qHorizon = true, kind, horizon
 		}
-		if sm.qHorizon != ^uint64(0) {
+		if sm.qHorizon != never {
 			return false
 		}
 	}

@@ -162,8 +162,7 @@ type SM struct {
 	sfuFree  uint64 // SFU initiation interval
 	lsuFree  uint64 // LSU busy from multi-line coalesced accesses
 
-	// greedy is the last warp that issued: GTO tries it first, LRR
-	// rotates from the slot after it.
+	// greedy is the last warp that issued: GTO tries it first.
 	greedy *warpCtx
 	// scan holds the issue stage's per-slot verdict masks (warp.go).
 	scan scanMasks
@@ -174,8 +173,7 @@ type SM struct {
 	// this array. Warps that issue are recorded in issuedBuf and re-placed
 	// at the next full tick (settleOrder); orderDirty forces a full
 	// rebuild after warp validity changes (CTA placement and retirement,
-	// LoadState). LRR keeps no list: it walks scan.valid. Derived state,
-	// never serialized.
+	// LoadState). Derived state, never serialized.
 	head, tail  int8
 	next, prev  [64]int8
 	orderDirty  bool
@@ -195,11 +193,11 @@ type SM struct {
 	// Quiescence cache. When valid, quiescent() has proven that every
 	// tick before qHorizon (exclusive) is a pure stall-accounting no-op
 	// classified as qKind, so tick() replays that verdict in O(1) instead
-	// of re-scanning the warp list. Any event-side entry into the SM
-	// (fills, delayed decompression, store releases, CTA placement)
-	// invalidates it via touch(). This is what makes memory-stall and
-	// drain cycles cheap: the clock ticks every cycle, but a stalled SM
-	// costs a few compares per tick.
+	// of re-scanning the warp list. Every event entry into the SM (a
+	// fill, a delayed hardware decompression, compression or fault
+	// check) invalidates it via touch(). This is what makes memory-stall
+	// and drain cycles cheap: the clock ticks every cycle, but a stalled
+	// SM costs a few compares per tick.
 	qValid   bool
 	qKind    stats.StallKind
 	qHorizon uint64
@@ -244,8 +242,10 @@ type SM struct {
 	cycle uint64
 }
 
-// touch invalidates the quiescence cache; every mutation of SM state that
-// can happen outside tick() must call it.
+// touch invalidates the quiescence cache. Every entry into the SM from
+// outside its own tick calls it first: onFill and the SM's queued
+// actions (actions.go). Code that runs inside tick needs none, since a
+// full tick has already dropped the verdict.
 func (sm *SM) touch() {
 	sm.qValid = false
 }
@@ -407,10 +407,7 @@ func (sm *SM) wbNext(from uint64) (uint64, bool) {
 // --- CTA lifecycle ---
 
 // placeCTA installs thread block cta onto the SM. Caller checked capacity.
-// It invalidates the quiescence cache: fresh warps change the issue
-// picture.
 func (sm *SM) placeCTA(ctaID int) {
-	sm.touch()
 	sm.orderDirty = true
 	k := sm.sim.Kernel
 	cfg := sm.sim.Cfg
@@ -644,12 +641,12 @@ type slotFlags struct {
 // so, which stall kind each of its issue slots would record. horizon is
 // the earliest future cycle at which this SM's own state can make a tick
 // act again (pipeline writeback, LSU/SFU port release, store-buffer
-// aging); ^uint64(0) when the SM is waiting purely on memory-system
-// events. tick() may then replay `kind` for every cycle before horizon
-// until touch() invalidates the verdict, with results bit-identical to
-// running the full tick.
+// aging); never when the SM is waiting purely on memory-system events.
+// tick() may then replay `kind` for every cycle before horizon until
+// touch() invalidates the verdict, with results bit-identical to running
+// the full tick.
 func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok bool) {
-	horizon = ^uint64(0)
+	horizon = never
 
 	// Assist-warp machinery in flight can act on any tick: AWC deployment
 	// and round-robin rotation every tick, queued triggers on the first
@@ -706,34 +703,22 @@ func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok 
 		}
 	}
 	// Warps: replicate issueSlot's classification flags without issuing,
-	// in issueSlot's visit order, so that attribution blames the same
-	// first warp: GTO's greedy warp and then the GTO order, or LRR's
-	// rotation. settleOrder first applies the moves the full tick would
-	// apply; nothing the order depends on changes before that tick.
-	// Per-tick port counters (aluPorts/lsuPorts) reset every cycle, so
-	// only the lsuFree/sfuFree time gates matter here.
+	// in issueSlot's visit order (the greedy warp, then the GTO order), so
+	// that attribution blames the same first warp. settleOrder first
+	// applies the moves the full tick would apply; nothing the order
+	// depends on changes before that tick.
 	var f slotFlags
 	if sm.attr != nil {
 		f.initBlame()
 	}
-	if sm.sim.Cfg.Scheduler == config.SchedLRR {
-		start := sm.lrrStart()
-		for m := bits.RotateLeft64(sm.scan.valid, -start); m != 0; m &= m - 1 {
-			w := sm.warps[(bits.TrailingZeros64(m)+start)&63]
-			if !sm.quietWarp(w, cycle, &f, &horizon) {
-				return 0, 0, false
-			}
-		}
-	} else {
-		sm.settleOrder()
-		g := sm.greedy
-		if g != nil && sm.resident(g) && !sm.quietWarp(g, cycle, &f, &horizon) {
+	sm.settleOrder()
+	g := sm.greedy
+	if g != nil && sm.resident(g) && !sm.quietWarp(g, cycle, &f, &horizon) {
+		return 0, 0, false
+	}
+	for i := sm.head; i >= 0; i = sm.next[i] {
+		if w := sm.warps[i]; w != g && !sm.quietWarp(w, cycle, &f, &horizon) {
 			return 0, 0, false
-		}
-		for i := sm.head; i >= 0; i = sm.next[i] {
-			if w := sm.warps[i]; w != g && !sm.quietWarp(w, cycle, &f, &horizon) {
-				return 0, 0, false
-			}
 		}
 	}
 	kind = classify(&f)
@@ -745,7 +730,7 @@ func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok 
 
 // quietWarp is quiescent's probe of one valid warp: it raises the flags
 // (and blame) tryWarp would raise at tick start, lowers horizon to the
-// port release that could unblock the warp, and reports false when the
+// cycle the warp's hazard clears by itself, and reports false when the
 // warp would issue. It reads state only.
 func (sm *SM) quietWarp(w *warpCtx, cycle uint64, f *slotFlags, horizon *uint64) bool {
 	in := w.exec.CurrentSop()
@@ -763,59 +748,16 @@ func (sm *SM) quietWarp(w *warpCtx, cycle uint64, f *slotFlags, horizon *uint64)
 		}
 		return true
 	}
-	switch in.Class {
-	case isa.ClassMem:
-		if cycle < sm.lsuFree {
-			f.memS = true
-			if f.blame && f.memW < 0 {
-				f.memW, f.memC = w.id, obs.CauseLSUBusy
-			}
-			if sm.lsuFree < *horizon {
-				*horizon = sm.lsuFree
-			}
-			return true
-		}
-		if in.GlobalMem && in.StoreOp &&
-			len(sm.storeBuf) >= storeBufCap && !sm.canEvictStore() {
-			// Unblocks only via compression/RMW completion events.
-			f.memS = true
-			if f.blame && f.memW < 0 {
-				f.memW, f.memC = w.id, obs.CauseStoreBufFull
-			}
-			return true
-		}
-		if in.GlobalMem && w.replay != nil {
-			// Blocks behind the warp's replaying load, which drains via
-			// fill events or the LSU horizon quiescent already took.
-			f.memS = true
-			if f.blame && f.memW < 0 {
-				f.memW, f.memC = w.id, sm.mshrCause()
-			}
-			return true
-		}
-		return false // the LSU is free: this warp would issue
-	case isa.ClassSFU:
-		if cycle < sm.sfuFree {
-			if sm.memo != nil {
-				// With memoization on, a busy SFU port is not a stall:
-				// the live tick may issue this warp through the probe
-				// path. Never claim quiescence over it.
-				return false
-			}
-			f.compS = true
-			if f.blame && f.compW < 0 {
-				f.compW, f.compC = w.id, obs.CauseSFUBusy
-			}
-			if sm.sfuFree < *horizon {
-				*horizon = sm.sfuFree
-			}
-			return true
-		}
-		return false
-	default:
-		// ALU and control ports are always available at tick start.
+	// The tick about to run starts with every per-tick port free.
+	c, clears := sm.hazard(in, w, cycle, true)
+	if c == noHazard || c == obs.CauseSFUBusy && sm.memo != nil {
+		// With memoization on, a busy SFU port is not a stall: the live
+		// tick may issue this warp through the probe path.
 		return false
 	}
+	f.noteHazard(w.id, c)
+	*horizon = min(*horizon, clears)
+	return true
 }
 
 // issueSlot tries to issue one instruction and classifies the slot. A
@@ -851,11 +793,8 @@ func (sm *SM) issueSlot() stats.StallKind {
 	}
 
 	// GTO: greedy on the last warp, then oldest (least-recently issued).
-	// LRR rotates from the slot after the last issuer, which it visits
-	// last.
-	lrr := sm.sim.Cfg.Scheduler == config.SchedLRR
 	todo := sm.scan.valid
-	if g := sm.greedy; g != nil && !lrr {
+	if g := sm.greedy; g != nil {
 		if todo&g.bit() != 0 && sm.tryWarp(g, &f) {
 			return stats.Active
 		}
@@ -868,28 +807,17 @@ func (sm *SM) issueSlot() stats.StallKind {
 	if !f.blame {
 		todo = sm.skipKnown(todo, &f)
 	}
-	if lrr {
-		start := sm.lrrStart()
-		for m := bits.RotateLeft64(todo, -start); m != 0; m &= m - 1 {
-			w := sm.warps[(bits.TrailingZeros64(m)+start)&63]
-			if sm.tryWarp(w, &f) {
-				sm.greedy = w
-				return stats.Active
-			}
+	// The list holds exactly the valid warps, so it cannot run out before
+	// todo does.
+	for i := sm.head; todo != 0; i = sm.next[i] {
+		b := uint64(1) << uint(i)
+		if todo&b == 0 {
+			continue
 		}
-	} else {
-		// The list holds exactly the valid warps, so it cannot run out
-		// before todo does.
-		for i := sm.head; todo != 0; i = sm.next[i] {
-			b := uint64(1) << uint(i)
-			if todo&b == 0 {
-				continue
-			}
-			todo &^= b
-			if w := sm.warps[i]; sm.tryWarp(w, &f) {
-				sm.greedy = w
-				return stats.Active
-			}
+		todo &^= b
+		if w := sm.warps[i]; sm.tryWarp(w, &f) {
+			sm.greedy = w
+			return stats.Active
 		}
 	}
 
@@ -930,16 +858,6 @@ func (sm *SM) skipKnown(todo uint64, f *slotFlags) uint64 {
 		skip |= sm.scan.sfu
 	}
 	return todo &^ skip
-}
-
-// lrrStart is LRR's first slot: the one after the last issuer. Rotating
-// a valid mask right by it visits every slot once, the last issuer
-// last.
-func (sm *SM) lrrStart() int {
-	if sm.greedy == nil {
-		return 0
-	}
-	return (sm.greedy.id + 1) & 63
 }
 
 // tryWarp attempts to issue for one warp: its high-priority assist warp
@@ -985,32 +903,14 @@ func (sm *SM) tryWarp(w *warpCtx, f *slotFlags) bool {
 	if in.Class == isa.ClassSFU {
 		sm.scan.sfu |= b
 	}
-	ok, memS, compS := sm.portsAvailable(in)
-	if !ok {
+	if c, _ := sm.hazard(in, w, sm.cycle, false); c != noHazard {
 		// A saturated SFU port is exactly where the memoization use case
 		// adds throughput: a result-cache hit issues through a probe
 		// assist instead of waiting for the port.
-		if compS && sm.memo != nil && in.Class == isa.ClassSFU && sm.tryMemoIssue(w, in) {
+		if c == obs.CauseSFUBusy && sm.memo != nil && sm.tryMemoIssue(w, in) {
 			return true
 		}
-		f.memS = f.memS || memS
-		f.compS = f.compS || compS
-		if f.blame {
-			if memS && f.memW < 0 {
-				f.memW, f.memC = w.id, sm.portCause(in)
-			} else if compS && f.compW < 0 {
-				f.compW, f.compC = w.id, sm.portCause(in)
-			}
-		}
-		return false
-	}
-	// One load at a time may sit in the replay queue per warp: a second
-	// global access waits for the first's MSHR-overflow lines to drain.
-	if in.GlobalMem && w.replay != nil {
-		f.memS = true
-		if f.blame && f.memW < 0 {
-			f.memW, f.memC = w.id, sm.mshrCause()
-		}
+		f.noteHazard(w.id, c)
 		return false
 	}
 	sm.issueRegular(w, in)
@@ -1036,13 +936,8 @@ func (sm *SM) stepped(w *warpCtx) {
 // back only over warps with that cycle and a larger slot. While the
 // cycle is 0 that tie group also holds every warp that has never issued:
 // a warp issuing at cycle 0 stays in front of the never-issued warps in
-// larger slots. LRR keeps no list.
+// larger slots.
 func (sm *SM) settleOrder() {
-	if sm.sim.Cfg.Scheduler == config.SchedLRR {
-		sm.orderDirty = false
-		sm.issuedBuf = sm.issuedBuf[:0]
-		return
-	}
 	if sm.orderDirty {
 		sm.orderDirty = false
 		sm.issuedBuf = sm.issuedBuf[:0]
@@ -1102,46 +997,49 @@ func (sm *SM) unlink(id int) {
 	}
 }
 
-// portsAvailable checks structural hazards for an op class; (ok, memStall,
-// compStall).
-func (sm *SM) portsAvailable(in *isa.Superop) (bool, bool, bool) {
+// never is the cycle that never comes: the horizon of a wait that only
+// an event ends.
+const never = ^uint64(0)
+
+// noHazard is hazard's cause when the op can issue.
+const noHazard = obs.NumCauses
+
+// hazard is the issue stage's one structural-hazard check: the cause that
+// keeps in from issuing at cycle (noHazard when it can issue), and the
+// cycle that hazard clears by itself: lsuFree or sfuFree, the next tick
+// for a port spent this tick, never for a full store buffer or a
+// replaying load, which only events clear. The order is fixed: LSU busy,
+// a full store buffer with nothing evictable, the warp's own replaying
+// load (one load at a time may sit in the replay queue per warp; w is nil
+// for an assist warp, which has none), SFU busy, no ALU port left.
+// fresh judges the tick about to run, whose per-tick ports are all free
+// (quiescent); otherwise the ports spent earlier in this tick count.
+func (sm *SM) hazard(in *isa.Superop, w *warpCtx, cycle uint64, fresh bool) (obs.Cause, uint64) {
 	switch in.Class {
 	case isa.ClassMem:
-		if sm.lsuPorts == 0 || sm.cycle < sm.lsuFree {
-			return false, true, false
+		if cycle < sm.lsuFree {
+			return obs.CauseLSUBusy, sm.lsuFree
+		}
+		if !fresh && sm.lsuPorts == 0 {
+			return obs.CauseLSUBusy, cycle + 1
 		}
 		if in.GlobalMem && in.StoreOp &&
 			len(sm.storeBuf) >= storeBufCap && !sm.canEvictStore() {
-			return false, true, false
+			return obs.CauseStoreBufFull, never
+		}
+		if in.GlobalMem && w != nil && w.replay != nil {
+			return sm.mshrCause(), never
 		}
 	case isa.ClassSFU:
-		if sm.cycle < sm.sfuFree {
-			return false, false, true
+		if cycle < sm.sfuFree {
+			return obs.CauseSFUBusy, sm.sfuFree
 		}
 	case isa.ClassALU:
-		if sm.aluPorts == 0 {
-			return false, false, true
+		if !fresh && sm.aluPorts == 0 {
+			return obs.CauseALUBusy, cycle + 1
 		}
 	}
-	return true, false, false
-}
-
-// portCause names the specific structural resource behind a
-// portsAvailable failure, for stall attribution. Only called (blame
-// armed) after portsAvailable returned false for in, so the branches
-// mirror its failing conditions exactly.
-func (sm *SM) portCause(in *isa.Superop) obs.Cause {
-	switch in.Class {
-	case isa.ClassMem:
-		if sm.lsuPorts == 0 || sm.cycle < sm.lsuFree {
-			return obs.CauseLSUBusy
-		}
-		return obs.CauseStoreBufFull
-	case isa.ClassSFU:
-		return obs.CauseSFUBusy
-	default:
-		return obs.CauseALUBusy
-	}
+	return noHazard, 0
 }
 
 // canEvictStore reports whether the store buffer has a releasable entry.
@@ -1409,7 +1307,6 @@ func (sm *SM) processReplays() {
 // loadLineDone retires one line of a load; the last line completes the
 // instruction.
 func (sm *SM) loadLineDone(req *loadReq) {
-	sm.touch()
 	req.linesPending--
 	if req.linesPending > 0 {
 		return
@@ -1556,7 +1453,6 @@ func (sm *SM) compressAndWrite(se *storeEntry) {
 // releaseStore sends the (possibly compressed) line to L2 and frees the
 // buffer slot.
 func (sm *SM) releaseStore(se *storeEntry) {
-	sm.touch()
 	se.released = true
 	sm.retryArmed = true
 	sm.removeStore(se)
@@ -1805,7 +1701,6 @@ func (sm *SM) findAssistHost(pri core.Priority, warp int) int {
 // injected marks a fill the fault campaign corrupted, which routes the
 // completion through detection and recovery instead of delivering garbage.
 func (sm *SM) triggerDecompAW(ln uint64, st compress.Compressed, warp int, injected bool, done cont) {
-	sm.touch()
 	if _, err := core.DecompRoutineID(st); err != nil {
 		sm.fail(fmt.Errorf("gpu: %w", err))
 		return
@@ -1947,7 +1842,6 @@ func (sm *SM) finishECCCheck(dc *decompCtx, ex *core.Exec) {
 // instead of propagating garbage to the waiters; after runs when the
 // clean copy arrives (counted then as the recovery).
 func (sm *SM) refetchRaw(ln uint64, after cont) {
-	sm.touch()
 	sm.record("fault detected; refetching raw line", ln)
 	sm.sim.Sys.ReadLineRaw(sm.id, ln, &fillCtx{kind: fillRefetch, after: after})
 }
@@ -1963,9 +1857,9 @@ func (sm *SM) tryIssueAssist(e *core.Entry) (ok, dep, memS, compS bool) {
 	if e.SB.ConflictsSop(in) {
 		return false, true, false, false
 	}
-	pOK, memS, compS := sm.portsAvailable(in)
-	if !pOK {
-		return false, false, memS, compS
+	if c, _ := sm.hazard(in, nil, sm.cycle, false); c != noHazard {
+		compS := computeHazard(c)
+		return false, false, !compS, compS
 	}
 	info, stepped := e.Exec.StepRef()
 	if !stepped {
@@ -2116,7 +2010,6 @@ func (sm *SM) onFill(ln uint64, user any) {
 
 // completeFill installs the line and wakes its waiters.
 func (sm *SM) completeFill(ln uint64, ctx *fillCtx) {
-	sm.touch()
 	switch ctx.kind {
 	case fillLoad:
 		size := sm.sim.Cfg.LineSize

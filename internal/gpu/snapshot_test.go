@@ -4,61 +4,28 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/caba-sim/caba/internal/audit"
 	"github.com/caba-sim/caba/internal/config"
 	"github.com/caba-sim/caba/internal/core"
-	"github.com/caba-sim/caba/internal/faults"
 	"github.com/caba-sim/caba/internal/isa"
 	"github.com/caba-sim/caba/internal/snapshot"
 )
 
-// snapMatrixCase is one point of the restore-equivalence matrix.
-// workers sets the deprecated, ignored Config.SMWorkers, so the w4 cases
-// check that a config still carrying it checkpoints and resumes exactly.
-type snapMatrixCase struct {
-	name    string
-	workers int
-	faults  bool
-}
-
-func snapMatrix() []snapMatrixCase {
-	var out []snapMatrixCase
-	for _, w := range []int{1, 4} {
-		for _, flt := range []bool{false, true} {
-			name := fmt.Sprintf("w%d-clean", w)
-			if flt {
-				name = fmt.Sprintf("w%d-faults", w)
-			}
-			out = append(out, snapMatrixCase{name, w, flt})
-		}
-	}
-	return out
-}
-
-// newSnapSim builds one CABA-design simulator for the matrix: assist
-// warps, compression, the store buffer and (optionally) fault recovery
-// are all live, so a snapshot must carry every pending-work structure.
-func newSnapSim(t *testing.T, c snapMatrixCase, fill bool) *Simulator {
+// newSnapSim builds one CABA-design simulator for the snapshot tests:
+// assist warps, compression and the store buffer are all live, so a
+// snapshot must carry every pending-work structure. fill prepares the
+// input; a simulator built without it starts with empty memory, which a
+// restored snapshot must fill.
+func newSnapSim(t *testing.T, fill bool) *Simulator {
 	t.Helper()
 	const threads, iters = 1536, 8
 	cfg := config.TestConfig()
-	cfg.SMWorkers = c.workers
 	cfg.BWScale = 0.25
 	cfg.MaxWarpsPerSM = 24
 	cfg.MaxThreadsPerSM = 768
-	if c.faults {
-		cfg.Faults = faults.Config{
-			Seed:                7,
-			BitFlipRate:         0.05,
-			MDCorruptRate:       0.02,
-			ResponseDelayRate:   0.05,
-			ResponseDelayCycles: 200,
-		}
-	}
 	k := &Kernel{Prog: streamSum4Kernel(), GridCTAs: 6, CTAThreads: 256,
 		Params: [4]uint64{inBase, outBase, uint64(threads * 4), iters}}
 	sim, err := New(&cfg, config.DesignCABABDI, k)
@@ -81,163 +48,11 @@ func outChecksum(sim *Simulator) uint64 {
 	return h
 }
 
-// TestSnapshotRestoreEquivalence is the tentpole guarantee: run(N) →
-// Save → Load into a fresh simulator → run(M−N) is bit-identical to
-// run(M), at snapshot points near 25%, 50% and 90% of the run, across
-// SMWorkers {1,4} (deprecated, ignored) and fault campaigns. It also
-// checks that a run with checkpointing (and auditing) enabled produces
-// exactly the stats of one without — maintenance must not perturb
-// simulated state.
-func TestSnapshotRestoreEquivalence(t *testing.T) {
-	const maxCycles = 20_000_000
-	for _, c := range snapMatrix() {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			straight := newSnapSim(t, c, true)
-			if err := straight.Run(maxCycles); err != nil {
-				t.Fatal(err)
-			}
-			total := straight.Cycles()
-			if total == 0 {
-				t.Fatal("straight run recorded no cycles")
-			}
-
-			// One checkpointed+audited run, capturing every blob.
-			type ckpt struct {
-				cycle uint64
-				blob  []byte
-			}
-			var ckpts []ckpt
-			ck := newSnapSim(t, c, true)
-			every := total / 20
-			if every == 0 {
-				every = 1
-			}
-			ck.Cfg.CheckpointEvery = every
-			ck.Cfg.AuditEvery = every / 2
-			if ck.Cfg.AuditEvery == 0 {
-				ck.Cfg.AuditEvery = 1
-			}
-			ck.OnCheckpoint = func(cycle uint64, blob []byte) error {
-				ckpts = append(ckpts, ckpt{cycle, append([]byte(nil), blob...)})
-				return nil
-			}
-			if err := ck.Run(maxCycles); err != nil {
-				t.Fatal(err)
-			}
-			if len(ckpts) == 0 {
-				t.Fatal("no checkpoints taken")
-			}
-			// Zero-overhead: checkpointing and auditing changed nothing.
-			if !reflect.DeepEqual(straight.S, ck.S) {
-				t.Fatalf("checkpointed run diverged from straight run:\nstraight: %+v\ncheckpointed: %+v", straight.S, ck.S)
-			}
-			if outChecksum(straight) != outChecksum(ck) {
-				t.Fatal("checkpointed run produced different output memory")
-			}
-
-			for _, pct := range []uint64{25, 50, 90} {
-				target := total * pct / 100
-				var chosen *ckpt
-				for i := range ckpts {
-					if ckpts[i].cycle >= target {
-						chosen = &ckpts[i]
-						break
-					}
-				}
-				if chosen == nil {
-					chosen = &ckpts[len(ckpts)-1]
-				}
-				// Restore into a fresh simulator with *empty* memory: the
-				// snapshot must carry all of it.
-				resumed := newSnapSim(t, c, false)
-				if err := resumed.LoadState(chosen.blob); err != nil {
-					t.Fatalf("restore at %d%% (cycle %d): %v", pct, chosen.cycle, err)
-				}
-				if err := resumed.Run(maxCycles); err != nil {
-					t.Fatalf("resume at %d%% (cycle %d): %v", pct, chosen.cycle, err)
-				}
-				if resumed.Cycles() != total {
-					t.Fatalf("resume at %d%%: finished at cycle %d, straight run at %d",
-						pct, resumed.Cycles(), total)
-				}
-				if !reflect.DeepEqual(straight.S, resumed.S) {
-					t.Fatalf("resume at %d%% (cycle %d): stats diverged:\nstraight: %+v\nresumed: %+v",
-						pct, chosen.cycle, straight.S, resumed.S)
-				}
-				if outChecksum(straight) != outChecksum(resumed) {
-					t.Fatalf("resume at %d%%: output memory diverged", pct)
-				}
-			}
-		})
-	}
-}
-
-// TestSnapshotResumeReproducesWedge: a fault campaign that drops
-// responses ends in a WedgeError; resuming from a mid-run checkpoint
-// must reproduce the identical wedge (same cycle, same message).
-func TestSnapshotResumeReproducesWedge(t *testing.T) {
-	build := func(fill bool) *Simulator {
-		const threads, iters = 512, 8
-		cfg := config.TestConfig()
-		cfg.WedgeLimit = 20_000
-		cfg.Faults = faults.Config{Seed: 11, ResponseDropRate: 0.02}
-		k := &Kernel{Prog: streamSumKernel(), GridCTAs: 4, CTAThreads: 64,
-			Params: [4]uint64{inBase, outBase, uint64(threads * 4), iters}}
-		sim, err := New(&cfg, config.DesignCABABDI, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fill {
-			fillInput(sim, threads*iters, true)
-			sim.Dom.Precompress(inBase, uint64(threads*iters*4))
-		}
-		return sim
-	}
-	straight := build(true)
-	errStraight := straight.Run(5_000_000)
-	var we *WedgeError
-	if !errors.As(errStraight, &we) {
-		t.Fatalf("dropping campaign should wedge, got %v", errStraight)
-	}
-
-	var blob []byte
-	ck := build(true)
-	ck.Cfg.CheckpointEvery = 2_000
-	ck.OnCheckpoint = func(cycle uint64, b []byte) error {
-		if blob == nil {
-			blob = append([]byte(nil), b...)
-		}
-		return nil
-	}
-	errCk := ck.Run(5_000_000)
-	if errCk == nil || errCk.Error() != errStraight.Error() {
-		t.Fatalf("checkpointed run: %v, want %v", errCk, errStraight)
-	}
-	if blob == nil {
-		t.Fatal("wedge before first checkpoint; lower CheckpointEvery")
-	}
-
-	resumed := build(false)
-	if err := resumed.LoadState(blob); err != nil {
-		t.Fatal(err)
-	}
-	errResumed := resumed.Run(5_000_000)
-	var we2 *WedgeError
-	if !errors.As(errResumed, &we2) {
-		t.Fatalf("resumed run: %v, want a wedge", errResumed)
-	}
-	if we2.Cycle != we.Cycle || errResumed.Error() != errStraight.Error() {
-		t.Fatalf("resumed wedge at cycle %d (%v), straight at %d (%v)",
-			we2.Cycle, errResumed, we.Cycle, errStraight)
-	}
-}
-
 // TestSnapshotRejectsWrongConfig: a blob from one configuration must not
-// load into a differently configured simulator.
+// load into a differently configured simulator, and must still load after
+// any field config.Config.ResultConfig zeroes is changed.
 func TestSnapshotRejectsWrongConfig(t *testing.T) {
-	c := snapMatrixCase{workers: 1}
-	sim := newSnapSim(t, c, true)
+	sim := newSnapSim(t, true)
 	var blob []byte
 	sim.Cfg.CheckpointEvery = 5_000
 	sim.OnCheckpoint = func(_ uint64, b []byte) error {
@@ -253,16 +68,18 @@ func TestSnapshotRejectsWrongConfig(t *testing.T) {
 		t.Fatal("no checkpoint taken")
 	}
 
-	// Same blob, every field config.Config.ResultConfig zeroes set to
-	// something else: loads.
-	ok := newSnapSim(t, snapMatrixCase{workers: 4}, false)
-	ok.Cfg.CheckpointEvery = 123
-	ok.Cfg.AuditEvery = 9
-	ok.Cfg.FlightRecorderDepth = 4
-	ok.Cfg.MetricsFile = "m.jsonl"
-	ok.Cfg.TraceFile = "t.json"
-	if err := ok.LoadState(blob); err != nil {
-		t.Fatalf("result-neutral config changes must not invalidate a snapshot: %v", err)
+	// Same blob, one result-neutral field changed at a time: loads.
+	want := newSnapSim(t, false).Cfg.ResultConfig()
+	for i := range reflect.TypeOf(config.Config{}).NumField() {
+		ok := newSnapSim(t, false)
+		Perturb(t, reflect.ValueOf(ok.Cfg).Elem().Field(i))
+		if ok.Cfg.ResultConfig() != want {
+			continue
+		}
+		if err := ok.LoadState(blob); err != nil {
+			t.Errorf("changing result-neutral %s invalidated the snapshot: %v",
+				reflect.TypeOf(config.Config{}).Field(i).Name, err)
+		}
 	}
 
 	// A different design must be rejected.
@@ -285,8 +102,7 @@ func TestSnapshotRejectsWrongConfig(t *testing.T) {
 // flips and version skew: every corruption must yield a structured error,
 // never a panic (the fuzz target extends this).
 func TestSnapshotLoadNeverPanics(t *testing.T) {
-	c := snapMatrixCase{workers: 1}
-	sim := newSnapSim(t, c, true)
+	sim := newSnapSim(t, true)
 	var blob []byte
 	sim.Cfg.CheckpointEvery = 5_000
 	sim.OnCheckpoint = func(_ uint64, b []byte) error {
@@ -303,7 +119,7 @@ func TestSnapshotLoadNeverPanics(t *testing.T) {
 	}
 
 	try := func(name string, data []byte) {
-		fresh := newSnapSim(t, c, false)
+		fresh := newSnapSim(t, false)
 		if err := fresh.LoadState(data); err == nil {
 			t.Errorf("%s: corrupted blob loaded without error", name)
 		}
@@ -327,7 +143,6 @@ func TestSnapshotLoadNeverPanics(t *testing.T) {
 // as the seed corpus. The property is absence of panics: any mutation
 // either round-trips (unlikely past the CRC) or returns an error.
 func FuzzSnapshotLoad(f *testing.F) {
-	c := snapMatrixCase{workers: 1}
 	const threads, iters = 512, 4
 	build := func(fill bool) (*Simulator, error) {
 		cfg := config.TestConfig()
@@ -370,7 +185,6 @@ func FuzzSnapshotLoad(f *testing.F) {
 			t.Skip()
 		}
 		_ = fresh.LoadState(data) // must not panic
-		_ = c
 	})
 }
 
@@ -555,12 +369,11 @@ func TestStoreReleaseArmsRetry(t *testing.T) {
 // faults are transient: a GTO list that broke the cycle-0 tie rule is
 // out of order for only the first few cycles.
 func TestAuditEveryPassesCleanRun(t *testing.T) {
-	c := snapMatrixCase{workers: 4}
-	plain := newSnapSim(t, c, true)
+	plain := newSnapSim(t, true)
 	if err := plain.Run(20_000_000); err != nil {
 		t.Fatal(err)
 	}
-	audited := newSnapSim(t, c, true)
+	audited := newSnapSim(t, true)
 	audited.Cfg.AuditEvery = 1
 	if err := audited.Run(20_000_000); err != nil {
 		t.Fatal(err)
@@ -587,8 +400,7 @@ func TestWedgeErrorMessageCompat(t *testing.T) {
 // TestSnapshotBlobWellFormed sanity-checks the container round trip at
 // this layer (Seal/Open compatibility with the GPU's config hash).
 func TestSnapshotBlobWellFormed(t *testing.T) {
-	c := snapMatrixCase{workers: 1}
-	sim := newSnapSim(t, c, true)
+	sim := newSnapSim(t, true)
 	hash, err := sim.configHash()
 	if err != nil {
 		t.Fatal(err)

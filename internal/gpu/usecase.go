@@ -304,7 +304,6 @@ func (sm *SM) pfTrain(w *warpCtx, pc int32, ln uint64) {
 		sm.stat.PrefetchThrottled++
 		return
 	}
-	sm.touch()
 	ex := sm.newAssistExec(rt)
 	for lane := 0; lane < core.PrefetchDegree; lane++ {
 		ex.SetReg(lane, 2, base)
@@ -340,7 +339,6 @@ func (sm *SM) tryMemoProbe(w *warpCtx, in *isa.Superop, key uint64) bool {
 	if host < 0 {
 		return false
 	}
-	sm.touch()
 	ex := sm.newAssistExec(rt)
 	off := memoSlotOff(key)
 	for lane := 0; lane < core.WarpSize; lane++ {
@@ -369,7 +367,6 @@ func (sm *SM) tryMemoProbe(w *warpCtx, in *isa.Superop, key uint64) bool {
 // computed at issue — the ground truth the LUT holds), so the SFU
 // destinations release and the warp resumes.
 func (sm *SM) finishMemoProbe(mc *memoCtx) {
-	sm.touch()
 	w := mc.w
 	w.sb.ClearSop(mc.sop)
 	sm.scan.dep &^= w.bit()
@@ -378,8 +375,8 @@ func (sm *SM) finishMemoProbe(mc *memoCtx) {
 }
 
 // tryMemoIssue issues an SFU instruction through the memoization probe
-// path. Only called when the SFU port is saturated (portsAvailable
-// failed on the initiation interval): a result-cache hit lets the
+// path. Only called when the SFU port is saturated (hazard reported
+// CauseSFUBusy, the initiation interval): a result-cache hit lets the
 // instruction complete via a high-priority probe assist instead of
 // waiting for the port, so memoization adds SFU throughput exactly
 // where the pipe is the bottleneck. Returns true when the instruction
@@ -427,7 +424,6 @@ func (sm *SM) tryMemoSave(w *warpCtx, key uint64) bool {
 	if host < 0 {
 		return false
 	}
-	sm.touch()
 	ex := sm.newAssistExec(rt)
 	ex.SetReg(0, 2, key)
 	ex.SetReg(0, 3, key)

@@ -17,9 +17,7 @@ import (
 // resumed run finishes bit-identical to the uninterrupted run.
 func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 	const maxCycles = 20_000_000
-	c := snapMatrixCase{name: "w1-clean", workers: 1}
-
-	straight := newSnapSim(t, c, true)
+	straight := newSnapSim(t, true)
 	if err := straight.Run(maxCycles); err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +29,7 @@ func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 	// Capture one blob near the middle of the run, where warps hold a
 	// mix of live verdicts (dep-stalled on in-flight results, idle at
 	// barriers or done).
-	donor := newSnapSim(t, c, true)
+	donor := newSnapSim(t, true)
 	donor.Cfg.CheckpointEvery = total / 2
 	var blob []byte
 	var at uint64
@@ -49,7 +47,7 @@ func TestVerdictCachesAcrossSnapshot(t *testing.T) {
 		t.Fatal("no checkpoint captured")
 	}
 
-	resumed := newSnapSim(t, c, false)
+	resumed := newSnapSim(t, false)
 	if err := resumed.LoadState(blob); err != nil {
 		t.Fatalf("restore at cycle %d: %v", at, err)
 	}

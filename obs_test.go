@@ -2,16 +2,11 @@ package caba_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	caba "github.com/caba-sim/caba"
 	"github.com/caba-sim/caba/internal/obs"
@@ -25,54 +20,6 @@ func obsConfig() caba.Config {
 	cfg := caba.QuickConfig()
 	cfg.Scale = 0.03
 	return cfg
-}
-
-// TestObsGoldenEquivalence is the observability layer's core contract:
-// turning every probe on — metrics sampling, stall attribution, trace
-// export — must not change a single simulated statistic, with the
-// deprecated SMWorkers field unset or set to 4 (it is ignored: SMs always
-// tick serially, and the reference run leaves it unset). The reference
-// run has the layer fully off; every instrumented variant must match it
-// bit-for-bit, and the sampled series must be identical across variants.
-// The internal/gpu per-cycle reference table checks the same series
-// against ticking without the quiescence cache.
-func TestObsGoldenEquivalence(t *testing.T) {
-	ref, err := caba.Run(obsConfig(), caba.CABABDI, "PVC", 1)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	if ref.Series != nil || ref.Stalls != nil {
-		t.Fatal("observability off must leave Result.Series and Result.Stalls nil")
-	}
-	var refSeries *caba.MetricsSeries
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := obsConfig()
-			cfg.SMWorkers = workers
-			cfg.SampleEvery = 500
-			cfg.AttributeStalls = true
-			cfg.TraceFile = filepath.Join(t.TempDir(), "run.trace.json")
-			res, err := caba.Run(cfg, caba.CABABDI, "PVC", 1)
-			if err != nil {
-				t.Fatalf("instrumented run: %v", err)
-			}
-			if res.Cycles != ref.Cycles || res.IPC != ref.IPC {
-				t.Errorf("instrumented run: %d cycles IPC %v, reference: %d cycles IPC %v",
-					res.Cycles, res.IPC, ref.Cycles, ref.IPC)
-			}
-			for _, d := range ref.Stats.Diff(res.Stats) {
-				t.Errorf("stats diverge with observability on: %s", d)
-			}
-			if res.Series == nil || res.Series.Len() == 0 {
-				t.Fatal("instrumented run produced no metrics samples")
-			}
-			if refSeries == nil {
-				refSeries = res.Series
-			} else if !reflect.DeepEqual(refSeries, res.Series) {
-				t.Error("metrics series differs across variants; sampling must not depend on SMWorkers")
-			}
-		})
-	}
 }
 
 // TestStallAttributionSums pins the attribution exactness invariant: the
@@ -185,61 +132,5 @@ func TestMetricsFileFormats(t *testing.T) {
 	}
 	if got := bytes.Count(csvRaw, []byte("\n")); got != res.Series.Len()+1 {
 		t.Errorf("CSV has %d lines, want %d rows + header", got, res.Series.Len())
-	}
-}
-
-// TestObsSnapshotResume: interrupting and resuming an instrumented run
-// must reproduce the uninterrupted run's metrics series and stall
-// attribution bit-for-bit — the sampler and attribution tables travel
-// through the snapshot with the rest of the machine.
-func TestObsSnapshotResume(t *testing.T) {
-	cfg := obsConfig()
-	cfg.Scale = 0.05
-	cfg.CheckpointEvery = 2_000
-	cfg.SampleEvery = 500
-	cfg.AttributeStalls = true
-	straight, err := caba.Run(cfg, caba.CABABDI, "PVC", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ckpt := filepath.Join(t.TempDir(), "cell.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		for {
-			if _, err := os.Stat(ckpt); err == nil {
-				cancel()
-				return
-			}
-			select {
-			case <-done:
-				return
-			case <-time.After(200 * time.Microsecond):
-			}
-		}
-	}()
-	res, err := caba.RunCheckpointed(ctx, cfg, caba.CABABDI, "PVC", 1, ckpt)
-	if err != nil {
-		if !errors.Is(err, caba.ErrInterrupted) {
-			t.Fatalf("interrupted run: %v, want ErrInterrupted", err)
-		}
-		res, err = caba.RunCheckpointed(context.Background(), cfg, caba.CABABDI, "PVC", 1, ckpt)
-		if err != nil {
-			t.Fatalf("resume: %v", err)
-		}
-	} else {
-		t.Log("run completed before the interrupt landed")
-	}
-	if !reflect.DeepEqual(straight.Stats, res.Stats) {
-		t.Error("resumed run statistics differ from the uninterrupted run")
-	}
-	if !reflect.DeepEqual(straight.Series, res.Series) {
-		t.Error("resumed run metrics series differs from the uninterrupted run")
-	}
-	if !reflect.DeepEqual(straight.Stalls, res.Stalls) {
-		t.Error("resumed run stall attribution differs from the uninterrupted run")
 	}
 }

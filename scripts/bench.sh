@@ -16,17 +16,15 @@ trap 'rm -f "$tmp"' EXIT
 go vet ./...
 go test -race ./...
 go test -run 'TestZeroFaultGolden' .
-# The maintenance knobs (CheckpointEvery/AuditEvery) default to zero in
-# every benchmarked configuration and must add nothing there beyond one
-# dead compare per cycle; the restore-equivalence and clean-audit tests
-# pin that a run with the knobs on produces statistics DeepEqual to a
-# plain run, so the knobs provably do not perturb the machine being timed.
-go test -run 'TestSnapshotRestoreEquivalence|TestAuditEveryPassesCleanRun' ./internal/gpu
-# The observability knobs (SampleEvery/MetricsFile/TraceFile/
-# AttributeStalls) also default to zero in every benchmarked
-# configuration; the obs golden-equivalence test pins that turning them
-# on changes no statistic, so off they are inert nil-pointer guards.
-go test -run 'TestObsGoldenEquivalence|TestStallAttributionSums' .
+# The maintenance and observability knobs (CheckpointEvery/AuditEvery/
+# FlightRecorderDepth, SampleEvery/MetricsFile/TraceFile/AttributeStalls)
+# default to zero in every benchmarked configuration and must add nothing
+# there beyond dead compares and nil-pointer guards; the differential
+# harness pins that a run with any of them on produces statistics equal
+# to a plain run, so they provably do not perturb the machine being
+# timed.
+go test -run 'TestDifferential|TestAuditEveryPassesCleanRun' ./internal/gpu
+go test -run 'TestStallAttributionSums' .
 
 # Record the previously published hot-loop allocation count so the
 # refresh below can prove the zero-value observability knobs added no

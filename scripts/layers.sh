@@ -62,7 +62,7 @@ go tool pprof -top -unit=ms -nodecount=1000000 -nodefraction=0 -edgefraction=0 \
 			m = fn
 			sub(/^.*\/internal\/gpu\./, "", m)
 			sub(/^\(\*SM\)\./, "", m)
-			if (m ~ /^(tick.*|quiescent|quietWarp|issueSlot|skipKnown|lrrStart|tryWarp|stepped|.*[Oo]rder.*|insertSorted|unlink|portsAvailable|portCause|wb(Add|Pop|Next)|tryIssueAssist|issueRegular|finishAfter|handleControl|noteWarpDone|countClass|checkAssistDone|chargeSlot|depCause|classify|blameFor|gtoBefore|mix64|.*[Mm]emo.*)$/ ||
+			if (m ~ /^(tick.*|quiescent|quietWarp|issueSlot|skipKnown|tryWarp|stepped|.*[Oo]rder.*|insertSorted|unlink|hazard|computeHazard|wb(Add|Pop|Next)|tryIssueAssist|issueRegular|finishAfter|handleControl|noteWarpDone|countClass|checkAssistDone|chargeSlot|depCause|classify|blameFor|gtoBefore|mix64|.*[Mm]emo.*)$/ ||
 				m ~ /^\(\*(slotFlags|warpCtx|memoCache)\)\./)
 				b = "issue"
 			else
