@@ -256,7 +256,7 @@ func FuzzControllerDeploy(f *testing.F) {
 					mask = 0
 				}
 				r := m.trigger(pri, warp, done)
-				e := c.Trigger(rt, warp, NewExec(rt.Prog, mask), nil, nil)
+				e := c.Trigger(rt, warp, NewExec(rt.Prog, mask), nil)
 				if (r == nil) != (e == nil) {
 					t.Fatalf("op %d: trigger accepted by controller %v, by model %v", i/2, e != nil, r != nil)
 				}

@@ -108,11 +108,10 @@ type Entry struct {
 	SB RegMask
 
 	Killed bool
-	User   any // opaque owner context (e.g. the pending load this unblocks)
-
-	// OnComplete fires when the routine has executed its last instruction
-	// and all writebacks have drained.
-	OnComplete func(*Entry)
+	// User is the owner's context (e.g. the pending load this unblocks).
+	// The owner decides what a retired entry's result feeds from it and
+	// the routine, so an entry is plain data a snapshot can carry.
+	User any
 
 	// pos is the entry's AWT position: its index in Controller.entries
 	// and its bit in the controller's masks (-1 once retired).
@@ -212,11 +211,11 @@ func (c *Controller) CanTrigger(pri Priority, warp int) bool {
 // live-ins populated by the caller, which models the MOVE instructions
 // that copy live-in data, Section 3.4). Returns nil if the AWT or the
 // relevant AWB partition is full.
-func (c *Controller) Trigger(rt *Routine, warp int, exec *Exec, user any, onComplete func(*Entry)) *Entry {
+func (c *Controller) Trigger(rt *Routine, warp int, exec *Exec, user any) *Entry {
 	if !c.CanTrigger(rt.Priority, warp) {
 		return nil
 	}
-	e := &Entry{Routine: rt, Pri: rt.Priority, Warp: warp, Exec: exec, User: user, OnComplete: onComplete}
+	e := &Entry{Routine: rt, Pri: rt.Priority, Warp: warp, Exec: exec, User: user}
 	c.add(e)
 	c.Triggered++
 	return e
@@ -355,8 +354,9 @@ func (c *Controller) HighFor(warp int) *Entry { return c.highByWarp[warp] }
 func (c *Controller) Entries() []*Entry { return c.entries }
 
 // Retire removes a finished or killed entry from the AWT and AWB
-// partitions and fires its completion callback (unless killed). Later
-// entries move up one position, and the masks close the gap.
+// partitions. Later entries move up one position, and the masks close
+// the gap. What the result feeds is the owner's business: it reads the
+// retired entry's User and Exec after Retire returns.
 func (c *Controller) Retire(e *Entry) {
 	if i := e.pos; i >= 0 && i < len(c.entries) && c.entries[i] == e {
 		copy(c.entries[i:], c.entries[i+1:])
@@ -375,9 +375,6 @@ func (c *Controller) Retire(e *Entry) {
 			c.nLow--
 		}
 		e.pos = -1
-	}
-	if !e.Killed && e.OnComplete != nil {
-		e.OnComplete(e)
 	}
 }
 

@@ -48,28 +48,28 @@ func TestControllerTriggerLimits(t *testing.T) {
 	c := NewController(s, 4)
 
 	// One high-priority assist warp per parent warp.
-	e1 := c.Trigger(hi, 3, NewExec(hi.Prog, hi.ActiveMask), nil, nil)
+	e1 := c.Trigger(hi, 3, NewExec(hi.Prog, hi.ActiveMask), nil)
 	if e1 == nil {
 		t.Fatal("first trigger failed")
 	}
-	if c.Trigger(hi, 3, NewExec(hi.Prog, hi.ActiveMask), nil, nil) != nil {
+	if c.Trigger(hi, 3, NewExec(hi.Prog, hi.ActiveMask), nil) != nil {
 		t.Error("second high-pri trigger for same warp must be rejected")
 	}
-	if c.Trigger(hi, 4, NewExec(hi.Prog, hi.ActiveMask), nil, nil) == nil {
+	if c.Trigger(hi, 4, NewExec(hi.Prog, hi.ActiveMask), nil) == nil {
 		t.Error("different warp should trigger fine")
 	}
 	// Low-priority partition has 2 entries.
-	if c.Trigger(lo, 5, NewExec(lo.Prog, lo.ActiveMask), nil, nil) == nil {
+	if c.Trigger(lo, 5, NewExec(lo.Prog, lo.ActiveMask), nil) == nil {
 		t.Error("low-pri slot 1 should trigger")
 	}
-	if c.Trigger(lo, 6, NewExec(lo.Prog, lo.ActiveMask), nil, nil) == nil {
+	if c.Trigger(lo, 6, NewExec(lo.Prog, lo.ActiveMask), nil) == nil {
 		t.Error("low-pri slot 2 should trigger")
 	}
-	if c.Trigger(lo, 7, NewExec(lo.Prog, lo.ActiveMask), nil, nil) != nil {
+	if c.Trigger(lo, 7, NewExec(lo.Prog, lo.ActiveMask), nil) != nil {
 		t.Error("low-pri partition is full (2 entries)")
 	}
 	// AWT full.
-	if c.Trigger(hi, 8, NewExec(hi.Prog, hi.ActiveMask), nil, nil) != nil {
+	if c.Trigger(hi, 8, NewExec(hi.Prog, hi.ActiveMask), nil) != nil {
 		t.Error("AWT is full (4 entries)")
 	}
 }
@@ -81,8 +81,8 @@ func TestControllerDeployRoundRobin(t *testing.T) {
 	c := NewController(s, 8)
 	c.DeployBW = 2
 	c.StagedCap = 2
-	e1 := c.Trigger(hi, 0, NewExec(hi.Prog, hi.ActiveMask), nil, nil)
-	e2 := c.Trigger(hi, 1, NewExec(hi.Prog, hi.ActiveMask), nil, nil)
+	e1 := c.Trigger(hi, 0, NewExec(hi.Prog, hi.ActiveMask), nil)
+	e2 := c.Trigger(hi, 1, NewExec(hi.Prog, hi.ActiveMask), nil)
 	c.Tick() // DeployBW=2: one instr staged for each
 	if e1.Staged != 1 || e2.Staged != 1 {
 		t.Errorf("staged = %d/%d, want 1/1", e1.Staged, e2.Staged)
@@ -103,8 +103,8 @@ func TestControllerThrottlesLowPriority(t *testing.T) {
 	s.Preload(hi)
 	s.Preload(lo)
 	c := NewController(s, 8)
-	eh := c.Trigger(hi, 0, NewExec(hi.Prog, hi.ActiveMask), nil, nil)
-	el := c.Trigger(lo, 1, NewExec(lo.Prog, lo.ActiveMask), nil, nil)
+	eh := c.Trigger(hi, 0, NewExec(hi.Prog, hi.ActiveMask), nil)
+	el := c.Trigger(lo, 1, NewExec(lo.Prog, lo.ActiveMask), nil)
 	// Saturate the utilization window.
 	for i := 0; i < 64; i++ {
 		c.NoteIssueSlot(true)
@@ -134,26 +134,21 @@ func TestControllerRetireAndComplete(t *testing.T) {
 	hi, _ := testRoutinePair()
 	s.Preload(hi)
 	c := NewController(s, 8)
-	completed := false
-	e := c.Trigger(hi, 2, NewExec(hi.Prog, hi.ActiveMask), "ctx", func(x *Entry) {
-		completed = true
-		if x.User != "ctx" {
-			t.Error("user context lost")
-		}
-	})
+	e := c.Trigger(hi, 2, NewExec(hi.Prog, hi.ActiveMask), "ctx")
 	// Drive to completion: stage, issue, execute.
 	for !e.Exec.Done {
 		e.Exec.Step()
 	}
 	c.Retire(e)
-	if !completed {
-		t.Error("OnComplete must fire on retire")
-	}
 	if len(c.Entries()) != 0 || c.HighFor(2) != nil {
 		t.Error("entry must be removed from AWT")
 	}
+	// The owner completes the retired entry from its User and Exec.
+	if e.User != "ctx" || !e.Done() {
+		t.Errorf("retired entry lost its state: user %v, done %v", e.User, e.Done())
+	}
 	// A new high-pri trigger for warp 2 must now succeed.
-	if c.Trigger(hi, 2, NewExec(hi.Prog, hi.ActiveMask), nil, nil) == nil {
+	if c.Trigger(hi, 2, NewExec(hi.Prog, hi.ActiveMask), nil) == nil {
 		t.Error("slot should be free after retire")
 	}
 }
@@ -163,13 +158,9 @@ func TestControllerKillFlushes(t *testing.T) {
 	hi, _ := testRoutinePair()
 	s.Preload(hi)
 	c := NewController(s, 8)
-	fired := false
-	e := c.Trigger(hi, 0, NewExec(hi.Prog, hi.ActiveMask), nil, func(*Entry) { fired = true })
+	e := c.Trigger(hi, 0, NewExec(hi.Prog, hi.ActiveMask), nil)
 	c.Tick()
 	c.Kill(e)
-	if fired {
-		t.Error("killed warps must not fire OnComplete")
-	}
 	if e.Staged != 0 || !e.Killed {
 		t.Error("kill must flush AWB staging")
 	}

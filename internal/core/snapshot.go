@@ -9,9 +9,10 @@ import (
 
 // Serialization of the CABA framework's architectural state: warp
 // execution contexts (Exec) and the Assist Warp Controller with its live
-// AWT entries. Opaque owner state (Entry.User, Entry.OnComplete) is
-// round-tripped through caller-supplied codecs, since only the GPU core
-// knows how to encode its payloads and reattach completion callbacks.
+// AWT entries. The opaque owner payload (Entry.User) is round-tripped
+// through caller-supplied codecs, since only the GPU core knows how to
+// encode it; an entry holds no callback, so nothing else needs
+// rebuilding.
 
 // maxSnapLen bounds decoded collection lengths; every real collection here
 // is far smaller, so a larger claim is always corruption.
@@ -140,10 +141,10 @@ type execErr struct{ msg string }
 func (e *execErr) Error() string { return e.msg }
 
 // Save serializes the controller and its AWT entries. encEntry encodes
-// each entry's opaque User payload (OnComplete is rebuilt from it on
-// load). Entries are written in AWT position order, which Load restores
-// along with the masks and highByWarp. The window is written as its
-// 64-bit ring, its position and its busy count (the ring's popcount).
+// each entry's opaque User payload. Entries are written in AWT position
+// order, which Load restores along with the masks and highByWarp. The
+// window is written as its 64-bit ring, its position and its busy count
+// (the ring's popcount).
 func (c *Controller) Save(w *snapshot.Writer, encEntry func(*snapshot.Writer, *Entry) error) error {
 	w.Int(c.rr)
 	w.U64(c.window)
@@ -173,8 +174,8 @@ func (c *Controller) Save(w *snapshot.Writer, encEntry func(*snapshot.Writer, *E
 }
 
 // Load restores the controller. decEntry decodes each entry's User
-// payload and must set OnComplete; the entry's Routine, Warp and Exec are
-// already populated when it runs. State the controller could not have
+// payload (and may reject one its owner could not complete); the
+// entry's Routine, Warp and Exec are already populated when it runs. State the controller could not have
 // produced — a negative rr, a window position outside the ring, a busy
 // count that disagrees with the ring, more entries than the AWT holds, a
 // parent warp outside the masks, Staged outside [0, StagedCap] or a

@@ -2,11 +2,12 @@ package gpu
 
 import "github.com/caba-sim/caba/internal/compress"
 
-// Typed event-queue actions and continuations for the SM-side paths that
-// used to capture closures. Pending work must be serializable for
-// snapshot/restore: every action/continuation that can live across a cycle
-// boundary is a named struct encoded by object identity (see snapshot.go);
-// behavior is identical to the closures they replace.
+// The SM's pending work is plain data that the SM dispatches by kind, so
+// snapshot/restore can serialize it (snapshot.go) and nothing on the event
+// queue or in the AWT is a closure: smEvent is the SM's queued event,
+// cont a deferred continuation, pendingTrigger an assist-warp trigger
+// waiting for AWT space, and an AWT entry's User payload selects its
+// completion (completionOf).
 
 // contKind selects a continuation body.
 type contKind uint8
@@ -45,49 +46,39 @@ type decompPlain struct {
 	done cont
 }
 
-// actHWCompress finishes a dedicated-logic (DecompHW) store-side
-// compression after its fixed latency: compress the line's current bytes
-// and release the buffered store.
-type actHWCompress struct {
-	sm *SM
-	se *storeEntry
-}
-
-// Run compresses and releases.
-func (a actHWCompress) Run() {
-	a.sm.touch()
-	a.sm.domCompressLine(a.se.lineAddr)
-	a.sm.releaseStore(a.se)
-}
-
-// actCompleteFill delivers a fill after the dedicated decompressor's
-// latency (DecompHW fill path).
-type actCompleteFill struct {
+// smEvent is one of the SM's queued events, the dedicated-logic
+// (DecompHW) paths that complete after a fixed latency. kind is the
+// snapshot format's action tag:
+//
+//   - akHWCompress: compress se's line with its current bytes and
+//     release the buffered store;
+//   - akCompleteFill: deliver fill after the decompressor's latency;
+//   - akHWDetect: the decompressor's output check trips on an injected
+//     bit flip, counts the detection and refetches the raw line, with
+//     the original fill as the recovery continuation.
+type smEvent struct {
 	sm   *SM
+	kind uint8
 	ln   uint64
-	fill *fillCtx
+	se   *storeEntry // akHWCompress
+	fill *fillCtx    // akCompleteFill, akHWDetect
 }
 
-// Run completes the fill.
-func (a actCompleteFill) Run() {
-	a.sm.touch()
-	a.sm.completeFill(a.ln, a.fill)
-}
-
-// actHWDetect is the dedicated decompressor's output check tripping on an
-// injected bit flip: count the detection and refetch the raw line, with
-// the original fill as the recovery continuation.
-type actHWDetect struct {
-	sm   *SM
-	ln   uint64
-	fill *fillCtx
-}
-
-// Run detects and recovers.
-func (a actHWDetect) Run() {
-	a.sm.touch()
-	a.sm.stat.FaultsDetected++
-	a.sm.refetchRaw(a.ln, cont{kind: contCompleteFill, ln: a.ln, fill: a.fill})
+// Run enters the SM: it drops the quiescence verdict first (touch), then
+// runs the kind's work.
+func (a smEvent) Run() {
+	sm := a.sm
+	sm.touch()
+	switch a.kind {
+	case akHWCompress:
+		sm.domCompressLine(a.se.lineAddr)
+		sm.releaseStore(a.se)
+	case akCompleteFill:
+		sm.completeFill(a.ln, a.fill)
+	case akHWDetect:
+		sm.stat.FaultsDetected++
+		sm.refetchRaw(a.ln, cont{kind: contCompleteFill, ln: a.ln, fill: a.fill})
+	}
 }
 
 // pendingKind selects a queued assist-warp trigger body.

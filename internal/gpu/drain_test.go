@@ -5,6 +5,7 @@ import (
 
 	"github.com/caba-sim/caba/internal/config"
 	"github.com/caba-sim/caba/internal/isa"
+	"github.com/caba-sim/caba/internal/timing"
 )
 
 // runBothModes runs the same kernel with the per-cycle reference (every SM
@@ -69,7 +70,7 @@ func TestWedgeDetectorEquivalence(t *testing.T) {
 	// non-zero while every SM idles.
 	prep := func(sim *Simulator) {
 		sim.Cfg.WedgeLimit = 500
-		sim.Q.At(1_000_000, func() {})
+		sim.Q.Push(1_000_000, timing.Nop{})
 	}
 	slow, fast, serr, ferr := runBothModes(t, vecScaleKernel(), 2, 64,
 		[4]uint64{inBase, outBase}, 2_000_000, prep)

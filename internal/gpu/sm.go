@@ -1437,7 +1437,7 @@ func (sm *SM) compressAndWrite(se *storeEntry) {
 	case config.DecompHW:
 		se.state = sbCompress
 		_, lat := compress.HWLatency(design.Alg)
-		sm.sim.Q.Push(float64(sm.cycle+uint64(lat)), actHWCompress{sm: sm, se: se})
+		sm.sim.Q.Push(float64(sm.cycle+uint64(lat)), smEvent{sm: sm, kind: akHWCompress, se: se})
 	case config.DecompCABA:
 		if sm.compDisabled {
 			sm.sim.Dom.SetRaw(se.lineAddr)
@@ -1543,51 +1543,88 @@ func (sm *SM) tryCompressStep(se *storeEntry) bool {
 	}
 	ex := sm.newAssistExec(rt)
 	sm.sim.Dom.ReadRaw(se.lineAddr, ex.StageIn[:compress.LineSize])
-	e := sm.awc.Trigger(rt, se.warp, ex, se, sm.assistOnComplete(se, rt.ID))
+	if !sm.launchAssist(rt, se.warp, ex, se, "writeback-compress") {
+		return false
+	}
+	se.state = sbCompress
+	return true
+}
+
+// launchAssist triggers routine rt for parent warp slot host with its
+// prepared exec and the User payload that selects its completion
+// (completionOf). A launched assist warp is counted and opens its trace
+// span; a refused one returns its exec to the pool.
+func (sm *SM) launchAssist(rt *core.Routine, host int, ex *core.Exec, user any, span string) bool {
+	e := sm.awc.Trigger(rt, host, ex, user)
 	if e == nil {
 		sm.releaseAssistExec(ex)
 		return false
 	}
-	se.state = sbCompress
 	sm.stat.AssistWarps++
 	if sm.tr != nil {
-		sm.traceAssistBegin(e, "writeback-compress")
+		sm.traceAssistBegin(e, span)
 	}
 	return true
 }
 
-// assistOnComplete derives an assist warp's completion callback from its
-// opaque User payload and routine. Keeping the mapping total on the User
-// type (rather than capturing ad-hoc closures) is what lets snapshot
-// restore reattach callbacks to deserialized AWT entries.
-func (sm *SM) assistOnComplete(user any, rtID core.RoutineID) func(*core.Entry) {
-	switch u := user.(type) {
+// completion names what a retired assist warp's result feeds. It is a
+// function of the entry's User payload and routine (completionOf), so an
+// AWT entry is plain data: finishAssist dispatches on it, and LoadState
+// rejects a restored entry whose pair names none.
+type completion uint8
+
+const (
+	noCompletion     completion = iota
+	completeNothing             // prefetch, result-cache install: the routine's own work is its effect
+	completeCompress            // *storeEntry: one compression-chain step
+	completeDecomp              // *decompCtx: decompression with fault injection active
+	completeECC                 // *decompCtx: the ECC check over a decompressed image
+	completePlain               // *decompPlain: decompression without injection
+	completeMemo                // *memoCtx: a result-cache probe
+)
+
+// completionOf maps an assist warp's User payload and routine to its
+// completion.
+func completionOf(user any, id core.RoutineID) completion {
+	switch user.(type) {
 	case *storeEntry:
-		return func(done *core.Entry) { sm.finishCompressionStep(u, done) }
+		return completeCompress
 	case *decompCtx:
-		if rtID == core.RtECCCheck {
-			return func(fin *core.Entry) { sm.finishECCCheck(u, fin.Exec) }
+		if id == core.RtECCCheck {
+			return completeECC
 		}
-		return func(fin *core.Entry) { sm.finishDecompression(u, fin.Exec) }
+		return completeDecomp
 	case *decompPlain:
-		return func(fin *core.Entry) {
-			// Injection disabled: verify against the backing store and
-			// complete — exactly the pre-fault-framework flow.
-			sm.verifyDecompression(u.ln, fin.Exec)
-			sm.stat.LinesDecompressed++
-			sm.runCont(u.done)
-		}
+		return completePlain
 	case *memoCtx:
-		return func(*core.Entry) { sm.finishMemoProbe(u) }
+		return completeMemo
+	case nil:
+		if id == core.RtPrefetch || id == core.RtMemoSave {
+			return completeNothing
+		}
 	}
-	// Use-case triggers with no owner payload (prefetches, result-cache
-	// installs) still need a restorable completion: snapshot restore
-	// rejects AWT entries whose OnComplete cannot be rebuilt.
-	switch rtID {
-	case core.RtPrefetch, core.RtMemoSave:
-		return func(*core.Entry) {}
+	return noCompletion
+}
+
+// finishAssist runs a retired assist warp's completion.
+func (sm *SM) finishAssist(e *core.Entry) {
+	switch completionOf(e.User, e.Routine.ID) {
+	case completeCompress:
+		sm.finishCompressionStep(e.User.(*storeEntry), e)
+	case completeDecomp:
+		sm.finishDecompression(e.User.(*decompCtx), e.Exec)
+	case completeECC:
+		sm.finishECCCheck(e.User.(*decompCtx), e.Exec)
+	case completePlain:
+		// Injection disabled: verify against the backing store and
+		// complete — exactly the pre-fault-framework flow.
+		u := e.User.(*decompPlain)
+		sm.verifyDecompression(u.ln, e.Exec)
+		sm.stat.LinesDecompressed++
+		sm.runCont(u.done)
+	case completeMemo:
+		sm.finishMemoProbe(e.User.(*memoCtx))
 	}
-	return nil
 }
 
 // finishCompressionStep consumes one routine's result.
@@ -1733,16 +1770,7 @@ func (sm *SM) tryDecompTrigger(pt *pendingTrigger) bool {
 	} else {
 		user = &decompPlain{ln: pt.ln, done: pt.done}
 	}
-	e := sm.awc.Trigger(rt, host, ex, user, sm.assistOnComplete(user, id))
-	if e == nil {
-		sm.releaseAssistExec(ex)
-		return false
-	}
-	sm.stat.AssistWarps++
-	if sm.tr != nil {
-		sm.traceAssistBegin(e, "fill-decompress")
-	}
-	return true
+	return sm.launchAssist(rt, host, ex, user, "fill-decompress")
 }
 
 // verifyDecompression checks the assist warp's output against the backing
@@ -1802,16 +1830,7 @@ func (sm *SM) tryECC(dc *decompCtx) bool {
 	}
 	ex := sm.newAssistExec(rt)
 	copy(ex.StageIn, dc.buf[:])
-	e := sm.awc.Trigger(rt, host, ex, dc, sm.assistOnComplete(dc, core.RtECCCheck))
-	if e == nil {
-		sm.releaseAssistExec(ex)
-		return false
-	}
-	sm.stat.AssistWarps++
-	if sm.tr != nil {
-		sm.traceAssistBegin(e, "ecc-check")
-	}
-	return true
+	return sm.launchAssist(rt, host, ex, dc, "ecc-check")
 }
 
 // finishECCCheck resolves the check: a clean image completes the fill; a
@@ -1928,15 +1947,16 @@ func (sm *SM) countClass(in *isa.Superop) {
 	}
 }
 
-// checkAssistDone retires a finished assist warp and recycles its staging
-// buffers (the completion callback, which fires inside Retire, is the last
-// reader of the exec's staging output).
+// checkAssistDone retires a finished assist warp, runs its completion
+// and recycles its staging buffers (the completion is the last reader of
+// the exec's staging output).
 func (sm *SM) checkAssistDone(e *core.Entry) {
 	if !e.Killed && e.Done() {
 		if sm.tr != nil {
 			sm.traceAssistEnd(e)
 		}
 		sm.awc.Retire(e)
+		sm.finishAssist(e)
 		sm.retryArmed = true
 		sm.releaseAssistExec(e.Exec)
 	}
@@ -1990,10 +2010,10 @@ func (sm *SM) onFill(ln uint64, user any) {
 		if injected {
 			// The dedicated decompressor's output check catches the flip
 			// after the decompression latency and refetches the raw line.
-			sm.sim.Q.Push(sm.sim.Q.Now()+float64(d), actHWDetect{sm: sm, ln: ln, fill: ctx})
+			sm.sim.Q.Push(sm.sim.Q.Now()+float64(d), smEvent{sm: sm, kind: akHWDetect, ln: ln, fill: ctx})
 			return
 		}
-		sm.sim.Q.Push(sm.sim.Q.Now()+float64(d), actCompleteFill{sm: sm, ln: ln, fill: ctx})
+		sm.sim.Q.Push(sm.sim.Q.Now()+float64(d), smEvent{sm: sm, kind: akCompleteFill, ln: ln, fill: ctx})
 	case config.DecompCABA:
 		warp := 0
 		switch {

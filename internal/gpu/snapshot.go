@@ -6,6 +6,7 @@ import (
 	"github.com/caba-sim/caba/internal/compress"
 	"github.com/caba-sim/caba/internal/core"
 	"github.com/caba-sim/caba/internal/isa"
+	"github.com/caba-sim/caba/internal/mem"
 	"github.com/caba-sim/caba/internal/snapshot"
 	"github.com/caba-sim/caba/internal/timing"
 )
@@ -19,15 +20,17 @@ import (
 // Save, Load into a new sim, run(M−N more) produces exactly the stats and
 // error behavior of run(M) straight through.
 //
-// Pending work is held in pointer-linked structures (loadReq, storeEntry,
-// fillCtx, decompCtx, decompPlain) that are shared between warps, MSHR
-// waiter lists, AWT entries and queued events, so the encoder first
-// collects every reachable object into per-type tables (a deterministic
-// walk over SM state, then queue events, then memory-side waiters) and
-// encodes each reference as a table index. Decode allocates the tables
-// first, fills the payloads, then rebuilds the memory system, the event
-// queue and the SMs, resolving references back through the tables —
-// preserving aliasing exactly.
+// Pending work is plain data (actions.go): queued events are records
+// whose kind selects what runs, and an AWT entry's completion follows from
+// its User payload. That data is held in pointer-linked structures
+// (loadReq, storeEntry, fillCtx, decompCtx, decompPlain, memoCtx) shared
+// between warps, MSHR waiter lists, AWT entries and queued events, so the
+// encoder first collects every reachable object into one identity table
+// per type (idTable; a deterministic walk over SM state, then queue
+// events, then memory-side waiters) and encodes each reference as a table
+// index. Decode allocates the tables first (idList), fills the payloads,
+// then rebuilds the memory system, the event queue and the SMs, resolving
+// references back through the tables — preserving aliasing exactly.
 
 // snapErrf builds a structured format error for semantic (non-framing)
 // snapshot problems.
@@ -38,7 +41,8 @@ func snapErrf(format string, args ...any) error {
 // maxGPUSnapLen bounds decoded collection lengths in the GPU section.
 const maxGPUSnapLen = 1 << 22
 
-// Top-level event-queue action kinds.
+// Top-level event-queue action kinds; the three SM kinds are also
+// smEvent.kind.
 const (
 	akNop uint8 = iota
 	akMem
@@ -58,21 +62,89 @@ const (
 	refMemo
 )
 
+// idTable numbers the distinct objects of one pointer-shared type in
+// registration order; a reference encodes as the object's index, nil as
+// -1. Registration order fixes every index, and so every byte.
+type idTable[T any] struct {
+	idx  map[*T]int
+	objs []*T
+}
+
+// add registers p and reports whether it was new (nil never is).
+func (t *idTable[T]) add(p *T) bool {
+	if p == nil {
+		return false
+	}
+	if _, ok := t.idx[p]; ok {
+		return false
+	}
+	if t.idx == nil {
+		t.idx = make(map[*T]int)
+	}
+	t.idx[p] = len(t.objs)
+	t.objs = append(t.objs, p)
+	return true
+}
+
+// enc writes a reference to p.
+func (t *idTable[T]) enc(w *snapshot.Writer, p *T) error {
+	if p == nil {
+		w.Int(-1)
+		return nil
+	}
+	i, ok := t.idx[p]
+	if !ok {
+		return snapErrf("unregistered %T in snapshot walk", p)
+	}
+	w.Int(i)
+	return nil
+}
+
+// idList is the decode side of an idTable: the objects are allocated
+// first, so references resolve before the payloads are filled in.
+type idList[T any] []*T
+
+// newIDList allocates n zero objects.
+func newIDList[T any](n int) idList[T] {
+	l := make(idList[T], n)
+	for i := range l {
+		l[i] = new(T)
+	}
+	return l
+}
+
+// dec reads a reference written by idTable.enc.
+func (l idList[T]) dec(r *snapshot.Reader) (*T, error) {
+	i := r.Int()
+	if i == -1 || r.Err() != nil {
+		return nil, r.Err()
+	}
+	if i < 0 || i >= len(l) {
+		return nil, snapErrf("%T reference %d out of range", (*T)(nil), i)
+	}
+	return l[i], nil
+}
+
+// decAny reads a reference from l as a User payload. A nil reference
+// decodes as a typed nil: under the loadReq tag that is the MSHR's
+// assist-prefetch waiter, restored as such.
+func decAny[T any](l idList[T], r *snapshot.Reader) (any, error) {
+	p, err := l.dec(r)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // objTables are the identity tables for pointer-shared pending-work
-// objects. Index order is the deterministic registration order.
+// objects, one per type.
 type objTables struct {
-	loadIdx  map[*loadReq]int
-	loads    []*loadReq
-	storeIdx map[*storeEntry]int
-	stores   []*storeEntry
-	fillIdx  map[*fillCtx]int
-	fills    []*fillCtx
-	dcIdx    map[*decompCtx]int
-	dcs      []*decompCtx
-	dpIdx    map[*decompPlain]int
-	dps      []*decompPlain
-	memoIdx  map[*memoCtx]int
-	memos    []*memoCtx
+	loads  idTable[loadReq]
+	stores idTable[storeEntry]
+	fills  idTable[fillCtx]
+	dcs    idTable[decompCtx]
+	dps    idTable[decompPlain]
+	memos  idTable[memoCtx]
 
 	// warpSM maps each warp slot to its SM index so loadReq.warp can be
 	// encoded as (sm, slot).
@@ -81,171 +153,94 @@ type objTables struct {
 	err error // first registration failure (unknown object type)
 }
 
-func (t *objTables) fail(err error) {
-	if t.err == nil {
-		t.err = err
-	}
-}
-
-func (t *objTables) regLoad(q *loadReq) {
-	if q == nil {
-		return
-	}
-	if _, ok := t.loadIdx[q]; ok {
-		return
-	}
-	t.loadIdx[q] = len(t.loads)
-	t.loads = append(t.loads, q)
-}
-
-func (t *objTables) regStore(se *storeEntry) {
-	if se == nil {
-		return
-	}
-	if _, ok := t.storeIdx[se]; ok {
-		return
-	}
-	t.storeIdx[se] = len(t.stores)
-	t.stores = append(t.stores, se)
-}
-
-func (t *objTables) regCont(c cont) {
-	t.regFill(c.fill)
-	t.regLoad(c.req)
-}
-
-func (t *objTables) regFill(fc *fillCtx) {
-	if fc == nil {
-		return
-	}
-	if _, ok := t.fillIdx[fc]; ok {
-		return
-	}
-	t.fillIdx[fc] = len(t.fills)
-	t.fills = append(t.fills, fc)
-	t.regLoad(fc.load)
-	t.regStore(fc.se)
-	t.regCont(fc.after)
-}
-
-func (t *objTables) regDC(dc *decompCtx) {
-	if dc == nil {
-		return
-	}
-	if _, ok := t.dcIdx[dc]; ok {
-		return
-	}
-	t.dcIdx[dc] = len(t.dcs)
-	t.dcs = append(t.dcs, dc)
-	t.regCont(dc.done)
-}
-
-func (t *objTables) regDP(dp *decompPlain) {
-	if dp == nil {
-		return
-	}
-	if _, ok := t.dpIdx[dp]; ok {
-		return
-	}
-	t.dpIdx[dp] = len(t.dps)
-	t.dps = append(t.dps, dp)
-	t.regCont(dp.done)
-}
-
-func (t *objTables) regMemo(mc *memoCtx) {
-	if mc == nil {
-		return
-	}
-	if _, ok := t.memoIdx[mc]; ok {
-		return
-	}
-	t.memoIdx[mc] = len(t.memos)
-	t.memos = append(t.memos, mc)
-}
-
-func (t *objTables) regUser(u any) {
+// reg registers a pending-work object and, the first time it is seen,
+// what it references: a fill's load, its store and its continuation; a
+// decompression context's continuation.
+func (t *objTables) reg(u any) {
 	switch v := u.(type) {
 	case nil:
-	case *fillCtx:
-		t.regFill(v)
 	case *loadReq:
-		t.regLoad(v)
+		t.loads.add(v)
 	case *storeEntry:
-		t.regStore(v)
+		t.stores.add(v)
+	case *fillCtx:
+		if t.fills.add(v) {
+			t.loads.add(v.load)
+			t.stores.add(v.se)
+			t.regCont(v.after)
+		}
 	case *decompCtx:
-		t.regDC(v)
+		if t.dcs.add(v) {
+			t.regCont(v.done)
+		}
 	case *decompPlain:
-		t.regDP(v)
+		if t.dps.add(v) {
+			t.regCont(v.done)
+		}
 	case *memoCtx:
-		t.regMemo(v)
+		t.memos.add(v)
 	default:
-		t.fail(snapErrf("unserializable pending-work object %T", u))
+		if t.err == nil {
+			t.err = snapErrf("unserializable pending-work object %T", u)
+		}
 	}
+}
+
+// regCont registers a continuation's fill, then its load.
+func (t *objTables) regCont(c cont) {
+	t.reg(c.fill)
+	t.loads.add(c.req)
 }
 
 // collect registers every reachable pending-work object in deterministic
 // order: SM-resident state in SM-index order, then event-queue actions in
 // firing order, then memory-side waiters in partition order.
 func (sim *Simulator) collect(evs []timing.Event) (*objTables, error) {
-	t := &objTables{
-		loadIdx:  make(map[*loadReq]int),
-		storeIdx: make(map[*storeEntry]int),
-		fillIdx:  make(map[*fillCtx]int),
-		dcIdx:    make(map[*decompCtx]int),
-		dpIdx:    make(map[*decompPlain]int),
-		memoIdx:  make(map[*memoCtx]int),
-		warpSM:   make(map[*warpCtx]int),
-	}
+	t := &objTables{warpSM: make(map[*warpCtx]int)}
 	for _, sm := range sim.sms {
 		for _, w := range sm.warps {
 			t.warpSM[w] = sm.id
-			t.regLoad(w.replay)
+			t.loads.add(w.replay)
 		}
 		for _, q := range sm.replayQ {
-			t.regLoad(q)
+			t.loads.add(q)
 		}
 		for _, se := range sm.storeBuf {
-			t.regStore(se)
+			t.stores.add(se)
 		}
 		for _, ln := range sm.mshr.Lines() {
 			for _, wt := range sm.mshr.Waiters(ln) {
-				t.regUser(wt)
+				t.reg(wt)
 			}
 		}
 		for i := range sm.wbRing {
 			for j := range sm.wbRing[i] {
-				t.regLoad(sm.wbRing[i][j].req)
+				t.loads.add(sm.wbRing[i][j].req)
 			}
 		}
 		for i := range sm.decompRetry {
 			pt := &sm.decompRetry[i]
-			t.regStore(pt.se)
-			t.regDC(pt.dc)
+			t.stores.add(pt.se)
+			t.reg(pt.dc)
 			t.regCont(pt.done)
 		}
 		for _, e := range sm.awc.Entries() {
-			t.regUser(e.User)
+			t.reg(e.User)
 		}
 	}
 	for _, ev := range evs {
 		switch a := ev.Act.(type) {
 		case timing.Nop:
-		case actHWCompress:
-			t.regStore(a.se)
-		case actCompleteFill:
-			t.regFill(a.fill)
-		case actHWDetect:
-			t.regFill(a.fill)
+		case smEvent:
+			t.stores.add(a.se)
+			t.reg(a.fill)
 		default:
-			if !sim.Sys.VisitActionUsers(a, t.regUser) {
-				if timing.IsOpaque(a) {
-					return nil, snapErrf("opaque closure event on the queue (cannot checkpoint)")
-				}
+			if !sim.Sys.VisitActionUsers(a, t.reg) {
 				return nil, snapErrf("unserializable event action %T", a)
 			}
 		}
 	}
-	sim.Sys.VisitUsers(t.regUser)
+	sim.Sys.VisitUsers(t.reg)
 	if t.err != nil {
 		return nil, t.err
 	}
@@ -257,115 +252,39 @@ func (t *objTables) encUser(w *snapshot.Writer, u any) error {
 	switch v := u.(type) {
 	case nil:
 		w.U8(refNil)
+		return nil
 	case *fillCtx:
 		w.U8(refFill)
-		return t.encFill(w, v)
+		return t.fills.enc(w, v)
 	case *loadReq:
 		w.U8(refLoad)
-		return t.encLoad(w, v)
+		return t.loads.enc(w, v)
 	case *storeEntry:
 		w.U8(refStore)
-		return t.encStore(w, v)
+		return t.stores.enc(w, v)
 	case *decompCtx:
 		w.U8(refDecompCtx)
-		return t.encDC(w, v)
+		return t.dcs.enc(w, v)
 	case *decompPlain:
 		w.U8(refDecompPlain)
-		return t.encDP(w, v)
+		return t.dps.enc(w, v)
 	case *memoCtx:
 		w.U8(refMemo)
-		return t.encMemo(w, v)
+		return t.memos.enc(w, v)
 	default:
 		return snapErrf("unserializable pending-work object %T", u)
 	}
-	return nil
 }
 
-func (t *objTables) encMemo(w *snapshot.Writer, mc *memoCtx) error {
-	if mc == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.memoIdx[mc]
-	if !ok {
-		return snapErrf("unregistered memoCtx in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encLoad(w *snapshot.Writer, q *loadReq) error {
-	if q == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.loadIdx[q]
-	if !ok {
-		return snapErrf("unregistered loadReq in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encStore(w *snapshot.Writer, se *storeEntry) error {
-	if se == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.storeIdx[se]
-	if !ok {
-		return snapErrf("unregistered storeEntry in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encFill(w *snapshot.Writer, fc *fillCtx) error {
-	if fc == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.fillIdx[fc]
-	if !ok {
-		return snapErrf("unregistered fillCtx in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encDC(w *snapshot.Writer, dc *decompCtx) error {
-	if dc == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.dcIdx[dc]
-	if !ok {
-		return snapErrf("unregistered decompCtx in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encDP(w *snapshot.Writer, dp *decompPlain) error {
-	if dp == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.dpIdx[dp]
-	if !ok {
-		return snapErrf("unregistered decompPlain in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
+// encCont encodes a continuation by value, its fill and load by
+// reference.
 func (t *objTables) encCont(w *snapshot.Writer, c cont) error {
 	w.U8(uint8(c.kind))
 	w.U64(c.ln)
-	if err := t.encFill(w, c.fill); err != nil {
+	if err := t.fills.enc(w, c.fill); err != nil {
 		return err
 	}
-	return t.encLoad(w, c.req)
+	return t.loads.enc(w, c.req)
 }
 
 // encAction encodes a queued event action (GPU kinds inline, memory kinds
@@ -375,46 +294,20 @@ func (t *objTables) encAction(sim *Simulator) func(*snapshot.Writer, timing.Acti
 		switch a := act.(type) {
 		case timing.Nop:
 			w.U8(akNop)
-		case actHWCompress:
-			w.U8(akHWCompress)
+			return nil
+		case smEvent:
+			w.U8(a.kind)
 			w.Int(a.sm.id)
-			return t.encStore(w, a.se)
-		case actCompleteFill:
-			w.U8(akCompleteFill)
-			w.Int(a.sm.id)
-			w.U64(a.ln)
-			return t.encFill(w, a.fill)
-		case actHWDetect:
-			w.U8(akHWDetect)
-			w.Int(a.sm.id)
-			w.U64(a.ln)
-			return t.encFill(w, a.fill)
-		default:
-			if timing.IsOpaque(act) {
-				return snapErrf("opaque closure event on the queue (cannot checkpoint)")
+			if a.kind == akHWCompress {
+				return t.stores.enc(w, a.se)
 			}
+			w.U64(a.ln)
+			return t.fills.enc(w, a.fill)
+		default:
 			w.U8(akMem)
 			return sim.Sys.EncodeAction(w, act, t.encUser)
 		}
-		return nil
 	}
-}
-
-// saveComp / loadComp serialize a compressed-line value.
-func saveComp(w *snapshot.Writer, c compress.Compressed) {
-	w.U64(uint64(c.Alg))
-	w.U8(c.Enc)
-	w.Bytes(c.Data)
-}
-
-func loadComp(r *snapshot.Reader) compress.Compressed {
-	var c compress.Compressed
-	c.Alg = compress.AlgID(r.U64())
-	c.Enc = r.U8()
-	if b := r.Bytes(maxGPUSnapLen); len(b) > 0 {
-		c.Data = append([]byte(nil), b...)
-	}
-	return c
 }
 
 // configHash binds a snapshot to the run it came from: the
@@ -459,13 +352,13 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 	// Object tables: counts, then payloads in index order. Registration
 	// is closed under reference-following, so payload encoding never
 	// encounters an unregistered object.
-	w.Len(len(t.loads))
-	w.Len(len(t.stores))
-	w.Len(len(t.fills))
-	w.Len(len(t.dcs))
-	w.Len(len(t.dps))
-	w.Len(len(t.memos))
-	for _, q := range t.loads {
+	w.Len(len(t.loads.objs))
+	w.Len(len(t.stores.objs))
+	w.Len(len(t.fills.objs))
+	w.Len(len(t.dcs.objs))
+	w.Len(len(t.dps.objs))
+	w.Len(len(t.memos.objs))
+	for _, q := range t.loads.objs {
 		if q.warp == nil {
 			w.Int(-1)
 			w.Int(-1)
@@ -488,7 +381,7 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 			w.U64(ln)
 		}
 	}
-	for _, se := range t.stores {
+	for _, se := range t.stores.objs {
 		w.U64(se.lineAddr)
 		w.U32(se.coverage)
 		w.Int(se.warp)
@@ -502,19 +395,19 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 		w.U64(uint64(se.alg))
 		w.Bool(se.released)
 	}
-	for _, fc := range t.fills {
+	for _, fc := range t.fills.objs {
 		w.U8(uint8(fc.kind))
-		if err := t.encLoad(w, fc.load); err != nil {
+		if err := t.loads.enc(w, fc.load); err != nil {
 			return nil, err
 		}
-		if err := t.encStore(w, fc.se); err != nil {
+		if err := t.stores.enc(w, fc.se); err != nil {
 			return nil, err
 		}
 		if err := t.encCont(w, fc.after); err != nil {
 			return nil, err
 		}
 	}
-	for _, dc := range t.dcs {
+	for _, dc := range t.dcs.objs {
 		w.U64(dc.ln)
 		w.Int(dc.warp)
 		w.Bool(dc.injected)
@@ -523,13 +416,13 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 		}
 		w.Bytes(dc.buf[:])
 	}
-	for _, dp := range t.dps {
+	for _, dp := range t.dps.objs {
 		w.U64(dp.ln)
 		if err := t.encCont(w, dp.done); err != nil {
 			return nil, err
 		}
 	}
-	for _, mc := range t.memos {
+	for _, mc := range t.memos.objs {
 		// The parent warp encodes as (sm, slot) and the superop as its PC,
 		// like loadReq; a memoCtx always carries both.
 		w.Int(t.warpSM[mc.w])
@@ -642,7 +535,7 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 		w.U8(p)
 		w.Int(wp.inFlight)
 		w.Int(wp.pendingLoads)
-		if err := t.encLoad(w, wp.replay); err != nil {
+		if err := t.loads.enc(w, wp.replay); err != nil {
 			return err
 		}
 		w.U64(wp.lastIssueCycle)
@@ -697,7 +590,7 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 			} else {
 				w.Int(-1)
 			}
-			if err := t.encLoad(w, rec.req); err != nil {
+			if err := t.loads.enc(w, rec.req); err != nil {
 				return err
 			}
 		}
@@ -708,28 +601,28 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 	for i := range sm.decompRetry {
 		pt := &sm.decompRetry[i]
 		w.U8(uint8(pt.kind))
-		if err := t.encStore(w, pt.se); err != nil {
+		if err := t.stores.enc(w, pt.se); err != nil {
 			return err
 		}
 		w.U64(pt.ln)
-		saveComp(w, pt.st)
+		mem.SaveCompressed(w, pt.st)
 		w.Int(pt.warp)
 		if err := t.encCont(w, pt.done); err != nil {
 			return err
 		}
-		if err := t.encDC(w, pt.dc); err != nil {
+		if err := t.dcs.enc(w, pt.dc); err != nil {
 			return err
 		}
 	}
 	w.Len(len(sm.replayQ))
 	for _, q := range sm.replayQ {
-		if err := t.encLoad(w, q); err != nil {
+		if err := t.loads.enc(w, q); err != nil {
 			return err
 		}
 	}
 	w.Len(len(sm.storeBuf))
 	for _, se := range sm.storeBuf {
-		if err := t.encStore(w, se); err != nil {
+		if err := t.stores.enc(w, se); err != nil {
 			return err
 		}
 	}
@@ -743,80 +636,15 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 // decTables is the decode side of the object tables: pre-allocated
 // objects, filled in index order.
 type decTables struct {
-	loads  []*loadReq
-	stores []*storeEntry
-	fills  []*fillCtx
-	dcs    []*decompCtx
-	dps    []*decompPlain
-	memos  []*memoCtx
+	loads  idList[loadReq]
+	stores idList[storeEntry]
+	fills  idList[fillCtx]
+	dcs    idList[decompCtx]
+	dps    idList[decompPlain]
+	memos  idList[memoCtx]
 }
 
-func (t *decTables) decLoad(r *snapshot.Reader) (*loadReq, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.loads) {
-		return nil, snapErrf("loadReq reference %d out of range", i)
-	}
-	return t.loads[i], nil
-}
-
-func (t *decTables) decStore(r *snapshot.Reader) (*storeEntry, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.stores) {
-		return nil, snapErrf("storeEntry reference %d out of range", i)
-	}
-	return t.stores[i], nil
-}
-
-func (t *decTables) decFill(r *snapshot.Reader) (*fillCtx, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.fills) {
-		return nil, snapErrf("fillCtx reference %d out of range", i)
-	}
-	return t.fills[i], nil
-}
-
-func (t *decTables) decDC(r *snapshot.Reader) (*decompCtx, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.dcs) {
-		return nil, snapErrf("decompCtx reference %d out of range", i)
-	}
-	return t.dcs[i], nil
-}
-
-func (t *decTables) decDP(r *snapshot.Reader) (*decompPlain, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.dps) {
-		return nil, snapErrf("decompPlain reference %d out of range", i)
-	}
-	return t.dps[i], nil
-}
-
-func (t *decTables) decMemo(r *snapshot.Reader) (*memoCtx, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.memos) {
-		return nil, snapErrf("memoCtx reference %d out of range", i)
-	}
-	return t.memos[i], nil
-}
-
+// decCont mirrors encCont.
 func (t *decTables) decCont(r *snapshot.Reader) (cont, error) {
 	var c cont
 	k := r.U8()
@@ -826,10 +654,10 @@ func (t *decTables) decCont(r *snapshot.Reader) (cont, error) {
 	c.kind = contKind(k)
 	c.ln = r.U64()
 	var err error
-	if c.fill, err = t.decFill(r); err != nil {
+	if c.fill, err = t.fills.dec(r); err != nil {
 		return c, err
 	}
-	c.req, err = t.decLoad(r)
+	c.req, err = t.loads.dec(r)
 	return c, err
 }
 
@@ -839,43 +667,17 @@ func (t *decTables) decUser(r *snapshot.Reader) (any, error) {
 	case refNil:
 		return nil, r.Err()
 	case refFill:
-		fc, err := t.decFill(r)
-		if err != nil {
-			return nil, err
-		}
-		return fc, nil
+		return decAny(t.fills, r)
 	case refLoad:
-		q, err := t.decLoad(r)
-		if err != nil {
-			return nil, err
-		}
-		// A nil reference under the loadReq tag is the MSHR's typed-nil
-		// assist-prefetch waiter, restored as such.
-		return q, nil
+		return decAny(t.loads, r)
 	case refStore:
-		se, err := t.decStore(r)
-		if err != nil {
-			return nil, err
-		}
-		return se, nil
+		return decAny(t.stores, r)
 	case refDecompCtx:
-		dc, err := t.decDC(r)
-		if err != nil {
-			return nil, err
-		}
-		return dc, nil
+		return decAny(t.dcs, r)
 	case refDecompPlain:
-		dp, err := t.decDP(r)
-		if err != nil {
-			return nil, err
-		}
-		return dp, nil
+		return decAny(t.dps, r)
 	case refMemo:
-		mc, err := t.decMemo(r)
-		if err != nil {
-			return nil, err
-		}
-		return mc, nil
+		return decAny(t.memos, r)
 	default:
 		return nil, snapErrf("pending-work reference tag %d out of range", tag)
 	}
@@ -884,7 +686,12 @@ func (t *decTables) decUser(r *snapshot.Reader) (any, error) {
 // decAction decodes a queued event action.
 func (t *decTables) decAction(sim *Simulator) func(*snapshot.Reader) (timing.Action, error) {
 	return func(r *snapshot.Reader) (timing.Action, error) {
-		smFor := func() (*SM, error) {
+		switch kind := r.U8(); kind {
+		case akNop:
+			return timing.Nop{}, r.Err()
+		case akMem:
+			return sim.Sys.DecodeAction(r, t.decUser)
+		case akHWCompress, akCompleteFill, akHWDetect:
 			i := r.Int()
 			if r.Err() != nil {
 				return nil, r.Err()
@@ -892,45 +699,18 @@ func (t *decTables) decAction(sim *Simulator) func(*snapshot.Reader) (timing.Act
 			if i < 0 || i >= len(sim.sms) {
 				return nil, snapErrf("SM index %d out of range", i)
 			}
-			return sim.sms[i], nil
-		}
-		switch kind := r.U8(); kind {
-		case akNop:
-			return timing.Nop{}, r.Err()
-		case akMem:
-			return sim.Sys.DecodeAction(r, t.decUser)
-		case akHWCompress:
-			sm, err := smFor()
+			a := smEvent{sm: sim.sms[i], kind: kind}
+			var err error
+			if kind == akHWCompress {
+				a.se, err = t.stores.dec(r)
+			} else {
+				a.ln = r.U64()
+				a.fill, err = t.fills.dec(r)
+			}
 			if err != nil {
 				return nil, err
 			}
-			se, err := t.decStore(r)
-			if err != nil {
-				return nil, err
-			}
-			return actHWCompress{sm: sm, se: se}, nil
-		case akCompleteFill:
-			sm, err := smFor()
-			if err != nil {
-				return nil, err
-			}
-			ln := r.U64()
-			fc, err := t.decFill(r)
-			if err != nil {
-				return nil, err
-			}
-			return actCompleteFill{sm: sm, ln: ln, fill: fc}, nil
-		case akHWDetect:
-			sm, err := smFor()
-			if err != nil {
-				return nil, err
-			}
-			ln := r.U64()
-			fc, err := t.decFill(r)
-			if err != nil {
-				return nil, err
-			}
-			return actHWDetect{sm: sm, ln: ln, fill: fc}, nil
+			return a, nil
 		default:
 			return nil, snapErrf("event action kind %d out of range", kind)
 		}
@@ -1001,7 +781,6 @@ func (sim *Simulator) LoadState(blob []byte) (err error) {
 	}
 
 	// Object tables: allocate, then fill payloads.
-	t := &decTables{}
 	nLoads := r.Len(maxGPUSnapLen)
 	nStores := r.Len(maxGPUSnapLen)
 	nFills := r.Len(maxGPUSnapLen)
@@ -1011,29 +790,13 @@ func (sim *Simulator) LoadState(blob []byte) (err error) {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	t.loads = make([]*loadReq, nLoads)
-	for i := range t.loads {
-		t.loads[i] = &loadReq{}
-	}
-	t.stores = make([]*storeEntry, nStores)
-	for i := range t.stores {
-		t.stores[i] = &storeEntry{}
-	}
-	t.fills = make([]*fillCtx, nFills)
-	for i := range t.fills {
-		t.fills[i] = &fillCtx{}
-	}
-	t.dcs = make([]*decompCtx, nDCs)
-	for i := range t.dcs {
-		t.dcs[i] = &decompCtx{}
-	}
-	t.dps = make([]*decompPlain, nDPs)
-	for i := range t.dps {
-		t.dps[i] = &decompPlain{}
-	}
-	t.memos = make([]*memoCtx, nMemos)
-	for i := range t.memos {
-		t.memos[i] = &memoCtx{}
+	t := &decTables{
+		loads:  newIDList[loadReq](nLoads),
+		stores: newIDList[storeEntry](nStores),
+		fills:  newIDList[fillCtx](nFills),
+		dcs:    newIDList[decompCtx](nDCs),
+		dps:    newIDList[decompPlain](nDPs),
+		memos:  newIDList[memoCtx](nMemos),
 	}
 	for _, q := range t.loads {
 		smIdx, wid := r.Int(), r.Int()
@@ -1091,10 +854,10 @@ func (sim *Simulator) LoadState(blob []byte) (err error) {
 			return snapErrf("fill kind %d out of range", k)
 		}
 		fc.kind = fillKind(k)
-		if fc.load, err = t.decLoad(r); err != nil {
+		if fc.load, err = t.loads.dec(r); err != nil {
 			return err
 		}
-		if fc.se, err = t.decStore(r); err != nil {
+		if fc.se, err = t.stores.dec(r); err != nil {
 			return err
 		}
 		if fc.after, err = t.decCont(r); err != nil {
@@ -1289,7 +1052,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		wp.inFlight = r.Int()
 		wp.pendingLoads = r.Int()
 		var err error
-		if wp.replay, err = t.decLoad(r); err != nil {
+		if wp.replay, err = t.loads.dec(r); err != nil {
 			return err
 		}
 		wp.lastIssueCycle = r.U64()
@@ -1310,11 +1073,10 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		if err != nil {
 			return err
 		}
-		e.User = user
-		e.OnComplete = sm.assistOnComplete(user, e.Routine.ID)
-		if e.OnComplete == nil {
-			return snapErrf("AWT entry with no restorable completion")
+		if completionOf(user, e.Routine.ID) == noCompletion {
+			return snapErrf("AWT entry whose payload %T names no completion for routine %d", user, e.Routine.ID)
 		}
+		e.User = user
 		return nil
 	}); err != nil {
 		return err
@@ -1383,7 +1145,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 				rec.sop = &ops[pc]
 			}
 			var err error
-			if rec.req, err = t.decLoad(r); err != nil {
+			if rec.req, err = t.loads.dec(r); err != nil {
 				return err
 			}
 			sm.wbRing[i] = append(sm.wbRing[i], rec)
@@ -1405,16 +1167,16 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		}
 		pt.kind = pendingKind(kind)
 		var err error
-		if pt.se, err = t.decStore(r); err != nil {
+		if pt.se, err = t.stores.dec(r); err != nil {
 			return err
 		}
 		pt.ln = r.U64()
-		pt.st = loadComp(r)
+		pt.st = mem.LoadCompressed(r)
 		pt.warp = r.Int()
 		if pt.done, err = t.decCont(r); err != nil {
 			return err
 		}
-		if pt.dc, err = t.decDC(r); err != nil {
+		if pt.dc, err = t.dcs.dec(r); err != nil {
 			return err
 		}
 		sm.decompRetry = append(sm.decompRetry, pt)
@@ -1425,7 +1187,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 	}
 	sm.replayQ = sm.replayQ[:0]
 	for i := 0; i < nReplay; i++ {
-		q, err := t.decLoad(r)
+		q, err := t.loads.dec(r)
 		if err != nil {
 			return err
 		}
@@ -1440,7 +1202,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 	}
 	sm.storeBuf = sm.storeBuf[:0]
 	for i := 0; i < nStore; i++ {
-		se, err := t.decStore(r)
+		se, err := t.stores.dec(r)
 		if err != nil {
 			return err
 		}

@@ -345,7 +345,7 @@ func TestStoreReleaseArmsRetry(t *testing.T) {
 			sm := sim.sms[0]
 			rt := sim.AWS.MustGet(core.RtBDICompSpecial)
 			for sm.awc.CanTrigger(rt.Priority, 0) {
-				if sm.awc.Trigger(rt, 0, sm.newAssistExec(rt), nil, nil) == nil {
+				if sm.awc.Trigger(rt, 0, sm.newAssistExec(rt), nil) == nil {
 					t.Fatal("trigger refused while CanTrigger holds")
 				}
 			}

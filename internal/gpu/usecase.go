@@ -309,18 +309,12 @@ func (sm *SM) pfTrain(w *warpCtx, pc int32, ln uint64) {
 		ex.SetReg(lane, 2, base)
 		ex.SetReg(lane, 3, uint64(stride))
 	}
-	e := sm.awc.Trigger(rt, host, ex, nil, sm.assistOnComplete(nil, core.RtPrefetch))
-	if e == nil {
-		sm.releaseAssistExec(ex)
+	if !sm.launchAssist(rt, host, ex, nil, "prefetch") {
 		sm.stat.PrefetchThrottled++
 		return
 	}
 	sm.pf.markTriggered(tag, base)
 	sm.stat.PrefetchTriggers++
-	sm.stat.AssistWarps++
-	if sm.tr != nil {
-		sm.traceAssistBegin(e, "prefetch")
-	}
 }
 
 // memoSlotOff maps a content hash to its shared-scratch LUT byte offset
@@ -345,20 +339,13 @@ func (sm *SM) tryMemoProbe(w *warpCtx, in *isa.Superop, key uint64) bool {
 		ex.SetReg(lane, 2, key)
 		ex.SetReg(lane, 4, off)
 	}
-	mc := &memoCtx{w: w, sop: in}
-	e := sm.awc.Trigger(rt, host, ex, mc, sm.assistOnComplete(mc, core.RtMemoProbe))
-	if e == nil {
-		sm.releaseAssistExec(ex)
+	if !sm.launchAssist(rt, host, ex, &memoCtx{w: w, sop: in}, "memo-probe") {
 		return false
 	}
 	w.sb.MarkSop(in)
 	w.inFlight++
 	w.memoPending = true
 	sm.stat.MemoHits++
-	sm.stat.AssistWarps++
-	if sm.tr != nil {
-		sm.traceAssistBegin(e, "memo-probe")
-	}
 	return true
 }
 
@@ -428,16 +415,7 @@ func (sm *SM) tryMemoSave(w *warpCtx, key uint64) bool {
 	ex.SetReg(0, 2, key)
 	ex.SetReg(0, 3, key)
 	ex.SetReg(0, 4, memoSlotOff(key))
-	e := sm.awc.Trigger(rt, host, ex, nil, sm.assistOnComplete(nil, core.RtMemoSave))
-	if e == nil {
-		sm.releaseAssistExec(ex)
-		return false
-	}
-	sm.stat.AssistWarps++
-	if sm.tr != nil {
-		sm.traceAssistBegin(e, "memo-update")
-	}
-	return true
+	return sm.launchAssist(rt, host, ex, nil, "memo-update")
 }
 
 // --- Snapshot (appended to the SM section; layout gated by the hashed

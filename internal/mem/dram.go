@@ -245,8 +245,9 @@ func (ch *Channel) serveNext() {
 	respond := end + float64(t.TCL)*ch.coresPerMemLat
 	ch.q.Push(respond, r.done)
 	// The bus frees at `end`: pick the next request then (or now if the
-	// queue builds earlier — Enqueue restarts an idle channel).
-	ch.q.Push(end, actServe{ch: ch})
+	// queue builds earlier — Enqueue restarts an idle channel). The
+	// channel queues itself (Run), so no record is allocated.
+	ch.q.Push(end, ch)
 }
 
 // QueueDepth returns the number of waiting requests (excluding the one in

@@ -309,15 +309,20 @@ func TestMSHRUnbounded(t *testing.T) {
 
 // --- xbar ---
 
+// fn is a test-local action that runs a function.
+type fn func()
+
+func (f fn) Run() { f() }
+
 func TestXbarSerializesPortFlits(t *testing.T) {
 	var q timing.Queue
 	var s stats.Sim
 	x := NewXbar(&q, &s, 2, 8)
 	var arrivals []float64
 	for i := 0; i < 3; i++ {
-		x.ToPartition(0, 4, timing.Fn(func() { arrivals = append(arrivals, q.Now()) }))
+		x.ToPartition(0, 4, fn(func() { arrivals = append(arrivals, q.Now()) }))
 	}
-	x.ToPartition(1, 4, timing.Fn(func() { arrivals = append(arrivals, q.Now()) }))
+	x.ToPartition(1, 4, fn(func() { arrivals = append(arrivals, q.Now()) }))
 	q.RunUntil(1000)
 	// Port 0: packets finish at 4, 8, 12 (+8 latency) = 12, 16, 20.
 	// Port 1: independent, 4+8 = 12.
@@ -337,8 +342,8 @@ func TestXbarDirectionsIndependent(t *testing.T) {
 	var s stats.Sim
 	x := NewXbar(&q, &s, 1, 0)
 	var order []string
-	x.ToPartition(0, 10, timing.Fn(func() { order = append(order, "req") }))
-	x.FromPartition(0, 1, timing.Fn(func() { order = append(order, "resp") }))
+	x.ToPartition(0, 10, fn(func() { order = append(order, "req") }))
+	x.FromPartition(0, 1, fn(func() { order = append(order, "resp") }))
 	q.RunUntil(100)
 	if len(order) != 2 || order[0] != "resp" {
 		t.Errorf("order = %v; directions must not contend", order)
@@ -363,8 +368,8 @@ func testChannel(md bool) (*Channel, *timing.Queue, *stats.Sim) {
 func TestChannelBurstAccounting(t *testing.T) {
 	ch, q, s := testChannel(false)
 	done := 0
-	ch.Enqueue(0, false, 4, timing.Fn(func() { done++ }))
-	ch.Enqueue(128*6, false, 1, timing.Fn(func() { done++ })) // same channel, next local line
+	ch.Enqueue(0, false, 4, fn(func() { done++ }))
+	ch.Enqueue(128*6, false, 1, fn(func() { done++ })) // same channel, next local line
 	q.RunUntil(10000)
 	if done != 2 {
 		t.Fatalf("done = %d", done)
@@ -383,11 +388,11 @@ func TestChannelRowHitFaster(t *testing.T) {
 	ch.Enqueue(0, false, 4, nil)
 	q.RunUntil(100000)
 	// Same row: only CAS latency.
-	ch.Enqueue(128*6, false, 4, timing.Fn(func() { t2 = q.Now() }))
+	ch.Enqueue(128*6, false, 4, fn(func() { t2 = q.Now() }))
 	q.RunUntil(200000)
 	// Far line, same bank, different row: precharge + activate.
 	far := uint64(128) * 6 * ch.linesPerRow * uint64(len(ch.banks)) * 3
-	ch.Enqueue(far, false, 4, timing.Fn(func() { t3 = q.Now() }))
+	ch.Enqueue(far, false, 4, fn(func() { t3 = q.Now() }))
 	q.RunUntil(300000)
 	hitLat := t2 - 100000
 	missLat := t3 - 200000
@@ -400,10 +405,10 @@ func TestChannelFRFCFSPrefersRowHits(t *testing.T) {
 	ch, q, _ := testChannel(false)
 	var order []uint64
 	// Occupy the channel, then queue a row-conflict and a row-hit request.
-	ch.Enqueue(0, false, 4, timing.Fn(func() { order = append(order, 0) }))
+	ch.Enqueue(0, false, 4, fn(func() { order = append(order, 0) }))
 	conflict := uint64(128) * 6 * ch.linesPerRow * uint64(len(ch.banks)) * 5
-	ch.Enqueue(conflict, false, 4, timing.Fn(func() { order = append(order, 1) }))
-	ch.Enqueue(128*6, false, 4, timing.Fn(func() { order = append(order, 2) })) // row hit with req 0
+	ch.Enqueue(conflict, false, 4, fn(func() { order = append(order, 1) }))
+	ch.Enqueue(128*6, false, 4, fn(func() { order = append(order, 2) })) // row hit with req 0
 	q.RunUntil(100000)
 	if len(order) != 3 || order[1] != 2 {
 		t.Errorf("service order = %v; FR-FCFS should serve the row hit (2) before the conflict (1)", order)

@@ -40,7 +40,7 @@ func newPartition(id int, sys *System) *Partition {
 // handleRead runs when a read request packet arrives at the partition.
 func (p *Partition) handleRead(sm int, lineAddr uint64, user any) {
 	p.sys.Q.Push(p.sys.Q.Now()+float64(p.sys.Cfg.L2Latency),
-		actReadL2{p: p, sm: sm, ln: lineAddr, user: user})
+		p.event(evReadL2, sm, lineAddr, user))
 }
 
 // fetch issues the DRAM read for a missing line.
@@ -51,12 +51,12 @@ func (p *Partition) fetch(lineAddr uint64) {
 		bursts = st.Bursts()
 		p.sys.S.Ratio.Add(st)
 	}
-	p.ch.Enqueue(lineAddr, false, bursts, actFillDRAM{p: p, ln: lineAddr})
+	p.ch.Enqueue(lineAddr, false, bursts, event{p: p, ln: lineAddr, kind: evFillDRAM})
 }
 
 // fill installs a line arriving from DRAM and wakes its waiters.
 func (p *Partition) fill(lineAddr uint64) {
-	deliver := actDeliverFill{p: p, ln: lineAddr}
+	deliver := event{p: p, ln: lineAddr, kind: evDeliverFill}
 	if p.sys.Design.Scope == config.ScopeMemory && p.sys.Design.Decomp == config.DecompHW {
 		// Dedicated logic at the MC decompresses before the line enters
 		// L2 (HW-BDI-Mem): fixed-latency, off the core.
@@ -82,7 +82,7 @@ func (p *Partition) residentSize(lineAddr uint64) int {
 // handleWrite runs when a full-line write packet arrives.
 func (p *Partition) handleWrite(lineAddr uint64) {
 	p.sys.Q.Push(p.sys.Q.Now()+float64(p.sys.Cfg.L2Latency),
-		actWriteL2{p: p, ln: lineAddr})
+		event{p: p, ln: lineAddr, kind: evWriteL2})
 }
 
 // writebacks sends evicted dirty lines to DRAM.
@@ -92,7 +92,7 @@ func (p *Partition) writebacks(evs []Evicted) {
 			continue
 		}
 		p.sys.S.L2Evictions++
-		issue := actWBIssue{p: p, ln: ev.LineAddr}
+		issue := event{p: p, ln: ev.LineAddr, kind: evWBIssue}
 		if p.sys.Design.Scope == config.ScopeMemory {
 			// HW-BDI-Mem compresses at the MC on the way out.
 			p.sys.Dom.CompressLine(ev.LineAddr)
@@ -118,7 +118,8 @@ func (p *Partition) respond(sm int, lineAddr uint64, user any) {
 		p.sys.S.ResponsesDropped++
 		return
 	}
-	send := actRespSend{p: p, sm: sm, ln: lineAddr, flits: p.sys.respFlits(lineAddr), user: user}
+	send := p.event(evRespSend, sm, lineAddr, user)
+	send.flits = int32(p.sys.respFlits(lineAddr))
 	if d, ok := p.sys.Inj.RespDelay(); ok {
 		p.sys.S.FaultsInjected++
 		p.sys.S.ResponsesDelayed++
@@ -135,12 +136,11 @@ func (p *Partition) respond(sm int, lineAddr uint64, user any) {
 // traffic.
 func (p *Partition) handleReadRaw(sm int, lineAddr uint64, user any) {
 	p.sys.Q.Push(p.sys.Q.Now()+float64(p.sys.Cfg.L2Latency),
-		actReadRawL2{p: p, sm: sm, ln: lineAddr, user: user})
+		p.event(evReadRawL2, sm, lineAddr, user))
 }
 
 // respondRaw returns the uncompressed line at full-line flit cost, with no
 // fault injection (the recovery channel is protected).
 func (p *Partition) respondRaw(sm int, lineAddr uint64, user any) {
-	p.sys.X.FromPartition(p.id, p.sys.rawFlits(),
-		actFill{p: p, sm: sm, ln: lineAddr, user: user})
+	p.sys.X.FromPartition(p.id, p.sys.rawFlits(), p.event(evFill, sm, lineAddr, user))
 }

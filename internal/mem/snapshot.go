@@ -168,15 +168,16 @@ func (m *Memory) Load(r *snapshot.Reader) error {
 
 // --- Domain ---
 
-// saveCompressed encodes one compression state by value.
-func saveCompressed(w *snapshot.Writer, c compress.Compressed) {
+// SaveCompressed encodes one compression state by value (the domain's
+// per-line states here, the GPU's queued decompression triggers).
+func SaveCompressed(w *snapshot.Writer, c compress.Compressed) {
 	w.U64(uint64(c.Alg))
 	w.U8(c.Enc)
 	w.Bytes(c.Data)
 }
 
-// loadCompressed decodes one compression state.
-func loadCompressed(r *snapshot.Reader) compress.Compressed {
+// LoadCompressed decodes one compression state.
+func LoadCompressed(r *snapshot.Reader) compress.Compressed {
 	return compress.Compressed{
 		Alg:  compress.AlgID(r.U64()),
 		Enc:  r.U8(),
@@ -195,7 +196,7 @@ func (d *Domain) Save(w *snapshot.Writer) {
 	w.Len(len(lns))
 	for _, ln := range lns {
 		w.U64(ln)
-		saveCompressed(w, d.lines[ln])
+		SaveCompressed(w, d.lines[ln])
 	}
 }
 
@@ -205,7 +206,7 @@ func (d *Domain) Load(r *snapshot.Reader) error {
 	n := r.Len(maxMemSnapLen)
 	for i := 0; i < n; i++ {
 		ln := r.U64()
-		d.lines[ln] = loadCompressed(r)
+		d.lines[ln] = LoadCompressed(r)
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -312,26 +313,16 @@ func (ch *Channel) load(r *snapshot.Reader, decAction func(*snapshot.Reader) (ti
 // --- System ---
 
 // VisitActionUsers calls f on the opaque user payload carried by a memory
-// action, if any. It reports whether act is one of this package's action
-// types (timing.Nop counts as recognized: the channel schedules it for
+// action, if any. It reports whether act is one of this package's actions
+// (timing.Nop counts as recognized: the channel schedules it for
 // fire-and-forget writes).
 func (sys *System) VisitActionUsers(act timing.Action, f func(user any)) bool {
 	switch a := act.(type) {
-	case actArriveRead:
-		f(a.user)
-	case actReadL2:
-		f(a.user)
-	case actArriveReadRaw:
-		f(a.user)
-	case actReadRawL2:
-		f(a.user)
-	case actRespondRaw:
-		f(a.user)
-	case actRespSend:
-		f(a.user)
-	case actFill:
-		f(a.user)
-	case actArriveWrite, actWriteL2, actFillDRAM, actDeliverFill, actWBIssue, actServe, timing.Nop:
+	case event:
+		if !a.kind.plain() {
+			f(a.user)
+		}
+	case *Channel, timing.Nop:
 	default:
 		return false
 	}
@@ -355,74 +346,30 @@ func (sys *System) VisitUsers(f func(user any)) {
 	}
 }
 
-// Memory-action sub-kind tags (EncodeAction/DecodeAction).
-const (
-	mkArriveRead uint8 = iota
-	mkReadL2
-	mkArriveReadRaw
-	mkReadRawL2
-	mkRespondRaw
-	mkArriveWrite
-	mkWriteL2
-	mkFillDRAM
-	mkDeliverFill
-	mkWBIssue
-	mkRespSend
-	mkFill
-	mkServe
-)
-
-// EncodeAction serializes one of this package's event-queue actions;
-// encUser encodes opaque user payloads. Unknown action types return an
-// error (the caller owns the top-level action dispatch).
+// EncodeAction serializes one of this package's event-queue actions: the
+// kind tag, the partition (or, for a channel's next service, the channel)
+// index, then the fields the kind carries. encUser encodes opaque user
+// payloads. Unknown action types return an error (the caller owns the
+// top-level action dispatch).
 func (sys *System) EncodeAction(w *snapshot.Writer, act timing.Action, encUser func(*snapshot.Writer, any) error) error {
-	user := func(k uint8, p *Partition, sm int, ln uint64, u any) error {
-		w.U8(k)
-		w.Int(p.id)
-		w.Int(sm)
-		w.U64(ln)
-		return encUser(w, u)
-	}
-	plain := func(k uint8, p *Partition, ln uint64) error {
-		w.U8(k)
-		w.Int(p.id)
-		w.U64(ln)
-		return nil
-	}
 	switch a := act.(type) {
-	case actArriveRead:
-		return user(mkArriveRead, a.p, a.sm, a.ln, a.user)
-	case actReadL2:
-		return user(mkReadL2, a.p, a.sm, a.ln, a.user)
-	case actArriveReadRaw:
-		return user(mkArriveReadRaw, a.p, a.sm, a.ln, a.user)
-	case actReadRawL2:
-		return user(mkReadRawL2, a.p, a.sm, a.ln, a.user)
-	case actRespondRaw:
-		return user(mkRespondRaw, a.p, a.sm, a.ln, a.user)
-	case actArriveWrite:
-		return plain(mkArriveWrite, a.p, a.ln)
-	case actWriteL2:
-		return plain(mkWriteL2, a.p, a.ln)
-	case actFillDRAM:
-		return plain(mkFillDRAM, a.p, a.ln)
-	case actDeliverFill:
-		return plain(mkDeliverFill, a.p, a.ln)
-	case actWBIssue:
-		return plain(mkWBIssue, a.p, a.ln)
-	case actRespSend:
-		w.U8(mkRespSend)
+	case *Channel:
+		w.U8(uint8(evServe))
+		w.Int(a.id)
+		return nil
+	case event:
+		w.U8(uint8(a.kind))
 		w.Int(a.p.id)
+		if a.kind.plain() {
+			w.U64(a.ln)
+			return nil
+		}
 		w.Int(a.sm)
 		w.U64(a.ln)
-		w.Int(a.flits)
+		if a.kind == evRespSend {
+			w.Int(int(a.flits))
+		}
 		return encUser(w, a.user)
-	case actFill:
-		return user(mkFill, a.p, a.sm, a.ln, a.user)
-	case actServe:
-		w.U8(mkServe)
-		w.Int(a.ch.id)
-		return nil
 	default:
 		return memErrf("not a memory action")
 	}
@@ -430,86 +377,37 @@ func (sys *System) EncodeAction(w *snapshot.Writer, act timing.Action, encUser f
 
 // DecodeAction mirrors EncodeAction.
 func (sys *System) DecodeAction(r *snapshot.Reader, decUser func(*snapshot.Reader) (any, error)) (timing.Action, error) {
-	k := r.U8()
-	part := func() (*Partition, error) {
-		i := r.Int()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if i < 0 || i >= len(sys.parts) {
-			return nil, memErrf("partition index out of range")
-		}
-		return sys.parts[i], nil
+	k := eventKind(r.U8())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	switch k {
-	case mkArriveRead, mkReadL2, mkArriveReadRaw, mkReadRawL2, mkRespondRaw, mkFill:
-		p, err := part()
-		if err != nil {
-			return nil, err
-		}
-		sm := r.Int()
-		ln := r.U64()
-		u, err := decUser(r)
-		if err != nil {
-			return nil, err
-		}
-		switch k {
-		case mkArriveRead:
-			return actArriveRead{p: p, sm: sm, ln: ln, user: u}, nil
-		case mkReadL2:
-			return actReadL2{p: p, sm: sm, ln: ln, user: u}, nil
-		case mkArriveReadRaw:
-			return actArriveReadRaw{p: p, sm: sm, ln: ln, user: u}, nil
-		case mkReadRawL2:
-			return actReadRawL2{p: p, sm: sm, ln: ln, user: u}, nil
-		case mkRespondRaw:
-			return actRespondRaw{p: p, sm: sm, ln: ln, user: u}, nil
-		default:
-			return actFill{p: p, sm: sm, ln: ln, user: u}, nil
-		}
-	case mkArriveWrite, mkWriteL2, mkFillDRAM, mkDeliverFill, mkWBIssue:
-		p, err := part()
-		if err != nil {
-			return nil, err
-		}
-		ln := r.U64()
-		switch k {
-		case mkArriveWrite:
-			return actArriveWrite{p: p, ln: ln}, nil
-		case mkWriteL2:
-			return actWriteL2{p: p, ln: ln}, nil
-		case mkFillDRAM:
-			return actFillDRAM{p: p, ln: ln}, nil
-		case mkDeliverFill:
-			return actDeliverFill{p: p, ln: ln}, nil
-		default:
-			return actWBIssue{p: p, ln: ln}, nil
-		}
-	case mkRespSend:
-		p, err := part()
-		if err != nil {
-			return nil, err
-		}
-		sm := r.Int()
-		ln := r.U64()
-		flits := r.Int()
-		u, err := decUser(r)
-		if err != nil {
-			return nil, err
-		}
-		return actRespSend{p: p, sm: sm, ln: ln, flits: flits, user: u}, nil
-	case mkServe:
-		p, err := part()
-		if err != nil {
-			return nil, err
-		}
-		return actServe{ch: p.ch}, nil
-	default:
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
+	if k > evServe {
 		return nil, memErrf("unknown memory action kind")
 	}
+	i := r.Int()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if i < 0 || i >= len(sys.parts) {
+		return nil, memErrf("partition index out of range")
+	}
+	p := sys.parts[i]
+	switch {
+	case k == evServe:
+		return p.ch, nil
+	case k.plain():
+		return event{p: p, ln: r.U64(), kind: k}, r.Err()
+	}
+	sm := r.Int()
+	a := p.event(k, sm, r.U64(), nil)
+	if k == evRespSend {
+		a.flits = int32(r.Int())
+	}
+	var err error
+	if a.user, err = decUser(r); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // SaveState serializes the crossbar links, every partition (L2 cache,

@@ -71,7 +71,7 @@ func (sys *System) PartitionOf(lineAddr uint64) int {
 func (sys *System) ReadLine(sm int, lineAddr uint64, user any) {
 	p := sys.PartitionOf(lineAddr)
 	// A read request is a single control flit.
-	sys.X.ToPartition(p, 1, actArriveRead{p: sys.parts[p], sm: sm, ln: lineAddr, user: user})
+	sys.X.ToPartition(p, 1, sys.parts[p].event(evArriveRead, sm, lineAddr, user))
 }
 
 // ReadLineRaw requests the uncompressed copy of a line — the
@@ -83,7 +83,7 @@ func (sys *System) ReadLine(sm int, lineAddr uint64, user any) {
 // are injected on it, otherwise a hot campaign could livelock recovery.
 func (sys *System) ReadLineRaw(sm int, lineAddr uint64, user any) {
 	p := sys.PartitionOf(lineAddr)
-	sys.X.ToPartition(p, 1, actArriveReadRaw{p: sys.parts[p], sm: sm, ln: lineAddr, user: user})
+	sys.X.ToPartition(p, 1, sys.parts[p].event(evArriveReadRaw, sm, lineAddr, user))
 }
 
 // WriteLine sends a full-line write toward L2. The payload size (and hence
@@ -92,7 +92,7 @@ func (sys *System) ReadLineRaw(sm int, lineAddr uint64, user any) {
 func (sys *System) WriteLine(sm int, lineAddr uint64) {
 	p := sys.PartitionOf(lineAddr)
 	flits := 1 + sys.payloadFlits(lineAddr)
-	sys.X.ToPartition(p, flits, actArriveWrite{p: sys.parts[p], ln: lineAddr})
+	sys.X.ToPartition(p, flits, event{p: sys.parts[p], ln: lineAddr, kind: evArriveWrite})
 }
 
 // payloadFlits returns the data flits a line occupies on the interconnect.

@@ -7,19 +7,12 @@ package timing
 
 // Action is a scheduled unit of work. Pending actions are part of the
 // simulator's architectural state: snapshot/restore serializes the event
-// heap, so every action type that can be pending across a cycle boundary
-// must be a named struct the owning package knows how to encode. Plain
-// closures (via At/After) are still accepted for tests and intra-cycle
-// scheduling, but they are opaque to snapshotting.
+// queue, so every action the simulator schedules is plain data whose
+// owning package knows how to encode it (a memory event, an SM event, a
+// DRAM channel's next service, or Nop). The queue never holds a closure.
 type Action interface {
 	Run()
 }
-
-// funcAction adapts a plain closure to Action. Opaque to snapshotting.
-type funcAction struct{ fn func() }
-
-// Run invokes the wrapped closure.
-func (a funcAction) Run() { a.fn() }
 
 // Nop is an Action that does nothing. DRAM writes use it as their
 // completion action so the response event is always scheduled (keeping the
@@ -28,17 +21,6 @@ type Nop struct{}
 
 // Run does nothing.
 func (Nop) Run() {}
-
-// Fn adapts a plain closure to Action for callers (mostly tests) that
-// need to pass one where an Action is expected. Opaque to snapshotting.
-func Fn(fn func()) Action { return funcAction{fn} }
-
-// IsOpaque reports whether a is a closure wrapper that cannot be
-// serialized (scheduled via At/After/Fn rather than a named action type).
-func IsOpaque(a Action) bool {
-	_, ok := a.(funcAction)
-	return ok
-}
 
 // Event is one pending heap entry, exposed for snapshotting.
 type Event struct {
@@ -101,13 +83,6 @@ func (q *Queue) Push(t float64, a Action) {
 	copy(q.buf[pos+1:], q.buf[pos:])
 	q.buf[pos] = e
 }
-
-// At schedules fn to run at time t (closure convenience; opaque to
-// snapshotting — see Action).
-func (q *Queue) At(t float64, fn func()) { q.Push(t, funcAction{fn}) }
-
-// After schedules fn to run delay cycles after the current horizon.
-func (q *Queue) After(delay float64, fn func()) { q.At(q.now+delay, fn) }
 
 // RunUntil executes all events with time <= t in time order (events may
 // schedule further events, which are honored if they also fall within t).

@@ -6,12 +6,18 @@ import (
 	"testing/quick"
 )
 
+// fn is a test-local action that runs a function. A func value is
+// pointer-shaped, so queuing one allocates nothing.
+type fn func()
+
+func (f fn) Run() { f() }
+
 func TestQueueOrdering(t *testing.T) {
 	var q Queue
 	var got []int
-	q.At(3.0, func() { got = append(got, 3) })
-	q.At(1.0, func() { got = append(got, 1) })
-	q.At(2.0, func() { got = append(got, 2) })
+	q.Push(3.0, fn(func() { got = append(got, 3) }))
+	q.Push(1.0, fn(func() { got = append(got, 1) }))
+	q.Push(2.0, fn(func() { got = append(got, 2) }))
 	q.RunUntil(10)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("order = %v, want [1 2 3]", got)
@@ -23,7 +29,7 @@ func TestQueueFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
-		q.At(7.0, func() { got = append(got, i) })
+		q.Push(7.0, fn(func() { got = append(got, i) }))
 	}
 	q.RunUntil(7.0)
 	for i, v := range got {
@@ -36,7 +42,7 @@ func TestQueueFIFOTieBreak(t *testing.T) {
 func TestQueueHorizon(t *testing.T) {
 	var q Queue
 	ran := false
-	q.At(5.0, func() { ran = true })
+	q.Push(5.0, fn(func() { ran = true }))
 	q.RunUntil(4.999)
 	if ran {
 		t.Error("event ran before its time")
@@ -53,10 +59,10 @@ func TestQueueHorizon(t *testing.T) {
 func TestQueueCascade(t *testing.T) {
 	var q Queue
 	var got []float64
-	q.At(1.0, func() {
+	q.Push(1.0, fn(func() {
 		got = append(got, q.Now())
-		q.After(1.5, func() { got = append(got, q.Now()) })
-	})
+		q.Push(q.Now()+1.5, fn(func() { got = append(got, q.Now()) }))
+	}))
 	q.RunUntil(3.0)
 	if len(got) != 2 || got[0] != 1.0 || got[1] != 2.5 {
 		t.Errorf("cascade = %v, want [1 2.5]", got)
@@ -66,7 +72,7 @@ func TestQueueCascade(t *testing.T) {
 func TestQueueCascadeBeyondHorizon(t *testing.T) {
 	var q Queue
 	ran := false
-	q.At(1.0, func() { q.After(5.0, func() { ran = true }) })
+	q.Push(1.0, fn(func() { q.Push(q.Now()+5.0, fn(func() { ran = true })) }))
 	q.RunUntil(3.0)
 	if ran {
 		t.Error("cascaded event beyond horizon must not run")
@@ -81,7 +87,7 @@ func TestQueuePastSchedulingClamps(t *testing.T) {
 	var q Queue
 	q.RunUntil(10)
 	ran := false
-	q.At(2.0, func() { ran = true }) // in the past: clamps to now
+	q.Push(2.0, fn(func() { ran = true })) // in the past: clamps to now
 	q.RunUntil(10)
 	if !ran {
 		t.Error("past event should run at current horizon")
@@ -96,7 +102,7 @@ func TestQueueNextTime(t *testing.T) {
 	if _, ok := q.NextTime(); ok {
 		t.Error("empty queue should report no next time")
 	}
-	q.At(4.0, func() {})
+	q.Push(4.0, Nop{})
 	if nt, ok := q.NextTime(); !ok || nt != 4.0 {
 		t.Errorf("NextTime = %v, %v", nt, ok)
 	}
@@ -104,21 +110,21 @@ func TestQueueNextTime(t *testing.T) {
 
 // BenchmarkQueue models the simulator's steady-state load: a standing
 // population of pending events with interleaved scheduling and draining.
-// Before the typed heap (container/heap with `any` boxing) this allocated
-// one interface box per push; now only the callback closures allocate.
+// A pointer-shaped action is stored in the Event without a box, so the
+// steady state allocates nothing.
 func BenchmarkQueue(b *testing.B) {
 	var q Queue
-	fn := func() {}
+	act := fn(func() {})
 	// Standing population of events so the heap has realistic depth.
 	for i := 0; i < 256; i++ {
-		q.At(float64(i)*0.5, fn)
+		q.Push(float64(i)*0.5, act)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := q.Now()
 		for j := 0; j < 8; j++ {
-			q.At(t+float64(j%4)+0.25, fn)
+			q.Push(t+float64(j%4)+0.25, act)
 		}
 		q.RunUntil(t + 1)
 	}
@@ -134,12 +140,12 @@ func TestQueueMonotonicNow(t *testing.T) {
 			if math.IsNaN(tm) {
 				tm = 0
 			}
-			q.At(tm, func() {
+			q.Push(tm, fn(func() {
 				if q.Now() < last {
 					mono = false
 				}
 				last = q.Now()
-			})
+			}))
 		}
 		q.RunUntil(1e9)
 		return mono && q.Len() == 0
