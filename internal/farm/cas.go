@@ -30,12 +30,16 @@ import (
 // failure.
 type Store struct {
 	dir string
-	mu  sync.Mutex
+	// mu serializes the renames that publish, quarantine and delete
+	// entries. Reads and the write-and-fsync phase of a put never take
+	// it, so no read waits behind another entry's fsync.
+	mu sync.Mutex
 	// minFree is the disk-headroom floor for checkpoint blob uploads
 	// (0 = no preflight); set by the coordinator from its MinDiskFree.
 	minFree int64
-	// slowWrite, when non-nil, runs before every durable write (the
-	// soak harness injects disk latency here). Nil in production.
+	// slowWrite, when non-nil, runs in every durable write's unlocked
+	// write phase, where disk latency falls (the soak harness injects
+	// latency here). Nil in production.
 	slowWrite func()
 	// quarantined counts entries set aside since open (observability).
 	quarantined atomic.Uint64
@@ -118,8 +122,17 @@ func (s *Store) Quarantined() uint64 { return s.quarantined.Load() }
 
 // quarantine moves a corrupt entry aside (never deletes: the bytes are
 // evidence) and counts it. A collision on the quarantine name appends a
-// numeric suffix so repeated corruption never silently overwrites.
-func (s *Store) quarantine(path string) {
+// numeric suffix so repeated corruption never silently overwrites. The
+// caller read the entry without the lock, so a writer may have published
+// a good one since: quarantine re-reads and re-verifies under s.mu, and
+// moves the file only if check still rejects it.
+func (s *Store) quarantine(path string, check func([]byte) error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	raw, err := os.ReadFile(path)
+	if err != nil || check(raw) == nil {
+		return
+	}
 	q := path + ".quarantine"
 	for i := 1; ; i++ {
 		if _, err := os.Stat(q); errors.Is(err, os.ErrNotExist) {
@@ -132,9 +145,80 @@ func (s *Store) quarantine(path string) {
 	}
 }
 
+// put durably stores data at path. The entry is written and fsynced to a
+// temporary file of its own, so two writers of one key never share one,
+// without holding s.mu: reads and other writes never wait behind this
+// entry's fsync. s.mu covers only the rename that publishes it, which is
+// atomic, so a crash mid-write can never leave a torn entry at the
+// address.
+func (s *Store) put(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	if s.slowWrite != nil {
+		s.slowWrite()
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		s.mu.Lock()
+		err = os.Rename(f.Name(), path)
+		s.mu.Unlock()
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// get reads the entry at path and verifies and decodes it with open.
+// found is false when the entry is absent or fails verification; a
+// failing entry is quarantined. Reads take no lock: entries are published
+// by rename, so a reader sees one whole file, old or new.
+func get[T any](s *Store, path string, open func([]byte) (T, error)) (v T, found bool, err error) {
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return v, false, nil
+	}
+	if err != nil {
+		return v, false, err
+	}
+	if v, err = open(raw); err != nil {
+		s.quarantine(path, func(raw []byte) error {
+			_, err := open(raw)
+			return err
+		})
+		return v, false, nil
+	}
+	return v, true, nil
+}
+
+// sealedJSON returns an open function for a sealed JSON entry at key:
+// container CRC, address binding, JSON decode, then valid's shape check.
+func sealedJSON[T any](key uint64, valid func(*T) error) func([]byte) (*T, error) {
+	return func(raw []byte) (*T, error) {
+		payload, err := snapshot.Open(raw, key)
+		if err != nil {
+			return nil, err
+		}
+		v := new(T)
+		if err := json.Unmarshal(payload, v); err != nil {
+			return nil, err
+		}
+		if err := valid(v); err != nil {
+			return nil, err
+		}
+		return v, nil
+	}
+}
+
 // PutResult seals and durably stores a verified result at its cell key.
-// The write is atomic (temp file + rename), so a crash mid-write can
-// never leave a torn entry at the address.
 func (s *Store) PutResult(key uint64, res *caba.Result) error {
 	if err := resSchema(res); err != nil {
 		return err
@@ -143,12 +227,7 @@ func (s *Store) PutResult(key uint64, res *caba.Result) error {
 	if err != nil {
 		return fmt.Errorf("farm: store result: %w", err)
 	}
-	if s.slowWrite != nil {
-		s.slowWrite()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return snapshot.WriteFileAtomic(s.resultPath(key), snapshot.Seal(key, payload))
+	return s.put(s.resultPath(key), snapshot.Seal(key, payload))
 }
 
 // GetResult returns the stored result for key, or (nil, nil) when absent.
@@ -156,31 +235,11 @@ func (s *Store) PutResult(key uint64, res *caba.Result) error {
 // JSON decode, schema — and quarantined on any failure (the caller then
 // sees it as absent and re-runs the cell).
 func (s *Store) GetResult(key uint64) (*caba.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := s.resultPath(key)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
+	res, _, err := get(s, s.resultPath(key), sealedJSON(key, resSchema))
 	if err != nil {
 		return nil, fmt.Errorf("farm: read result: %w", err)
 	}
-	payload, err := snapshot.Open(raw, key)
-	if err != nil {
-		s.quarantine(path)
-		return nil, nil
-	}
-	var res caba.Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		s.quarantine(path)
-		return nil, nil
-	}
-	if err := resSchema(&res); err != nil {
-		s.quarantine(path)
-		return nil, nil
-	}
-	return &res, nil
+	return res, nil
 }
 
 // failRecord is the durable form of a terminal failure.
@@ -195,6 +254,9 @@ func (s *Store) failPath(key uint64) string {
 	return filepath.Join(s.dir, resultsDir, KeyString(key)+".fail")
 }
 
+// errNoMessage rejects a failure or poison record without its error text.
+var errNoMessage = errors.New("farm: record has no error message")
+
 // PutFailure durably records a terminal failure at the cell's address, so
 // a coordinator restart (or a later sweep over the same store) serves the
 // known outcome instead of re-simulating. Deterministic wedges in
@@ -205,33 +267,20 @@ func (s *Store) PutFailure(key uint64, errMsg string, wedge bool, attempts int) 
 	if err != nil {
 		return fmt.Errorf("farm: store failure: %w", err)
 	}
-	if s.slowWrite != nil {
-		s.slowWrite()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return snapshot.WriteFileAtomic(s.failPath(key), snapshot.Seal(key, payload))
+	return s.put(s.failPath(key), snapshot.Seal(key, payload))
 }
 
 // GetFailure returns the recorded terminal failure for key, or ok=false
 // when absent. Corrupt entries are quarantined and read as absent (the
 // cell then re-runs).
 func (s *Store) GetFailure(key uint64) (errMsg string, wedge bool, attempts int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := s.failPath(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return "", false, 0, false
-	}
-	payload, err := snapshot.Open(raw, key)
-	if err != nil {
-		s.quarantine(path)
-		return "", false, 0, false
-	}
-	var rec failRecord
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.Error == "" {
-		s.quarantine(path)
+	rec, ok, _ := get(s, s.failPath(key), sealedJSON(key, func(r *failRecord) error {
+		if r.Error == "" {
+			return errNoMessage
+		}
+		return nil
+	}))
+	if !ok {
 		return "", false, 0, false
 	}
 	return rec.Error, rec.Wedge, rec.Attempts, true
@@ -260,33 +309,20 @@ func (s *Store) PutPoison(key uint64, errMsg string, victims []string, attempts 
 	if err != nil {
 		return fmt.Errorf("farm: store poison record: %w", err)
 	}
-	if s.slowWrite != nil {
-		s.slowWrite()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return snapshot.WriteFileAtomic(s.poisonPath(key), snapshot.Seal(key, payload))
+	return s.put(s.poisonPath(key), snapshot.Seal(key, payload))
 }
 
 // GetPoison returns the recorded quarantine for key, or ok=false when
 // absent. Corrupt records are quarantined-aside and read as absent (the
 // breaker then has to trip again, which is safe — just slower).
 func (s *Store) GetPoison(key uint64) (errMsg string, victims []string, attempts int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := s.poisonPath(key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, 0, false
-	}
-	payload, err := snapshot.Open(raw, key)
-	if err != nil {
-		s.quarantine(path)
-		return "", nil, 0, false
-	}
-	var rec poisonRecord
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.Error == "" {
-		s.quarantine(path)
+	rec, ok, _ := get(s, s.poisonPath(key), sealedJSON(key, func(r *poisonRecord) error {
+		if r.Error == "" {
+			return errNoMessage
+		}
+		return nil
+	}))
+	if !ok {
 		return "", nil, 0, false
 	}
 	return rec.Error, rec.Victims, rec.Attempts, true
@@ -313,39 +349,27 @@ func (s *Store) PutBlob(key uint64, blob []byte) error {
 				errInsufficientStorage, free, s.minFree+2*int64(len(blob)))
 		}
 	}
-	if s.slowWrite != nil {
-		s.slowWrite()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return snapshot.WriteFileAtomic(s.BlobPath(key), blob)
+	return s.put(s.BlobPath(key), blob)
 }
 
 // GetBlob returns the cell's stored checkpoint blob, or (nil, nil) when
 // absent. The container is re-verified on read and quarantined on
 // corruption (the cell then resumes from cycle zero instead of failing).
 func (s *Store) GetBlob(key uint64) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := s.BlobPath(key)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
+	raw, _, err := get(s, s.BlobPath(key), func(raw []byte) ([]byte, error) {
+		if _, _, err := snapshot.Inspect(raw); err != nil {
+			return nil, err
+		}
+		return raw, nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("farm: read blob: %w", err)
-	}
-	if _, _, err := snapshot.Inspect(raw); err != nil {
-		s.quarantine(path)
-		return nil, nil
 	}
 	return raw, nil
 }
 
 // HasBlob reports whether a checkpoint blob is stored for key.
 func (s *Store) HasBlob(key uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, err := os.Stat(s.BlobPath(key))
 	return err == nil
 }

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,6 +284,103 @@ func TestStoreBlobVerification(t *testing.T) {
 	s.DeleteBlob(1)
 	if s.HasBlob(1) {
 		t.Error("HasBlob = true after DeleteBlob")
+	}
+}
+
+// TestStoreReadsNeverWaitForWrites: a put writes and fsyncs its entry to
+// a temporary file of its own without the store lock, which covers only
+// the rename. While one PutBlob is held in its write phase, reads of
+// other keys return; concurrent PutBlobs of one key leave one whole blob
+// that verifies and no temporary file behind.
+func TestStoreReadsNeverWaitForWrites(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutResult(2, &caba.Result{App: "PVC", Design: "Base", Cycles: 42}); err != nil {
+		t.Fatal(err)
+	}
+	blob := snapshot.Seal(99, []byte("checkpoint payload"))
+	if err := s.PutBlob(3, blob); err != nil {
+		t.Fatal(err)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.slowWrite = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	put := make(chan error, 1)
+	go func() { put <- s.PutBlob(1, blob) }()
+	<-entered
+	reads := make(chan struct{})
+	go func() {
+		defer close(reads)
+		if res, err := s.GetResult(2); err != nil || res == nil {
+			t.Errorf("GetResult = %v, %v", res, err)
+		}
+		if got, err := s.GetBlob(3); err != nil || string(got) != string(blob) {
+			t.Errorf("GetBlob mismatch: %v", err)
+		}
+		if !s.HasBlob(3) {
+			t.Error("HasBlob = false for a stored blob")
+		}
+	}()
+	select {
+	case <-reads:
+	case <-time.After(5 * time.Second):
+		t.Error("store reads waited behind another entry's write")
+	}
+	close(release)
+	if err := <-put; err != nil {
+		t.Fatalf("PutBlob: %v", err)
+	}
+	<-reads
+
+	// Writers of one key race through their write phases together: each
+	// waits (up to a deadline) until all of them are inside one.
+	const writers = 8
+	var ready sync.WaitGroup
+	ready.Add(writers)
+	allIn := make(chan struct{})
+	go func() {
+		ready.Wait()
+		close(allIn)
+	}()
+	s.slowWrite = func() {
+		ready.Done()
+		select {
+		case <-allIn:
+		case <-time.After(5 * time.Second):
+			t.Error("writers of one key waited behind each other's write")
+		}
+	}
+	want := map[string]bool{}
+	var wg sync.WaitGroup
+	for i := range writers {
+		b := snapshot.Seal(uint64(i), bytes.Repeat([]byte{byte(i)}, 64<<10*(i+1)))
+		want[string(b)] = true
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.PutBlob(4, b); err != nil {
+				t.Errorf("concurrent PutBlob: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	got, err := s.GetBlob(4)
+	if err != nil || !want[string(got)] {
+		t.Fatalf("concurrent writers of one key left no whole blob (%d bytes, %v)", len(got), err)
+	}
+	ents, err := os.ReadDir(filepath.Dir(s.BlobPath(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			t.Errorf("temporary file %s left behind", e.Name())
+		}
 	}
 }
 
