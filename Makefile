@@ -35,13 +35,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint enforces godoc coverage on the observability and reliability
-# packages — plus the ISA predecode and timing packages the execution
-# engines lean on, and the simulator/config/workloads/experiments
-# surface the assist-warp use cases extended — with the repo's own
-# stdlib-only checker (no external linters).
+# lint enforces godoc coverage on every internal package and on the
+# experiments surface, with the repo's own stdlib-only checker (no
+# external linters).
 lint:
-	$(GO) run ./scripts/lintdoc ./internal/obs ./internal/audit ./internal/faults ./internal/snapshot ./internal/isa ./internal/timing ./internal/farm ./internal/core ./internal/config ./internal/workloads ./internal/gpu ./internal/stats ./experiments
+	$(GO) run ./scripts/lintdoc ./internal/obs ./internal/audit ./internal/faults ./internal/snapshot ./internal/isa ./internal/timing ./internal/farm ./internal/core ./internal/config ./internal/workloads ./internal/gpu ./internal/mem ./internal/compress ./internal/energy ./internal/stats ./experiments
 
 test:
 	$(GO) test ./...
