@@ -23,8 +23,6 @@ type refAWC struct {
 	window     [64]bool
 	windowPos  int
 	windowBusy int
-
-	triggered, killed, deployed uint64
 }
 
 // refEntry is one model AWT entry; real is its twin in the Controller.
@@ -33,7 +31,6 @@ type refEntry struct {
 	warp   int
 	staged int
 	done   bool // the routine executed its last instruction
-	killed bool
 	real   *Entry
 }
 
@@ -58,7 +55,6 @@ func (m *refAWC) trigger(pri Priority, warp int, done bool) *refEntry {
 	} else {
 		m.low = append(m.low, e)
 	}
-	m.triggered++
 	return e
 }
 
@@ -73,11 +69,10 @@ func (m *refAWC) tick() {
 	deploy := func(pri Priority) {
 		for scanned := 0; scanned < n && credits > 0; scanned++ {
 			e := m.entries[(m.rr+scanned)%n]
-			if e.pri != pri || e.staged >= m.stagedCap || e.killed || e.done {
+			if e.pri != pri || e.staged >= m.stagedCap || e.done {
 				continue
 			}
 			e.staged++
-			m.deployed++
 			credits--
 		}
 	}
@@ -110,13 +105,6 @@ func (m *refAWC) retire(e *refEntry) {
 	if m.high[e.warp] == e {
 		delete(m.high, e.warp)
 	}
-}
-
-func (m *refAWC) kill(e *refEntry) {
-	e.killed = true
-	e.staged = 0
-	m.killed++
-	m.retire(e)
 }
 
 func (m *refAWC) noteIssueSlot(busy bool) {
@@ -154,11 +142,11 @@ func diffAWC(c *Controller, m *refAWC) string {
 		if e.pos != i {
 			return fmt.Sprintf("entry at position %d records position %d", i, e.pos)
 		}
-		if e.Staged != r.staged || e.Pri != r.pri || e.Warp != r.warp || e.Killed != r.killed || e.Exec.Done != r.done {
-			return fmt.Sprintf("entry %d: staged %d pri %d warp %d killed %v done %v, model staged %d pri %d warp %d killed %v done %v",
-				i, e.Staged, e.Pri, e.Warp, e.Killed, e.Exec.Done, r.staged, r.pri, r.warp, r.killed, r.done)
+		if e.Staged != r.staged || e.Pri != r.pri || e.Warp != r.warp || e.Exec.Done != r.done {
+			return fmt.Sprintf("entry %d: staged %d pri %d warp %d done %v, model staged %d pri %d warp %d done %v",
+				i, e.Staged, e.Pri, e.Warp, e.Exec.Done, r.staged, r.pri, r.warp, r.done)
 		}
-		if e.Staged < c.StagedCap && !e.Killed && !e.Exec.Done {
+		if e.Staged < c.StagedCap && !e.Exec.Done {
 			ready[e.Pri] |= 1 << i
 		}
 		if e.Staged > 0 {
@@ -188,9 +176,8 @@ func diffAWC(c *Controller, m *refAWC) string {
 			return fmt.Sprintf("HighFor(%d) differs from the model", w)
 		}
 	}
-	if c.rr != m.rr || c.DeployedIns != m.deployed || c.Triggered != m.triggered || c.KilledCount != m.killed {
-		return fmt.Sprintf("rr %d deployed %d triggered %d killed %d, model rr %d deployed %d triggered %d killed %d",
-			c.rr, c.DeployedIns, c.Triggered, c.KilledCount, m.rr, m.deployed, m.triggered, m.killed)
+	if c.rr != m.rr {
+		return fmt.Sprintf("rr %d, model rr %d", c.rr, m.rr)
 	}
 	for i, b := range m.window {
 		if (c.window>>i&1 != 0) != b {
@@ -206,20 +193,20 @@ func diffAWC(c *Controller, m *refAWC) string {
 // FuzzControllerDeploy checks the bitmask AWT against the reference
 // model over random operation sequences: triggers of either priority,
 // ticks, consumption with and without the routine finishing, retirement
-// at the head, middle and tail, kills, issue-slot and bulk idle-slot
-// notes, and Save/Load round trips. After every step the two must agree
-// on every entry's Staged, the AWT and low-partition order, HighFor, rr,
-// DeployedIns and the utilization window.
+// at the head, middle and tail, issue-slot and bulk idle-slot notes, and
+// Save/Load round trips. After every step the two must agree on every
+// entry's Staged, the AWT and low-partition order, HighFor, rr and the
+// utilization window.
 func FuzzControllerDeploy(f *testing.F) {
 	// Op bytes come in (op, arg) pairs; see the switch below.
 	f.Add(uint8(4), uint8(4), uint8(47), []byte{0, 1, 0, 2, 1, 3, 2, 0, 2, 0, 3, 0x40, 2, 0, 3, 0, 4, 0})
 	// One credit per tick over three ready entries: rr decides each pick.
 	f.Add(uint8(1), uint8(4), uint8(7), []byte{0, 0, 0, 1, 0, 2, 2, 0, 2, 0, 2, 0, 4, 0, 2, 0, 2, 0})
 	// DeployBW above the number of live entries.
-	f.Add(uint8(8), uint8(2), uint8(3), []byte{0, 0, 1, 5, 2, 0, 2, 0, 2, 0, 3, 0x41, 4, 1, 2, 0, 8, 0, 2, 0})
+	f.Add(uint8(8), uint8(2), uint8(3), []byte{0, 0, 1, 5, 2, 0, 2, 0, 2, 0, 3, 0x41, 4, 1, 2, 0, 7, 0, 2, 0})
 	// Idle-slot bursts of 64 and more, around a saturated window.
-	f.Add(uint8(4), uint8(4), uint8(15), []byte{6, 1, 6, 1, 6, 1, 7, 64, 6, 1, 7, 200, 7, 63, 1, 9, 2, 0, 7, 130, 8, 0, 2, 0})
-	f.Add(uint8(1), uint8(6), uint8(63), []byte{0, 0x81, 0, 0xC7, 1, 2, 2, 0, 2, 0, 5, 1, 7, 65, 4, 2, 2, 0, 8, 0, 3, 0x40, 2, 0})
+	f.Add(uint8(4), uint8(4), uint8(15), []byte{5, 1, 5, 1, 5, 1, 6, 64, 5, 1, 6, 200, 6, 63, 1, 9, 2, 0, 6, 130, 7, 0, 2, 0})
+	f.Add(uint8(1), uint8(6), uint8(63), []byte{0, 0x81, 0, 0xC7, 1, 2, 2, 0, 2, 0, 6, 65, 4, 2, 2, 0, 7, 0, 3, 0x40, 2, 0})
 	f.Fuzz(func(t *testing.T, deployBW, stagedCap, maxEntries uint8, ops []byte) {
 		hi, lo := testRoutinePair()
 		store := NewStore()
@@ -239,7 +226,7 @@ func FuzzControllerDeploy(f *testing.F) {
 			return [3]int{0, n / 2, n - 1}[int(arg)%3]
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%9, ops[i+1]
+			op, arg := ops[i]%8, ops[i+1]
 			switch op {
 			case 0, 1: // trigger; arg's high bit widens the warp range
 				pri, rt := PriHigh, hi
@@ -291,20 +278,13 @@ func FuzzControllerDeploy(f *testing.F) {
 				m.retire(r)
 				c.Retire(r.real)
 			case 5:
-				if len(m.entries) == 0 {
-					continue
-				}
-				r := m.entries[int(arg)%len(m.entries)]
-				m.kill(r)
-				c.Kill(r.real)
-			case 6:
 				m.noteIssueSlot(arg&1 != 0)
 				c.NoteIssueSlot(arg&1 != 0)
-			case 7:
+			case 6:
 				n := int(arg) % 201
 				m.noteIdleSlots(n)
 				c.NoteIdleSlots(n)
-			case 8:
+			case 7:
 				w := &snapshot.Writer{}
 				if err := c.Save(w, func(*snapshot.Writer, *Entry) error { return nil }); err != nil {
 					t.Fatal(err)

@@ -107,7 +107,6 @@ type Entry struct {
 	// slice; embedding it here avoids a per-entry side-table.
 	SB RegMask
 
-	Killed bool
 	// User is the owner's context (e.g. the pending load this unblocks).
 	// The owner decides what a retired entry's result feeds from it and
 	// the routine, so an entry is plain data a snapshot can carry.
@@ -120,7 +119,7 @@ type Entry struct {
 
 // Done reports whether the assist warp has finished executing.
 func (e *Entry) Done() bool {
-	return e.Killed || (e.Exec.Done && e.Staged == 0 && e.Outstanding == 0)
+	return e.Exec.Done && e.Staged == 0 && e.Outstanding == 0
 }
 
 // Controller is the Assist Warp Controller (AWC): it triggers assist warps
@@ -154,10 +153,10 @@ type Controller struct {
 	rr      int
 
 	// ready[p] has bit i set when entries[i] has priority p and Tick may
-	// deploy into it (Staged < StagedCap, not killed, exec not done);
-	// staged[p] has bit i set when entries[i] has priority p and
-	// Staged > 0. Staged, Killed and Exec.Done change only through
-	// Trigger, Tick, Consumed, Kill and Retire, which keep both exact.
+	// deploy into it (Staged < StagedCap, exec not done); staged[p] has
+	// bit i set when entries[i] has priority p and Staged > 0. Staged and
+	// Exec.Done change only through Trigger, Tick, Consumed and Retire,
+	// which keep both exact.
 	ready, staged [2]uint64
 
 	// highByWarp is the high-priority assist warp attached to each parent
@@ -172,11 +171,6 @@ type Controller struct {
 	// is a slot that issued.
 	window    uint64
 	windowPos int
-
-	// Stats.
-	Triggered   uint64
-	KilledCount uint64
-	DeployedIns uint64
 }
 
 // NewController builds an AWC with maxEntries AWT slots (at most
@@ -217,7 +211,6 @@ func (c *Controller) Trigger(rt *Routine, warp int, exec *Exec, user any) *Entry
 	}
 	e := &Entry{Routine: rt, Pri: rt.Priority, Warp: warp, Exec: exec, User: user}
 	c.add(e)
-	c.Triggered++
 	return e
 }
 
@@ -238,7 +231,7 @@ func (c *Controller) refresh(e *Entry) {
 	bit := uint64(1) << e.pos
 	c.ready[e.Pri] &^= bit
 	c.staged[e.Pri] &^= bit
-	if e.Staged < c.StagedCap && !e.Killed && !e.Exec.Done {
+	if e.Staged < c.StagedCap && !e.Exec.Done {
 		c.ready[e.Pri] |= bit
 	}
 	if e.Staged > 0 {
@@ -322,7 +315,6 @@ func (c *Controller) deploy(pri Priority, start, credits int) int {
 		i := (bits.TrailingZeros64(m) + start) % MaxWarps
 		e := c.entries[i]
 		e.Staged++
-		c.DeployedIns++
 		credits--
 		c.staged[pri] |= 1 << i
 		if e.Staged >= c.StagedCap {
@@ -353,10 +345,10 @@ func (c *Controller) HighFor(warp int) *Entry { return c.highByWarp[warp] }
 // Entries returns all live AWT entries in position (trigger) order.
 func (c *Controller) Entries() []*Entry { return c.entries }
 
-// Retire removes a finished or killed entry from the AWT and AWB
-// partitions. Later entries move up one position, and the masks close
-// the gap. What the result feeds is the owner's business: it reads the
-// retired entry's User and Exec after Retire returns.
+// Retire removes a finished entry from the AWT and AWB partitions. Later
+// entries move up one position, and the masks close the gap. What the
+// result feeds is the owner's business: it reads the retired entry's User
+// and Exec after Retire returns.
 func (c *Controller) Retire(e *Entry) {
 	if i := e.pos; i >= 0 && i < len(c.entries) && c.entries[i] == e {
 		copy(c.entries[i:], c.entries[i+1:])
@@ -382,16 +374,4 @@ func (c *Controller) Retire(e *Entry) {
 func dropBit(m uint64, i int) uint64 {
 	low := uint64(1)<<i - 1
 	return m&low | m>>1&^low
-}
-
-// Kill flushes an assist warp (Section 3.4: entries in the AWT and AWB are
-// simply flushed when the warp is no longer required or beneficial).
-func (c *Controller) Kill(e *Entry) {
-	if e.Killed {
-		return
-	}
-	e.Killed = true
-	e.Staged = 0
-	c.KilledCount++
-	c.Retire(e)
 }

@@ -153,29 +153,6 @@ func TestControllerRetireAndComplete(t *testing.T) {
 	}
 }
 
-func TestControllerKillFlushes(t *testing.T) {
-	s := NewStore()
-	hi, _ := testRoutinePair()
-	s.Preload(hi)
-	c := NewController(s, 8)
-	e := c.Trigger(hi, 0, NewExec(hi.Prog, hi.ActiveMask), nil)
-	c.Tick()
-	c.Kill(e)
-	if e.Staged != 0 || !e.Killed {
-		t.Error("kill must flush AWB staging")
-	}
-	if len(c.Entries()) != 0 {
-		t.Error("kill must remove the AWT entry")
-	}
-	if c.KilledCount != 1 {
-		t.Error("kill accounting wrong")
-	}
-	c.Kill(e) // idempotent
-	if c.KilledCount != 1 {
-		t.Error("double kill must not double count")
-	}
-}
-
 func TestEntryDone(t *testing.T) {
 	hi, _ := testRoutinePair()
 	e := &Entry{Routine: hi, Exec: NewExec(hi.Prog, hi.ActiveMask)}
@@ -231,9 +208,6 @@ func TestControllerLoadRejectsBadState(t *testing.T) {
 		w.U64(s.window)
 		w.Int(s.pos)
 		w.Int(s.busy)
-		w.U64(uint64(len(s.ents))) // Triggered
-		w.U64(0)                   // KilledCount
-		w.U64(7)                   // DeployedIns
 		w.Len(len(s.ents))
 		for _, e := range s.ents {
 			w.U64(uint64(e.id))
@@ -244,7 +218,6 @@ func TestControllerLoadRejectsBadState(t *testing.T) {
 				w.U64(0)
 			}
 			w.U8(0)
-			w.Bool(false)
 			NewAssistExec(store.MustGet(e.id)).Save(w, true)
 		}
 		return w.Payload()

@@ -150,9 +150,6 @@ func (c *Controller) Save(w *snapshot.Writer, encEntry func(*snapshot.Writer, *E
 	w.U64(c.window)
 	w.Int(c.windowPos)
 	w.Int(bits.OnesCount64(c.window))
-	w.U64(c.Triggered)
-	w.U64(c.KilledCount)
-	w.U64(c.DeployedIns)
 	w.Len(len(c.entries))
 	for _, e := range c.entries {
 		w.U64(uint64(e.Routine.ID))
@@ -164,7 +161,6 @@ func (c *Controller) Save(w *snapshot.Writer, encEntry func(*snapshot.Writer, *E
 			w.U64(v)
 		}
 		w.U8(p)
-		w.Bool(e.Killed)
 		e.Exec.Save(w, true)
 		if err := encEntry(w, e); err != nil {
 			return err
@@ -174,20 +170,18 @@ func (c *Controller) Save(w *snapshot.Writer, encEntry func(*snapshot.Writer, *E
 }
 
 // Load restores the controller. decEntry decodes each entry's User
-// payload (and may reject one its owner could not complete); the
-// entry's Routine, Warp and Exec are already populated when it runs. State the controller could not have
-// produced — a negative rr, a window position outside the ring, a busy
-// count that disagrees with the ring, more entries than the AWT holds, a
-// parent warp outside the masks, Staged outside [0, StagedCap] or a
-// negative Outstanding — is a *snapshot.FormatError.
+// payload (and may reject one its owner could not complete); the entry's
+// Routine, Warp and Exec are already populated when it runs. State the
+// controller could not have produced — a negative rr, a window position
+// outside the ring, a busy count that disagrees with the ring, more
+// entries than the AWT holds, a parent warp outside the masks, Staged
+// outside [0, StagedCap] or a negative Outstanding — is a
+// *snapshot.FormatError.
 func (c *Controller) Load(r *snapshot.Reader, decEntry func(*snapshot.Reader, *Entry) error) error {
 	c.rr = r.Int()
 	c.window = r.U64()
 	c.windowPos = r.Int()
 	busy := r.Int()
-	c.Triggered = r.U64()
-	c.KilledCount = r.U64()
-	c.DeployedIns = r.U64()
 	n := r.Len(maxSnapLen)
 	if r.Err() != nil {
 		return r.Err()
@@ -232,7 +226,6 @@ func (c *Controller) Load(r *snapshot.Reader, decEntry func(*snapshot.Reader, *E
 			g[j] = r.U64()
 		}
 		e.SB.SetBits(g, r.U8())
-		e.Killed = r.Bool()
 		e.Exec = NewAssistExec(rt)
 		if err := e.Exec.Load(r, rt.Prog, true); err != nil {
 			return err

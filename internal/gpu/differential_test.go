@@ -53,41 +53,15 @@ func (row diffRow) config() config.Config {
 	return cfg
 }
 
-// simulate runs row's app on cfg with seed 1, set up as caba.Run sets it
-// up (including the profiling gate that turns CABA compression off for
-// compute-bound apps), and returns what the run exposes and the
-// checkpoints its sink received. resume, when set, is restored into a
-// simulator whose memory was never prepared, so the blob must carry all
-// of it. maxCycles 0 selects the workload's own cap.
+// simulate runs row's app on cfg (see build) and returns what the run
+// exposes and the checkpoints its sink received. resume, when set, is
+// restored into a simulator whose memory was never prepared, so the blob
+// must carry all of it. maxCycles 0 selects the workload's own cap.
 func simulate(t *testing.T, row diffRow, cfg config.Config, perCycle bool, maxCycles uint64, resume []byte) (refRun, []blob) {
 	t.Helper()
-	app := workloads.ByName(row.app)
-	if app == nil {
-		t.Fatalf("unknown app %s", row.app)
-	}
-	design := row.design
-	if design.Decomp == config.DecompCABA && !app.MemoryBound {
-		name, uc := design.Name, design.UseCase
-		design = config.DesignBase
-		design.Name, design.UseCase = name, uc
-	}
-	inst, err := app.Instantiate(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := gpu.New(&cfg, design, inst.Kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim, inst := build(t, row, cfg, resume)
 	if perCycle {
 		gpu.SetPerCycle(sim)
-	}
-	if resume != nil {
-		if err := sim.LoadState(resume); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-	} else {
-		inst.Prepare(sim, 1)
 	}
 	var blobs []blob
 	sim.OnCheckpoint = func(cycle uint64, b []byte) error {
@@ -109,6 +83,40 @@ func simulate(t *testing.T, row diffRow, cfg config.Config, perCycle bool, maxCy
 	r.out = make([]byte, inst.OutBytes)
 	sim.Mem.Read(workloads.OutBase, r.out)
 	return r, blobs
+}
+
+// build makes row's simulator on cfg as caba.Run does (including the
+// profiling gate that turns CABA compression off for compute-bound apps):
+// prepared with seed 1, or restored from resume into memory that was
+// never prepared.
+func build(t *testing.T, row diffRow, cfg config.Config, resume []byte) (*gpu.Simulator, *workloads.Instance) {
+	t.Helper()
+	app := workloads.ByName(row.app)
+	if app == nil {
+		t.Fatalf("unknown app %s", row.app)
+	}
+	design := row.design
+	if design.Decomp == config.DecompCABA && !app.MemoryBound {
+		name, uc := design.Name, design.UseCase
+		design = config.DesignBase
+		design.Name, design.UseCase = name, uc
+	}
+	inst, err := app.Instantiate(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := gpu.New(&cfg, design, inst.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resume != nil {
+		if err := sim.LoadState(resume); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+	} else {
+		inst.Prepare(sim, 1)
+	}
+	return sim, inst
 }
 
 // sameRun reports every way got differs from want. The sampled series

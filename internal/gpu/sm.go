@@ -1951,7 +1951,7 @@ func (sm *SM) countClass(in *isa.Superop) {
 // and recycles its staging buffers (the completion is the last reader of
 // the exec's staging output).
 func (sm *SM) checkAssistDone(e *core.Entry) {
-	if !e.Killed && e.Done() {
+	if e.Done() {
 		if sm.tr != nil {
 			sm.traceAssistEnd(e)
 		}

@@ -512,6 +512,9 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 		}
 	}
 	for _, wp := range sm.warps {
+		// Every slot keeps its last issue cycle: a warp placed into a
+		// free slot inherits it, and the GTO order reads it.
+		w.U64(wp.lastIssueCycle)
 		valid := sm.resident(wp)
 		w.Bool(valid)
 		if !valid {
@@ -538,7 +541,6 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 		if err := t.loads.enc(w, wp.replay); err != nil {
 			return err
 		}
-		w.U64(wp.lastIssueCycle)
 		wp.exec.Save(w, false)
 	}
 
@@ -1027,7 +1029,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 	// nothing), and zeroing the warps zeroed their memo keys.
 	sm.scan = scanMasks{}
 	for _, wp := range sm.warps {
-		*wp = warpCtx{id: wp.id}
+		*wp = warpCtx{id: wp.id, lastIssueCycle: r.U64()}
 		valid := r.Bool()
 		if r.Err() != nil {
 			return r.Err()
@@ -1055,7 +1057,6 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		if wp.replay, err = t.loads.dec(r); err != nil {
 			return err
 		}
-		wp.lastIssueCycle = r.U64()
 		wp.exec = core.NewExec(k.Prog, 0)
 		if err := wp.exec.Load(r, k.Prog, false); err != nil {
 			return err

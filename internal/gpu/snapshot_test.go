@@ -435,8 +435,8 @@ func TestSnapshotBlobWellFormed(t *testing.T) {
 // bump, since older checkpoints and farm blobs would no longer restore.
 func TestSnapshotEncodingPinned(t *testing.T) {
 	want := map[uint64]string{
-		1000: "31489f4cd2c8f54c621c4fd137c9b913d6facfcb66469164c2f6709937ef35c5",
-		8500: "e7d6c835fa45e417cc92b7cbf3e9b9cbab3fb6434fe71c2afc44f55bec8401fa",
+		1000: "68bca281aa100d9dfbf4482bfa7404b22c09f19bca069b2ae5ab03c85e113efa",
+		8500: "7cec1aaa40a78b8c472ef09314c85ce3d385cdaa88bd89b571130d5308672c3d",
 	}
 	const threads, iters = 1536, 8
 	cfg := config.TestConfig()
