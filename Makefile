@@ -6,6 +6,10 @@ GO ?= go
 # framework feeds them in at simulation time); the snapshot container and
 # the full simulator-state loader must survive arbitrary blobs the same
 # way (checkpoint files live on disk between runs and are untrusted).
+# FuzzSnapshotPayload corrupts one payload byte of a real checkpoint and
+# re-seals it, so the corruption reaches the decoder past the checksum;
+# every rejection must come from an explicit check, not the loader's
+# recover backstop.
 # FuzzPredecode differentially tests the superop engine against the
 # test-only interpreter on random Builder programs (the
 # decoded≡interpreter invariant, DESIGN.md §12). FuzzControllerDeploy differentially tests
@@ -18,6 +22,7 @@ FUZZ_TARGETS = \
 	FuzzOpen:./internal/snapshot \
 	FuzzReader:./internal/snapshot \
 	FuzzSnapshotLoad:./internal/gpu \
+	FuzzSnapshotPayload:./internal/gpu \
 	FuzzPredecode:./internal/core \
 	FuzzControllerDeploy:./internal/core
 FUZZTIME ?= 10s

@@ -142,6 +142,22 @@ func TestCellKeyStrategyInvariance(t *testing.T) {
 	}
 }
 
+// TestCellKeyPinned pins one cell key. Keys go through the snapshot
+// package's plain-value encoding (HashPlain), so an encoding change that
+// moves them fails here, and the result store's entries would no longer
+// be found. A change to the result-determining Config fields or to
+// Design re-pins it.
+func TestCellKeyPinned(t *testing.T) {
+	const want = 0x549e8fedc72e1408
+	got, err := testCell("PVC", caba.CABABDI.Name, 0.02, 11).Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("cell key %#x, want %#x", got, uint64(want))
+	}
+}
+
 // perturb sets v to a value other than its current one: numbers grow by
 // one, booleans flip, strings gain a suffix, and a struct perturbs its
 // first field.

@@ -42,6 +42,10 @@ type diffRow struct {
 	// check asserts what the row exists to exercise, on its reference
 	// run with observation off.
 	check func(t *testing.T, ref refRun)
+	// splitCheck asserts what the row's checkpoints exist to carry, on
+	// the saving machine at its split-50 checkpoint
+	// (TestSnapshotRestoresEveryField).
+	splitCheck func(t *testing.T, saver *gpu.Simulator)
 }
 
 func (row diffRow) config() config.Config {
@@ -216,6 +220,15 @@ var diffRows = []diffRow{
 				ResponseDelayRate: 0.05, ResponseDelayCycles: 200}
 		},
 		check: requireRecovery},
+	// JPEG's stores do not compress, so the adaptive disable (Section 6)
+	// turns compression off on SM after SM: its checkpoints carry a
+	// failure streak and set disable flags.
+	{name: "JPEG_CABA-BDI", app: "JPEG", design: config.DesignCABABDI,
+		splitCheck: func(t *testing.T, saver *gpu.Simulator) {
+			if gpu.CompressionDisabledSMs(saver) == 0 {
+				t.Fatal("no SM has compression disabled at the split-50 checkpoint")
+			}
+		}},
 	// Dropped responses end in a wedge, whose error text and cycle every
 	// variant must reproduce.
 	{name: "PVC_Base_dropped-responses", app: "PVC", design: config.DesignBase,

@@ -9,6 +9,18 @@ import (
 // tick every cycle: the reference the cache is checked against.
 func SetPerCycle(sim *Simulator) { sim.perCycle = true }
 
+// CompressionDisabledSMs counts the SMs whose adaptive disable has turned
+// store-side compression off.
+func CompressionDisabledSMs(sim *Simulator) int {
+	n := 0
+	for _, sm := range sim.sms {
+		if sm.compDisabled {
+			n++
+		}
+	}
+	return n
+}
+
 // Perturb sets v to a value other than its current one: numbers grow by
 // one, booleans flip, strings gain a suffix, and a struct perturbs its
 // first field. Tests that walk config.Config change one field with it.

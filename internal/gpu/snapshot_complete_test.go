@@ -2,6 +2,8 @@ package gpu_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/caba-sim/caba/internal/config"
 	"github.com/caba-sim/caba/internal/gpu"
 )
 
@@ -117,9 +120,10 @@ func TestSnapshotRestoresEveryField(t *testing.T) {
 // errSplitDone stops a run once its split point has been checked.
 var errSplitDone = errors.New("split checked")
 
-// restoreAndWalk runs row like TestDifferential's split-50 variant and
-// compares the saving machine with its restored copy at the checkpoint.
-func restoreAndWalk(t *testing.T, row diffRow) *walker {
+// atSplit50 runs row like TestDifferential's split-50 variant and calls f
+// with the saving machine and its checkpoint at the split point.
+func atSplit50(t *testing.T, row diffRow, f func(saver *gpu.Simulator, cfg config.Config, blob []byte)) {
+	t.Helper()
 	on := row.config()
 	on.SampleEvery = 500
 	on.AttributeStalls = true
@@ -129,14 +133,12 @@ func restoreAndWalk(t *testing.T, row diffRow) *walker {
 	target := ref.cycles * 50 / 100
 
 	saver, inst := build(t, row, cfg, nil)
-	w := newWalker()
 	checked := false
 	saver.OnCheckpoint = func(cycle uint64, blob []byte) error {
 		if cycle < target {
 			return nil
 		}
-		restored, _ := build(t, row, cfg, blob)
-		w.compare(saver, restored)
+		f(saver, cfg, blob)
 		checked = true
 		return errSplitDone
 	}
@@ -146,10 +148,56 @@ func restoreAndWalk(t *testing.T, row diffRow) *walker {
 	if !checked {
 		t.Fatalf("no checkpoint at or after cycle %d", target)
 	}
+}
+
+// restoreAndWalk compares the saving machine at row's split-50 checkpoint
+// with its restored copy, and runs the row's splitCheck on the saver.
+func restoreAndWalk(t *testing.T, row diffRow) *walker {
+	w := newWalker()
+	atSplit50(t, row, func(saver *gpu.Simulator, cfg config.Config, blob []byte) {
+		restored, _ := build(t, row, cfg, blob)
+		w.compare(saver, restored)
+		if row.splitCheck != nil {
+			row.splitCheck(t, saver)
+		}
+	})
 	if w.diff != "" {
 		t.Errorf("restored machine differs: %s", w.diff)
 	}
 	return w
+}
+
+// sectionPins are the SHA-256 digests of three rows' split-50 blobs with
+// observation on. Between them they hold every optional snapshot section
+// the CABA-FPC pin in TestSnapshotEncodingPinned lacks: the prefetcher
+// and result-cache tables, sampler rows, the stall attribution tables,
+// fault-injector streams and decompression contexts. A codec change that
+// moves a byte fails here; a change that moves simulated results (ROADMAP
+// items 6 and 9) re-pins them together with TestSnapshotEncodingPinned.
+var sectionPins = map[string]string{
+	"TBL_CABA-Memo":              "f90f0e7d34dc96e4c17572233210f2d830a7d39201fa40e01c150e6eca268895",
+	"STRD_CABA-Combined":         "c355048a84b44ee37f1645c7ecd1fbb100e6f57464a2f29c660bd2f4fe25519f",
+	"PVC_CABA-BDI_BW0.25_faults": "29ce3e66f764fcdec33a6ae73fca792206ef183f117405819b8880733d398637",
+}
+
+// TestSnapshotSectionsPinned pins the bytes of the sectionPins rows'
+// split-50 checkpoints.
+func TestSnapshotSectionsPinned(t *testing.T) {
+	for _, row := range diffRows {
+		want, ok := sectionPins[row.name]
+		if !ok {
+			continue
+		}
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			atSplit50(t, row, func(_ *gpu.Simulator, _ config.Config, blob []byte) {
+				sum := sha256.Sum256(blob)
+				if got := hex.EncodeToString(sum[:]); got != want {
+					t.Errorf("split-50 snapshot SHA-256 %s, want %s", got, want)
+				}
+			})
+		})
+	}
 }
 
 // ptrKey identifies a pointer or slice base by address and type.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/caba-sim/caba/internal/audit"
@@ -139,52 +140,91 @@ func TestSnapshotLoadNeverPanics(t *testing.T) {
 	try("version-skew", skew)
 }
 
-// FuzzSnapshotLoad fuzzes the full restore path with a real checkpoint
-// as the seed corpus. The property is absence of panics: any mutation
-// either round-trips (unlikely past the CRC) or returns an error.
-func FuzzSnapshotLoad(f *testing.F) {
+// fuzzSim builds the small CABA-BDI simulator the snapshot fuzz targets
+// restore into; fill prepares its input.
+func fuzzSim(fill bool) (*Simulator, error) {
 	const threads, iters = 512, 4
-	build := func(fill bool) (*Simulator, error) {
-		cfg := config.TestConfig()
-		cfg.BWScale = 0.25
-		k := &Kernel{Prog: streamSum4Kernel(), GridCTAs: 2, CTAThreads: 256,
-			Params: [4]uint64{inBase, outBase, uint64(threads * 4), iters}}
-		sim, err := New(&cfg, config.DesignCABABDI, k)
-		if err != nil {
-			return nil, err
-		}
-		if fill {
-			fillInput(sim, threads*iters, true)
-			sim.Dom.Precompress(inBase, uint64(threads*iters*4))
-		}
-		return sim, nil
+	cfg := config.TestConfig()
+	cfg.BWScale = 0.25
+	k := &Kernel{Prog: streamSum4Kernel(), GridCTAs: 2, CTAThreads: 256,
+		Params: [4]uint64{inBase, outBase, uint64(threads * 4), iters}}
+	sim, err := New(&cfg, config.DesignCABABDI, k)
+	if err != nil {
+		return nil, err
 	}
-	sim, err := build(true)
+	if fill {
+		fillInput(sim, threads*iters, true)
+		sim.Dom.Precompress(inBase, uint64(threads*iters*4))
+	}
+	return sim, nil
+}
+
+// fuzzBlobs runs the fuzz simulator to completion, checkpointing every
+// 500 cycles, and returns every checkpoint it took.
+func fuzzBlobs(f *testing.F) [][]byte {
+	sim, err := fuzzSim(true)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var blob []byte
-	sim.Cfg.CheckpointEvery = 2_000
+	var blobs [][]byte
+	sim.Cfg.CheckpointEvery = 500
 	sim.OnCheckpoint = func(_ uint64, b []byte) error {
-		if blob == nil {
-			blob = append([]byte(nil), b...)
-		}
+		blobs = append(blobs, append([]byte(nil), b...))
 		return nil
 	}
 	if err := sim.Run(20_000_000); err != nil {
 		f.Fatal(err)
 	}
-	if blob != nil {
-		f.Add(blob)
-		f.Add(blob[:len(blob)/2])
+	if len(blobs) == 0 {
+		f.Fatalf("no checkpoint in %d cycles", sim.Cycles())
+	}
+	return blobs
+}
+
+// FuzzSnapshotLoad fuzzes the full restore path with real checkpoints as
+// the seed corpus. The property is absence of panics: any mutation either
+// round-trips (unlikely past the CRC) or returns an error.
+func FuzzSnapshotLoad(f *testing.F) {
+	for _, b := range fuzzBlobs(f) {
+		f.Add(b)
+		f.Add(b[:len(b)/2])
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fresh, err := build(false)
+		fresh, err := fuzzSim(false)
 		if err != nil {
 			t.Skip()
 		}
 		_ = fresh.LoadState(data) // must not panic
+	})
+}
+
+// FuzzSnapshotPayload fuzzes the decoder behind the checksum: it XORs one
+// payload byte of a real checkpoint with x and re-seals the payload under
+// the run's configuration hash, so the corruption reaches the decoder
+// instead of failing the CRC. Every rejection must come from an explicit
+// check; an error from LoadState's recover backstop fails the target.
+func FuzzSnapshotPayload(f *testing.F) {
+	blobs := fuzzBlobs(f)
+	for i, b := range blobs {
+		f.Add(uint8(i), uint32(0), uint8(0))
+		f.Add(uint8(i), uint32(len(b)/2), uint8(0x40))
+		f.Add(uint8(i), uint32(40), uint8(0x01))
+	}
+	f.Fuzz(func(t *testing.T, which uint8, off uint32, x uint8) {
+		hash, payload, err := snapshot.Inspect(blobs[int(which)%len(blobs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := append([]byte(nil), payload...)
+		p[int(off)%len(p)] ^= x
+		fresh, err := fuzzSim(false)
+		if err != nil {
+			t.Skip()
+		}
+		if err := fresh.LoadState(snapshot.Seal(hash, p)); err != nil && strings.Contains(err.Error(), "snapshot decode panic") {
+			t.Fatalf("payload byte %d ^ %#x: %v", int(off)%len(p), x, err)
+		}
 	})
 }
 
