@@ -194,9 +194,9 @@ func diffAWC(c *Controller, m *refAWC) string {
 // model over random operation sequences: triggers of either priority,
 // ticks, consumption with and without the routine finishing, retirement
 // at the head, middle and tail, issue-slot and bulk idle-slot notes, and
-// Save/Load round trips. After every step the two must agree on every
-// entry's Staged, the AWT and low-partition order, HighFor, rr and the
-// utilization window.
+// snapshot round trips (Controller.Snap). After every step the two must
+// agree on every entry's Staged, the AWT and low-partition order,
+// HighFor, rr and the utilization window.
 func FuzzControllerDeploy(f *testing.F) {
 	// Op bytes come in (op, arg) pairs; see the switch below.
 	f.Add(uint8(4), uint8(4), uint8(47), []byte{0, 1, 0, 2, 1, 3, 2, 0, 2, 0, 3, 0x40, 2, 0, 3, 0, 4, 0})
@@ -285,13 +285,14 @@ func FuzzControllerDeploy(f *testing.F) {
 				m.noteIdleSlots(n)
 				c.NoteIdleSlots(n)
 			case 7:
-				w := &snapshot.Writer{}
-				if err := c.Save(w, func(*snapshot.Writer, *Entry) error { return nil }); err != nil {
-					t.Fatal(err)
+				enc := snapshot.Encoder()
+				if c.Snap(enc, func(*snapshot.Codec, *Entry) {}); enc.Err() != nil {
+					t.Fatal(enc.Err())
 				}
 				c = newCtl()
-				if err := c.Load(snapshot.NewReader(w.Payload()), func(*snapshot.Reader, *Entry) error { return nil }); err != nil {
-					t.Fatalf("op %d: reloading a saved controller: %v", i/2, err)
+				dec := snapshot.Decoder(enc.Payload())
+				if c.Snap(dec, func(*snapshot.Codec, *Entry) {}); dec.Err() != nil {
+					t.Fatalf("op %d: reloading a saved controller: %v", i/2, dec.Err())
 				}
 				for j, e := range c.Entries() {
 					if j < len(m.entries) {

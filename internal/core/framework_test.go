@@ -183,7 +183,7 @@ func TestUtilizationWindow(t *testing.T) {
 	}
 }
 
-// TestControllerLoadRejectsBadState feeds Controller.Load CRC-valid
+// TestControllerLoadRejectsBadState feeds Controller.Snap CRC-valid
 // payloads holding state the controller cannot produce. Each must come
 // back as a *snapshot.FormatError instead of loading, panicking on a
 // later tick or growing the warp table without bound.
@@ -203,24 +203,22 @@ func TestControllerLoadRejectsBadState(t *testing.T) {
 		ents      []ent
 	}
 	encode := func(s state) []byte {
-		w := &snapshot.Writer{}
-		w.Int(s.rr)
-		w.U64(s.window)
-		w.Int(s.pos)
-		w.Int(s.busy)
-		w.Len(len(s.ents))
+		c := snapshot.Encoder()
+		c.Int(&s.rr)
+		c.U64(&s.window)
+		c.Int(&s.pos)
+		c.Int(&s.busy)
+		n := len(s.ents)
+		c.Len(&n, n)
 		for _, e := range s.ents {
-			w.U64(uint64(e.id))
-			w.Int(e.warp)
-			w.Int(e.staged)
-			w.Int(e.outstanding)
-			for j := 0; j < 4; j++ {
-				w.U64(0)
-			}
-			w.U8(0)
-			NewAssistExec(store.MustGet(e.id)).Save(w, true)
+			snapshot.Num(c, &e.id)
+			c.Int(&e.warp)
+			c.Int(&e.staged)
+			c.Int(&e.outstanding)
+			new(RegMask).Snap(c)
+			NewAssistExec(store.MustGet(e.id)).Snap(c, store.MustGet(e.id).Prog, true)
 		}
-		return w.Payload()
+		return c.Payload()
 	}
 	good := func() state {
 		return state{rr: 1, window: 0b1011, pos: 5, busy: 3,
@@ -249,8 +247,9 @@ func TestControllerLoadRejectsBadState(t *testing.T) {
 	}
 	load := func(blob []byte) (*Controller, error) {
 		c := NewController(store, 4)
-		err := c.Load(snapshot.NewReader(blob), func(*snapshot.Reader, *Entry) error { return nil })
-		return c, err
+		dec := snapshot.Decoder(blob)
+		c.Snap(dec, func(*snapshot.Codec, *Entry) {})
+		return c, dec.Err()
 	}
 	c, err := load(encode(good()))
 	if err != nil {
@@ -265,7 +264,7 @@ func TestControllerLoadRejectsBadState(t *testing.T) {
 		_, err := load(encode(s))
 		var fe *snapshot.FormatError
 		if !errors.As(err, &fe) {
-			t.Errorf("%s: Load returned %v, want a *snapshot.FormatError", tc.name, err)
+			t.Errorf("%s: decoding returned %v, want a *snapshot.FormatError", tc.name, err)
 		}
 	}
 }

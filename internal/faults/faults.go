@@ -16,7 +16,11 @@
 // untouched.
 package faults
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/caba-sim/caba/internal/snapshot"
+)
 
 // Config selects a deterministic fault-injection campaign. All rates are
 // probabilities in [0, 1]; the zero value injects nothing.
@@ -177,32 +181,17 @@ func (inj *Injector) RespDrop() bool {
 	return inj.roll(SiteRespDrop, inj.cfg.ResponseDropRate)
 }
 
-// SaveStreams returns the per-site stream positions for checkpointing.
-// Nil injectors return nil (a disabled campaign has no stream state).
-func (inj *Injector) SaveStreams() []uint64 {
+// Snap codes the per-site stream positions of a checkpoint: the site
+// count, then each stream. A nil injector codes a count of 0, and a
+// count that differs from the decoding injector's means the blob came
+// from another campaign or an incompatible build.
+func (inj *Injector) Snap(c *snapshot.Codec) {
 	if inj == nil {
-		return nil
+		c.Shape(0, "fault stream count")
+		return
 	}
-	out := make([]uint64, numSites)
-	copy(out, inj.streams[:])
-	return out
-}
-
-// LoadStreams restores stream positions previously captured by
-// SaveStreams. The site count is part of the snapshot format: a mismatch
-// means the blob came from an incompatible build.
-func (inj *Injector) LoadStreams(s []uint64) error {
-	if inj == nil {
-		if len(s) != 0 {
-			return fmt.Errorf("faults: snapshot has %d fault streams but injection is disabled", len(s))
-		}
-		return nil
-	}
-	if len(s) != int(numSites) {
-		return fmt.Errorf("faults: snapshot has %d fault streams, want %d", len(s), numSites)
-	}
-	copy(inj.streams[:], s)
-	return nil
+	c.Shape(int(numSites), "fault stream count")
+	c.U64s(inj.streams[:])
 }
 
 // RespDelay decides whether the current read response is held, returning

@@ -328,40 +328,19 @@ func (sim *Simulator) sample(t uint64) {
 	smp.next = t + smp.every
 }
 
-// save serializes the sampler state (cadence cursor, previous-boundary
-// totals, recorded rows) into a snapshot payload.
-func (smp *sampler) save(w *snapshot.Writer) {
-	w.U64(smp.next)
-	w.U64(smp.prevCycle)
-	w.U64(smp.prev.instrs)
-	for _, v := range smp.prev.issue {
-		w.U64(v)
-	}
-	w.U64(smp.prev.l1h)
-	w.U64(smp.prev.l1m)
-	w.U64(smp.prev.l2h)
-	w.U64(smp.prev.l2m)
-	w.U64(smp.prev.dramBusy)
-	smp.series.Save(w)
-}
-
-// load restores sampler state saved by save.
-func (smp *sampler) load(r *snapshot.Reader) error {
-	smp.next = r.U64()
-	smp.prevCycle = r.U64()
-	smp.prev.instrs = r.U64()
-	for k := range smp.prev.issue {
-		smp.prev.issue[k] = r.U64()
-	}
-	smp.prev.l1h = r.U64()
-	smp.prev.l1m = r.U64()
-	smp.prev.l2h = r.U64()
-	smp.prev.l2m = r.U64()
-	smp.prev.dramBusy = r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return smp.series.Load(r)
+// snap codes the sampler state (cadence cursor, previous-boundary
+// totals, recorded rows) in a checkpoint.
+func (smp *sampler) snap(c *snapshot.Codec) {
+	c.U64(&smp.next)
+	c.U64(&smp.prevCycle)
+	c.U64(&smp.prev.instrs)
+	c.U64s(smp.prev.issue[:])
+	c.U64(&smp.prev.l1h)
+	c.U64(&smp.prev.l1m)
+	c.U64(&smp.prev.l2h)
+	c.U64(&smp.prev.l2m)
+	c.U64(&smp.prev.dramBusy)
+	smp.series.Snap(c)
 }
 
 // --- Wiring and accessors ---

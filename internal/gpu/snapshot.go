@@ -2,8 +2,8 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
-	"github.com/caba-sim/caba/internal/compress"
 	"github.com/caba-sim/caba/internal/core"
 	"github.com/caba-sim/caba/internal/isa"
 	"github.com/caba-sim/caba/internal/mem"
@@ -27,13 +27,15 @@ import (
 // between warps, MSHR waiter lists, AWT entries and queued events, so the
 // encoder first collects every reachable object into one identity table
 // per type (idTable; a deterministic walk over SM state, then queue
-// events, then memory-side waiters) and encodes each reference as a table
-// index. Decode allocates the tables first (idList), fills the payloads,
-// then rebuilds the memory system, the event queue and the SMs, resolving
+// events, then memory-side waiters) and codes each reference as a table
+// index. Every type has one snap method that both encodes and decodes it
+// through a snapshot.Codec, so the layout is written once. Decoding
+// allocates each table from its count first, fills the payloads, then
+// rebuilds the memory system, the event queue and the SMs, resolving
 // references back through the tables — preserving aliasing exactly.
 
 // snapErrf builds a structured format error for semantic (non-framing)
-// snapshot problems.
+// snapshot problems found outside a codec.
 func snapErrf(format string, args ...any) error {
 	return &snapshot.FormatError{Off: -1, Msg: fmt.Sprintf(format, args...)}
 }
@@ -62,11 +64,13 @@ const (
 	refMemo
 )
 
-// idTable numbers the distinct objects of one pointer-shared type in
-// registration order; a reference encodes as the object's index, nil as
-// -1. Registration order fixes every index, and so every byte.
+// idTable numbers the distinct objects of one pointer-shared type; a
+// reference codes as the object's index, nil as -1. Encoding registers
+// the objects (add) in collect's order, which fixes every index and so
+// every byte; decoding allocates them from the coded count (size), so
+// references resolve before the payloads are filled in.
 type idTable[T any] struct {
-	idx  map[*T]int
+	idx  map[*T]int // encoding only
 	objs []*T
 }
 
@@ -86,59 +90,59 @@ func (t *idTable[T]) add(p *T) bool {
 	return true
 }
 
-// enc writes a reference to p.
-func (t *idTable[T]) enc(w *snapshot.Writer, p *T) error {
-	if p == nil {
-		w.Int(-1)
-		return nil
+// size codes the object count; decoding allocates that many zero objects.
+func (t *idTable[T]) size(c *snapshot.Codec) {
+	n := len(t.objs)
+	c.Len(&n, maxGPUSnapLen)
+	if c.Loading() && c.Err() == nil {
+		t.objs = make([]*T, n)
+		for i := range t.objs {
+			t.objs[i] = new(T)
+		}
 	}
-	i, ok := t.idx[p]
-	if !ok {
-		return snapErrf("unregistered %T in snapshot walk", p)
-	}
-	w.Int(i)
-	return nil
 }
 
-// idList is the decode side of an idTable: the objects are allocated
-// first, so references resolve before the payloads are filled in.
-type idList[T any] []*T
-
-// newIDList allocates n zero objects.
-func newIDList[T any](n int) idList[T] {
-	l := make(idList[T], n)
-	for i := range l {
-		l[i] = new(T)
+// ref codes a reference to *p.
+func (t *idTable[T]) ref(c *snapshot.Codec, p **T) {
+	i := -1
+	if !c.Loading() && *p != nil {
+		var ok bool
+		if i, ok = t.idx[*p]; !ok {
+			c.Failf("unregistered %T in snapshot walk", *p)
+			return
+		}
 	}
-	return l
+	c.Int(&i)
+	if !c.Loading() || c.Err() != nil {
+		return
+	}
+	*p = nil
+	if i == -1 {
+		return
+	}
+	if i < 0 || i >= len(t.objs) {
+		c.Failf("%T reference %d out of range", *p, i)
+		return
+	}
+	*p = t.objs[i]
 }
 
-// dec reads a reference written by idTable.enc.
-func (l idList[T]) dec(r *snapshot.Reader) (*T, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(l) {
-		return nil, snapErrf("%T reference %d out of range", (*T)(nil), i)
-	}
-	return l[i], nil
-}
-
-// decAny reads a reference from l as a User payload. A nil reference
-// decodes as a typed nil: under the loadReq tag that is the MSHR's
+// userRef codes a User payload held in t's type. A nil reference decodes
+// as a typed nil: under the loadReq tag that is the MSHR's
 // assist-prefetch waiter, restored as such.
-func decAny[T any](l idList[T], r *snapshot.Reader) (any, error) {
-	p, err := l.dec(r)
-	if err != nil {
-		return nil, err
+func userRef[T any](c *snapshot.Codec, t *idTable[T], u *any) {
+	p, _ := (*u).(*T)
+	t.ref(c, &p)
+	if c.Loading() {
+		*u = p
 	}
-	return p, nil
 }
 
 // objTables are the identity tables for pointer-shared pending-work
 // objects, one per type.
 type objTables struct {
+	sim *Simulator
+
 	loads  idTable[loadReq]
 	stores idTable[storeEntry]
 	fills  idTable[fillCtx]
@@ -146,8 +150,8 @@ type objTables struct {
 	dps    idTable[decompPlain]
 	memos  idTable[memoCtx]
 
-	// warpSM maps each warp slot to its SM index so loadReq.warp can be
-	// encoded as (sm, slot).
+	// warpSM maps each warp slot to its SM index so a warp reference can
+	// be coded as (sm, slot). Encoding only.
 	warpSM map[*warpCtx]int
 
 	err error // first registration failure (unknown object type)
@@ -194,9 +198,10 @@ func (t *objTables) regCont(c cont) {
 
 // collect registers every reachable pending-work object in deterministic
 // order: SM-resident state in SM-index order, then event-queue actions in
-// firing order, then memory-side waiters in partition order.
+// firing order, then memory-side waiters in partition order. Decoding
+// needs no walk: it allocates each table from its coded count.
 func (sim *Simulator) collect(evs []timing.Event) (*objTables, error) {
-	t := &objTables{warpSM: make(map[*warpCtx]int)}
+	t := &objTables{sim: sim, warpSM: make(map[*warpCtx]int)}
 	for _, sm := range sim.sms {
 		for _, w := range sm.warps {
 			t.warpSM[w] = sm.id
@@ -247,66 +252,204 @@ func (sim *Simulator) collect(evs []timing.Event) (*objTables, error) {
 	return t, nil
 }
 
-// encUser encodes a pending-work reference (tagged table index).
-func (t *objTables) encUser(w *snapshot.Writer, u any) error {
-	switch v := u.(type) {
-	case nil:
-		w.U8(refNil)
-		return nil
-	case *fillCtx:
-		w.U8(refFill)
-		return t.fills.enc(w, v)
-	case *loadReq:
-		w.U8(refLoad)
-		return t.loads.enc(w, v)
-	case *storeEntry:
-		w.U8(refStore)
-		return t.stores.enc(w, v)
-	case *decompCtx:
-		w.U8(refDecompCtx)
-		return t.dcs.enc(w, v)
-	case *decompPlain:
-		w.U8(refDecompPlain)
-		return t.dps.enc(w, v)
-	case *memoCtx:
-		w.U8(refMemo)
-		return t.memos.enc(w, v)
-	default:
-		return snapErrf("unserializable pending-work object %T", u)
-	}
-}
-
-// encCont encodes a continuation by value, its fill and load by
-// reference.
-func (t *objTables) encCont(w *snapshot.Writer, c cont) error {
-	w.U8(uint8(c.kind))
-	w.U64(c.ln)
-	if err := t.fills.enc(w, c.fill); err != nil {
-		return err
-	}
-	return t.loads.enc(w, c.req)
-}
-
-// encAction encodes a queued event action (GPU kinds inline, memory kinds
-// via the memory system's codec).
-func (t *objTables) encAction(sim *Simulator) func(*snapshot.Writer, timing.Action) error {
-	return func(w *snapshot.Writer, act timing.Action) error {
-		switch a := act.(type) {
-		case timing.Nop:
-			w.U8(akNop)
-			return nil
-		case smEvent:
-			w.U8(a.kind)
-			w.Int(a.sm.id)
-			if a.kind == akHWCompress {
-				return t.stores.enc(w, a.se)
-			}
-			w.U64(a.ln)
-			return t.fills.enc(w, a.fill)
+// user codes a pending-work reference: a type tag, then a table index.
+func (t *objTables) user(c *snapshot.Codec, u *any) {
+	tag := refNil
+	if !c.Loading() {
+		switch (*u).(type) {
+		case nil:
+		case *fillCtx:
+			tag = refFill
+		case *loadReq:
+			tag = refLoad
+		case *storeEntry:
+			tag = refStore
+		case *decompCtx:
+			tag = refDecompCtx
+		case *decompPlain:
+			tag = refDecompPlain
+		case *memoCtx:
+			tag = refMemo
 		default:
-			w.U8(akMem)
-			return sim.Sys.EncodeAction(w, act, t.encUser)
+			c.Failf("unserializable pending-work object %T", *u)
+			return
 		}
+	}
+	c.U8(&tag)
+	switch tag {
+	case refNil:
+		if c.Loading() {
+			*u = nil
+		}
+	case refFill:
+		userRef(c, &t.fills, u)
+	case refLoad:
+		userRef(c, &t.loads, u)
+	case refStore:
+		userRef(c, &t.stores, u)
+	case refDecompCtx:
+		userRef(c, &t.dcs, u)
+	case refDecompPlain:
+		userRef(c, &t.dps, u)
+	case refMemo:
+		userRef(c, &t.memos, u)
+	default:
+		c.Failf("pending-work reference tag %d out of range", tag)
+	}
+}
+
+// cont codes a continuation by value, its fill and load by reference.
+func (t *objTables) cont(c *snapshot.Codec, p *cont) {
+	snapshot.Kind(c, &p.kind, contLoadLineDone)
+	c.U64(&p.ln)
+	t.fills.ref(c, &p.fill)
+	t.loads.ref(c, &p.req)
+}
+
+// warp codes a warp reference as (SM index, slot), nil as (-1, -1).
+func (t *objTables) warp(c *snapshot.Codec, w **warpCtx) {
+	sm, slot := -1, -1
+	if *w != nil {
+		sm, slot = t.warpSM[*w], (*w).id
+	}
+	c.Int(&sm)
+	c.Int(&slot)
+	if !c.Loading() || sm < 0 {
+		return
+	}
+	sms := t.sim.sms
+	if c.Check(sm < len(sms) && slot >= 0 && slot < len(sms[sm].warps), "warp reference out of range") {
+		*w = sms[sm].warps[slot]
+	}
+}
+
+// action codes a queued event action: the GPU's kinds inline, the memory
+// system's through its codec.
+func (t *objTables) action(c *snapshot.Codec, act *timing.Action) {
+	kind := akMem
+	var a smEvent
+	if !c.Loading() {
+		switch v := (*act).(type) {
+		case timing.Nop:
+			kind = akNop
+		case smEvent:
+			kind, a = v.kind, v
+		}
+	}
+	c.U8(&kind)
+	switch kind {
+	case akNop:
+		if c.Loading() {
+			*act = timing.Nop{}
+		}
+	case akMem:
+		t.sim.Sys.Action(c, act, t.user)
+	case akHWCompress, akCompleteFill, akHWDetect:
+		sm := -1
+		if a.sm != nil {
+			sm = a.sm.id
+		}
+		c.Int(&sm)
+		if !c.Check(sm >= 0 && sm < len(t.sim.sms), "SM index out of range") {
+			return
+		}
+		if kind == akHWCompress {
+			t.stores.ref(c, &a.se)
+		} else {
+			c.U64(&a.ln)
+			t.fills.ref(c, &a.fill)
+		}
+		if c.Loading() {
+			a.sm, a.kind = t.sim.sms[sm], kind
+			*act = a
+		}
+	default:
+		c.Failf("event action kind %d out of range", kind)
+	}
+}
+
+// pcOf returns a superop's PC, -1 for nil. Superops are interned per
+// program, so a PC is enough to re-resolve one against its program's
+// decoded ops.
+func pcOf(sop *isa.Superop) int {
+	if sop == nil {
+		return -1
+	}
+	return int(sop.PC)
+}
+
+// opAt resolves a decoded PC against ops.
+func opAt(c *snapshot.Codec, ops []isa.Superop, pc int, what string) *isa.Superop {
+	if !c.Check(pc >= 0 && pc < len(ops), what+" pc out of range") {
+		return nil
+	}
+	return &ops[pc]
+}
+
+// snap codes one load: its warp as (sm, slot) and its superop as a PC
+// against the kernel's program.
+func (q *loadReq) snap(c *snapshot.Codec, t *objTables) {
+	t.warp(c, &q.warp)
+	hasOp := q.sop != nil
+	c.Bool(&hasOp)
+	if hasOp {
+		pc := pcOf(q.sop)
+		c.Int(&pc)
+		if c.Loading() {
+			q.sop = opAt(c, t.sim.Kernel.Prog.Decoded().Ops, pc, "loadReq")
+		}
+	}
+	c.Int(&q.linesPending)
+	c.U64(&q.issued)
+	snapshot.Slice(c, &q.todo, maxGPUSnapLen, c.U64)
+}
+
+// snap codes one buffered store line.
+func (se *storeEntry) snap(c *snapshot.Codec) {
+	c.U64(&se.lineAddr)
+	c.U32(&se.coverage)
+	c.Int(&se.warp)
+	c.U64(&se.lastTouch)
+	snapshot.Kind(c, &se.state, sbQueued)
+	snapshot.Slice(c, &se.chain, maxGPUSnapLen, func(id *core.RoutineID) { snapshot.Num(c, id) })
+	c.Int(&se.chainPos)
+	snapshot.Num(c, &se.alg)
+	c.Bool(&se.released)
+	c.Check(se.chainPos >= 0 && (len(se.chain) == 0 || se.chainPos <= len(se.chain)), "compression chain position out of range")
+}
+
+// snap codes one fill context.
+func (fc *fillCtx) snap(c *snapshot.Codec, t *objTables) {
+	snapshot.Kind(c, &fc.kind, fillRefetch)
+	t.loads.ref(c, &fc.load)
+	t.stores.ref(c, &fc.se)
+	t.cont(c, &fc.after)
+}
+
+// snap codes one decompression context.
+func (dc *decompCtx) snap(c *snapshot.Codec, t *objTables) {
+	c.U64(&dc.ln)
+	c.Int(&dc.warp)
+	c.Bool(&dc.injected)
+	t.cont(c, &dc.done)
+	c.Fixed(dc.buf[:])
+}
+
+// snap codes one plain decompression payload.
+func (dp *decompPlain) snap(c *snapshot.Codec, t *objTables) {
+	c.U64(&dp.ln)
+	t.cont(c, &dp.done)
+}
+
+// snap codes one memoization probe: its parent warp as (sm, slot) and its
+// superop as a PC, like loadReq; a memoCtx always carries both.
+func (mc *memoCtx) snap(c *snapshot.Codec, t *objTables) {
+	t.warp(c, &mc.w)
+	c.Check(mc.w != nil, "memoCtx warp reference out of range")
+	pc := pcOf(mc.sop)
+	c.Int(&pc)
+	if c.Loading() {
+		mc.sop = opAt(c, t.sim.Kernel.Prog.Decoded().Ops, pc, "memoCtx")
 	}
 }
 
@@ -320,6 +463,13 @@ func (sim *Simulator) configHash() (uint64, error) {
 		k.Prog.NumReg, k.GridCTAs, k.CTAThreads, k.SharedMem, k.Params)
 }
 
+// queued is the event queue's state as a snapshot carries it.
+type queued struct {
+	now float64
+	seq uint64
+	evs []timing.Event
+}
+
 // SaveState serializes the complete simulator state into a sealed blob.
 // It must be called at a cycle boundary — Run's checkpoint hook satisfies
 // this; callers between Run invocations (a finished or interrupted sim) do
@@ -330,129 +480,80 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 			return nil, fmt.Errorf("gpu: snapshot at cycle %d: SM %d has a fatal error: %w", sim.cycle, sm.id, sm.fatal)
 		}
 	}
-	now, seq, evs := sim.Q.Snapshot()
-	t, err := sim.collect(evs)
+	var q queued
+	q.now, q.seq, q.evs = sim.Q.Snapshot()
+	t, err := sim.collect(q.evs)
 	if err != nil {
 		return nil, err
 	}
-	w := &snapshot.Writer{}
-
-	// Simulator scalars and statistics.
-	w.U64(sim.cycle)
-	w.Int(sim.nextCTA)
-	w.Int(sim.idleStreak)
-	if err := snapshot.EncodePlain(w, *sim.S); err != nil {
+	c := snapshot.Encoder()
+	if sim.snap(c, t, &q); c.Err() != nil {
+		return nil, c.Err()
+	}
+	hash, err := sim.configHash()
+	if err != nil {
 		return nil, err
 	}
+	return snapshot.Seal(hash, c.Payload()), nil
+}
+
+// snap codes the whole simulator: t holds the collected object tables
+// when encoding (empty ones when decoding), q the event queue.
+func (sim *Simulator) snap(c *snapshot.Codec, t *objTables, q *queued) {
+	// Simulator scalars and statistics.
+	c.U64(&sim.cycle)
+	c.Int(&sim.nextCTA)
+	c.Int(&sim.idleStreak)
+	c.Plain(sim.S)
+	c.Check(sim.nextCTA >= 0 && sim.nextCTA <= sim.Kernel.GridCTAs, "dispatch cursor out of range")
 
 	// Backing memory and compression domain.
-	sim.Mem.Save(w)
-	sim.Dom.Save(w)
+	sim.Mem.Snap(c)
+	sim.Dom.Snap(c)
 
 	// Object tables: counts, then payloads in index order. Registration
-	// is closed under reference-following, so payload encoding never
-	// encounters an unregistered object.
-	w.Len(len(t.loads.objs))
-	w.Len(len(t.stores.objs))
-	w.Len(len(t.fills.objs))
-	w.Len(len(t.dcs.objs))
-	w.Len(len(t.dps.objs))
-	w.Len(len(t.memos.objs))
-	for _, q := range t.loads.objs {
-		if q.warp == nil {
-			w.Int(-1)
-			w.Int(-1)
-		} else {
-			w.Int(t.warpSM[q.warp])
-			w.Int(q.warp.id)
-		}
-		// Superops are interned per program: encode the PC and re-resolve
-		// against the kernel's decoded program on load.
-		if q.sop != nil {
-			w.Bool(true)
-			w.Int(int(q.sop.PC))
-		} else {
-			w.Bool(false)
-		}
-		w.Int(q.linesPending)
-		w.U64(q.issued)
-		w.Len(len(q.todo))
-		for _, ln := range q.todo {
-			w.U64(ln)
-		}
+	// is closed under reference-following, so encoding a payload never
+	// meets an unregistered object.
+	t.loads.size(c)
+	t.stores.size(c)
+	t.fills.size(c)
+	t.dcs.size(c)
+	t.dps.size(c)
+	t.memos.size(c)
+	for _, o := range t.loads.objs {
+		o.snap(c, t)
 	}
-	for _, se := range t.stores.objs {
-		w.U64(se.lineAddr)
-		w.U32(se.coverage)
-		w.Int(se.warp)
-		w.U64(se.lastTouch)
-		w.U8(uint8(se.state))
-		w.Len(len(se.chain))
-		for _, id := range se.chain {
-			w.U64(uint64(id))
-		}
-		w.Int(se.chainPos)
-		w.U64(uint64(se.alg))
-		w.Bool(se.released)
+	for _, o := range t.stores.objs {
+		o.snap(c)
 	}
-	for _, fc := range t.fills.objs {
-		w.U8(uint8(fc.kind))
-		if err := t.loads.enc(w, fc.load); err != nil {
-			return nil, err
-		}
-		if err := t.stores.enc(w, fc.se); err != nil {
-			return nil, err
-		}
-		if err := t.encCont(w, fc.after); err != nil {
-			return nil, err
-		}
+	for _, o := range t.fills.objs {
+		o.snap(c, t)
 	}
-	for _, dc := range t.dcs.objs {
-		w.U64(dc.ln)
-		w.Int(dc.warp)
-		w.Bool(dc.injected)
-		if err := t.encCont(w, dc.done); err != nil {
-			return nil, err
-		}
-		w.Bytes(dc.buf[:])
+	for _, o := range t.dcs.objs {
+		o.snap(c, t)
 	}
-	for _, dp := range t.dps.objs {
-		w.U64(dp.ln)
-		if err := t.encCont(w, dp.done); err != nil {
-			return nil, err
-		}
+	for _, o := range t.dps.objs {
+		o.snap(c, t)
 	}
-	for _, mc := range t.memos.objs {
-		// The parent warp encodes as (sm, slot) and the superop as its PC,
-		// like loadReq; a memoCtx always carries both.
-		w.Int(t.warpSM[mc.w])
-		w.Int(mc.w.id)
-		w.Int(int(mc.sop.PC))
+	for _, o := range t.memos.objs {
+		o.snap(c, t)
 	}
 
 	// Memory system (caches, MSHRs, DRAM timing, injector streams).
-	if err := sim.Sys.SaveState(w, t.encAction(sim), t.encUser); err != nil {
-		return nil, err
-	}
+	sim.Sys.Snap(c, t.action, t.user)
 
 	// Event queue.
-	w.F64(now)
-	w.U64(seq)
-	w.Len(len(evs))
-	enc := t.encAction(sim)
-	for _, ev := range evs {
-		w.F64(ev.Time)
-		w.U64(ev.Seq)
-		if err := enc(w, ev.Act); err != nil {
-			return nil, err
-		}
-	}
+	c.F64(&q.now)
+	c.U64(&q.seq)
+	snapshot.Slice(c, &q.evs, maxGPUSnapLen, func(ev *timing.Event) {
+		c.F64(&ev.Time)
+		c.U64(&ev.Seq)
+		t.action(c, &ev.Act)
+	})
 
 	// Per-SM sections.
 	for _, sm := range sim.sms {
-		if err := sm.save(w, t); err != nil {
-			return nil, err
-		}
+		sm.snap(c, t)
 	}
 
 	// Observability state. Which subsections exist is pinned by the
@@ -464,258 +565,198 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 	// deliberately absent — a resumed run re-opens spans for live
 	// entities and its trace covers restore→end.
 	if sim.smp != nil {
-		sim.smp.save(w)
+		sim.smp.snap(c)
 	}
 	if sim.Cfg.AttributeStalls {
 		for _, sm := range sim.sms {
-			sm.attr.Save(w)
+			sm.attr.Snap(c)
 		}
 	}
-
-	hash, err := sim.configHash()
-	if err != nil {
-		return nil, err
-	}
-	return snapshot.Seal(hash, w.Payload()), nil
 }
 
-// save serializes one SM.
-func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
+// snap codes one SM.
+func (sm *SM) snap(c *snapshot.Codec, t *objTables) {
+	if c.Err() != nil {
+		return
+	}
+	k := sm.sim.Kernel
+
 	// Scalars.
-	w.U64(sm.sfuFree)
-	w.U64(sm.lsuFree)
-	if sm.greedy != nil {
-		w.Int(sm.greedy.id)
-	} else {
-		w.Int(-1)
-	}
-	w.U64(uint64(sm.lastGoodEnc))
-	w.Bool(sm.hasLastGood)
-	w.Int(sm.compFailStreak)
-	w.Bool(sm.compDisabled)
-	w.Bool(sm.qTry)
-	w.U64(sm.cycle)
-	if err := snapshot.EncodePlain(w, sm.stat); err != nil {
-		return err
-	}
+	c.U64(&sm.sfuFree)
+	c.U64(&sm.lsuFree)
+	sm.slot(c, &sm.greedy)
+	snapshot.Num(c, &sm.lastGoodEnc)
+	c.Bool(&sm.hasLastGood)
+	c.Int(&sm.compFailStreak)
+	c.Bool(&sm.compDisabled)
+	c.Bool(&sm.qTry)
+	c.U64(&sm.cycle)
+	c.Plain(&sm.stat)
 
 	// CTAs, then warps (warps reference CTAs by index).
-	w.Len(len(sm.ctas))
-	for _, cta := range sm.ctas {
-		w.Int(cta.id)
-		w.Bytes(cta.shared)
-		w.Int(cta.liveWarps)
-		w.Int(cta.atBarrier)
-		w.Len(len(cta.warps))
-		for _, cw := range cta.warps {
-			w.Int(cw.id)
+	snapshot.Slice(c, &sm.ctas, maxGPUSnapLen, func(p **ctaCtx) {
+		if c.Loading() {
+			*p = &ctaCtx{}
 		}
-	}
-	for _, wp := range sm.warps {
-		// Every slot keeps its last issue cycle: a warp placed into a
-		// free slot inherits it, and the GTO order reads it.
-		w.U64(wp.lastIssueCycle)
-		valid := sm.resident(wp)
-		w.Bool(valid)
-		if !valid {
-			continue
-		}
-		ctaIdx := -1
-		for i, cta := range sm.ctas {
-			if cta == wp.cta {
-				ctaIdx = i
-				break
+		cta := *p
+		c.Int(&cta.id)
+		c.Bytes(&cta.shared, maxGPUSnapLen)
+		c.Int(&cta.liveWarps)
+		c.Int(&cta.atBarrier)
+		snapshot.Slice(c, &cta.warps, maxGPUSnapLen, func(w **warpCtx) {
+			sm.slot(c, w)
+			c.Check(*w != nil, "CTA warp id out of range")
+		})
+	})
+	if c.Loading() {
+		sm.drainingCTAs = 0
+		for _, cta := range sm.ctas {
+			if cta.liveWarps == 0 {
+				sm.drainingCTAs++
 			}
 		}
-		if ctaIdx < 0 {
-			return snapErrf("valid warp without a resident CTA")
+		// The scan masks restart from the restored residency: the
+		// verdicts are derived state and start empty (a clear bit claims
+		// nothing), and zeroing the warps zeroes their memo keys.
+		sm.scan = scanMasks{}
+	}
+	for _, wp := range sm.warps {
+		if c.Loading() {
+			*wp = warpCtx{id: wp.id}
 		}
-		w.Int(ctaIdx)
-		g, p := wp.sb.Bits()
-		for _, v := range g {
-			w.U64(v)
+		// Every slot keeps its last issue cycle: a warp placed into a
+		// free slot inherits it, and the GTO order reads it.
+		c.U64(&wp.lastIssueCycle)
+		valid := sm.resident(wp)
+		if c.Bool(&valid); !valid {
+			continue
 		}
-		w.U8(p)
-		w.Int(wp.inFlight)
-		w.Int(wp.pendingLoads)
-		if err := t.loads.enc(w, wp.replay); err != nil {
-			return err
+		ctaIdx := slices.Index(sm.ctas, wp.cta)
+		c.Int(&ctaIdx)
+		if !c.Check(ctaIdx >= 0 && ctaIdx < len(sm.ctas), "warp CTA index out of range") {
+			return
 		}
-		wp.exec.Save(w, false)
+		if c.Loading() {
+			sm.scan.valid |= wp.bit()
+			wp.cta = sm.ctas[ctaIdx]
+			wp.exec = core.NewExec(k.Prog, 0)
+		}
+		wp.sb.Snap(c)
+		c.Int(&wp.inFlight)
+		c.Int(&wp.pendingLoads)
+		t.loads.ref(c, &wp.replay)
+		wp.exec.Snap(c, k.Prog, false)
+		if c.Loading() {
+			wp.exec.Shared = wp.cta.shared
+			wp.exec.Mem = sm.sim.Mem
+		}
 	}
 
 	// Assist-warp controller (entries carry opaque User refs; the
 	// writeback ring below references entries by AWT position).
-	if err := sm.awc.Save(w, func(w *snapshot.Writer, e *core.Entry) error {
-		return t.encUser(w, e.User)
-	}); err != nil {
-		return err
-	}
+	sm.awc.Snap(c, func(c *snapshot.Codec, e *core.Entry) {
+		if !c.Check(e.Warp < len(sm.warps), "AWT entry parent warp out of range") {
+			return
+		}
+		t.user(c, &e.User)
+		if completionOf(e.User, e.Routine.ID) == noCompletion {
+			c.Failf("AWT entry whose payload %T names no completion for routine %d", e.User, e.Routine.ID)
+		}
+	})
 
 	// L1 cache and MSHR.
-	sm.l1.Save(w)
-	if err := sm.mshr.Save(w, t.encUser); err != nil {
-		return err
-	}
+	sm.l1.Snap(c)
+	sm.mshr.Snap(c, t.user)
 
 	// Writeback ring, bucket by bucket.
 	ents := sm.awc.Entries()
-	entIdx := make(map[*core.Entry]int, len(ents))
-	for i, e := range ents {
-		entIdx[e] = i
+	c.Shape(len(sm.wbRing), "writeback ring size")
+	if c.Loading() {
+		sm.wbPending = 0
 	}
-	w.Len(len(sm.wbRing))
 	for i := range sm.wbRing {
-		w.Len(len(sm.wbRing[i]))
-		for j := range sm.wbRing[i] {
-			rec := &sm.wbRing[i][j]
-			w.U8(uint8(rec.kind))
-			// Superops are interned per program: a PC is enough to
-			// re-resolve (kernel program for wbWarp, the entry's routine
-			// for wbAssist; wbLoad records carry no superop).
-			if rec.sop != nil {
-				w.Int(int(rec.sop.PC))
-			} else {
-				w.Int(-1)
-			}
-			if rec.w != nil {
-				w.Int(rec.w.id)
-			} else {
-				w.Int(-1)
-			}
+		snapshot.Slice(c, &sm.wbRing[i], maxGPUSnapLen, func(rec *wbRec) {
+			snapshot.Kind(c, &rec.kind, wbLoad)
+			pc := pcOf(rec.sop)
+			c.Int(&pc)
+			sm.slot(c, &rec.w)
+			e := -1
 			if rec.e != nil {
-				idx, ok := entIdx[rec.e]
-				if !ok {
-					return snapErrf("writeback record references a retired AWT entry")
+				e = slices.Index(ents, rec.e)
+				c.Check(e >= 0, "writeback record references a retired AWT entry")
+			}
+			c.Int(&e)
+			if c.Loading() && c.Check(e < len(ents), "writeback reference out of range") {
+				if e >= 0 {
+					rec.e = ents[e]
 				}
-				w.Int(idx)
-			} else {
-				w.Int(-1)
+				// Re-resolve the superop against its owning program: the
+				// kernel's for warp records, the AWT entry's routine for
+				// assist records (entries were decoded above; wbLoad
+				// records carry no superop).
+				if pc >= 0 {
+					ops := k.Prog.Decoded().Ops
+					if rec.e != nil {
+						ops = rec.e.Routine.Prog.Decoded().Ops
+					}
+					rec.sop = opAt(c, ops, pc, "writeback")
+				}
 			}
-			if err := t.loads.enc(w, rec.req); err != nil {
-				return err
-			}
+			t.loads.ref(c, &rec.req)
+		})
+		if c.Loading() {
+			sm.wbPending += len(sm.wbRing[i])
 		}
 	}
 
 	// Retry queues and the store buffer.
-	w.Len(len(sm.decompRetry))
-	for i := range sm.decompRetry {
-		pt := &sm.decompRetry[i]
-		w.U8(uint8(pt.kind))
-		if err := t.stores.enc(w, pt.se); err != nil {
-			return err
-		}
-		w.U64(pt.ln)
-		mem.SaveCompressed(w, pt.st)
-		w.Int(pt.warp)
-		if err := t.encCont(w, pt.done); err != nil {
-			return err
-		}
-		if err := t.dcs.enc(w, pt.dc); err != nil {
-			return err
-		}
-	}
-	w.Len(len(sm.replayQ))
-	for _, q := range sm.replayQ {
-		if err := t.loads.enc(w, q); err != nil {
-			return err
-		}
-	}
-	w.Len(len(sm.storeBuf))
-	for _, se := range sm.storeBuf {
-		if err := t.stores.enc(w, se); err != nil {
-			return err
-		}
-	}
+	snapshot.Slice(c, &sm.decompRetry, maxGPUSnapLen, func(pt *pendingTrigger) {
+		snapshot.Kind(c, &pt.kind, pendECC)
+		t.stores.ref(c, &pt.se)
+		c.U64(&pt.ln)
+		mem.SnapCompressed(c, &pt.st)
+		c.Int(&pt.warp)
+		t.cont(c, &pt.done)
+		t.dcs.ref(c, &pt.dc)
+	})
+	snapshot.Slice(c, &sm.replayQ, maxGPUSnapLen, func(q **loadReq) {
+		t.loads.ref(c, q)
+		c.Check(*q != nil, "nil loadReq in replay queue")
+	})
+	snapshot.Slice(c, &sm.storeBuf, maxGPUSnapLen, func(se **storeEntry) {
+		t.stores.ref(c, se)
+		c.Check(*se != nil, "nil storeEntry in store buffer")
+	})
 
 	// Use-case hardware (layout gated by the hashed Design, so saver and
 	// loader always agree on which sub-sections are present).
-	sm.saveUseCases(w)
-	return nil
-}
+	sm.snapUseCases(c)
 
-// decTables is the decode side of the object tables: pre-allocated
-// objects, filled in index order.
-type decTables struct {
-	loads  idList[loadReq]
-	stores idList[storeEntry]
-	fills  idList[fillCtx]
-	dcs    idList[decompCtx]
-	dps    idList[decompPlain]
-	memos  idList[memoCtx]
-}
-
-// decCont mirrors encCont.
-func (t *decTables) decCont(r *snapshot.Reader) (cont, error) {
-	var c cont
-	k := r.U8()
-	if k > uint8(contLoadLineDone) {
-		return c, snapErrf("continuation kind %d out of range", k)
-	}
-	c.kind = contKind(k)
-	c.ln = r.U64()
-	var err error
-	if c.fill, err = t.fills.dec(r); err != nil {
-		return c, err
-	}
-	c.req, err = t.loads.dec(r)
-	return c, err
-}
-
-// decUser decodes a tagged pending-work reference.
-func (t *decTables) decUser(r *snapshot.Reader) (any, error) {
-	switch tag := r.U8(); tag {
-	case refNil:
-		return nil, r.Err()
-	case refFill:
-		return decAny(t.fills, r)
-	case refLoad:
-		return decAny(t.loads, r)
-	case refStore:
-		return decAny(t.stores, r)
-	case refDecompCtx:
-		return decAny(t.dcs, r)
-	case refDecompPlain:
-		return decAny(t.dps, r)
-	case refMemo:
-		return decAny(t.memos, r)
-	default:
-		return nil, snapErrf("pending-work reference tag %d out of range", tag)
+	if c.Loading() {
+		// Scratch and caches rebuilt from scratch on the next tick;
+		// orderDirty rebuilds the GTO list.
+		sm.orderDirty = true
+		sm.issuedBuf = sm.issuedBuf[:0]
+		sm.qValid = false
+		// The retry gate is not serialized: rescan the restored queue once.
+		sm.retryArmed = true
 	}
 }
 
-// decAction decodes a queued event action.
-func (t *decTables) decAction(sim *Simulator) func(*snapshot.Reader) (timing.Action, error) {
-	return func(r *snapshot.Reader) (timing.Action, error) {
-		switch kind := r.U8(); kind {
-		case akNop:
-			return timing.Nop{}, r.Err()
-		case akMem:
-			return sim.Sys.DecodeAction(r, t.decUser)
-		case akHWCompress, akCompleteFill, akHWDetect:
-			i := r.Int()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if i < 0 || i >= len(sim.sms) {
-				return nil, snapErrf("SM index %d out of range", i)
-			}
-			a := smEvent{sm: sim.sms[i], kind: kind}
-			var err error
-			if kind == akHWCompress {
-				a.se, err = t.stores.dec(r)
-			} else {
-				a.ln = r.U64()
-				a.fill, err = t.fills.dec(r)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return a, nil
-		default:
-			return nil, snapErrf("event action kind %d out of range", kind)
-		}
+// slot codes a reference to one of the SM's warp slots as its index, nil
+// as -1 (decoding takes any negative index as nil).
+func (sm *SM) slot(c *snapshot.Codec, w **warpCtx) {
+	id := -1
+	if *w != nil {
+		id = (*w).id
+	}
+	c.Int(&id)
+	if !c.Loading() {
+		return
+	}
+	*w = nil
+	if c.Check(id < len(sm.warps), "warp slot out of range") && id >= 0 {
+		*w = sm.warps[id]
 	}
 }
 
@@ -731,12 +772,10 @@ func SnapshotCycle(blob []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r := snapshot.NewReader(payload)
-	cycle := r.U64()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	return cycle, nil
+	var cycle uint64
+	c := snapshot.Decoder(payload)
+	c.U64(&cycle)
+	return cycle, c.Err()
 }
 
 // LoadState restores a snapshot produced by SaveState into this freshly
@@ -761,469 +800,18 @@ func (sim *Simulator) LoadState(blob []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	r := snapshot.NewReader(payload)
-
-	// Simulator scalars and statistics.
-	sim.cycle = r.U64()
-	sim.nextCTA = r.Int()
-	sim.idleStreak = r.Int()
-	if err := snapshot.DecodePlain(r, sim.S); err != nil {
-		return err
+	c := snapshot.Decoder(payload)
+	var q queued
+	if sim.snap(c, &objTables{sim: sim}, &q); c.Err() != nil {
+		return c.Err()
 	}
-	if sim.nextCTA < 0 || sim.nextCTA > sim.Kernel.GridCTAs {
-		return snapErrf("dispatch cursor out of range")
+	if c.Remaining() != 0 {
+		return snapErrf("%d trailing bytes after snapshot payload", c.Remaining())
 	}
-
-	// Backing memory and compression domain.
-	if err := sim.Mem.Load(r); err != nil {
-		return err
-	}
-	if err := sim.Dom.Load(r); err != nil {
-		return err
-	}
-
-	// Object tables: allocate, then fill payloads.
-	nLoads := r.Len(maxGPUSnapLen)
-	nStores := r.Len(maxGPUSnapLen)
-	nFills := r.Len(maxGPUSnapLen)
-	nDCs := r.Len(maxGPUSnapLen)
-	nDPs := r.Len(maxGPUSnapLen)
-	nMemos := r.Len(maxGPUSnapLen)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	t := &decTables{
-		loads:  newIDList[loadReq](nLoads),
-		stores: newIDList[storeEntry](nStores),
-		fills:  newIDList[fillCtx](nFills),
-		dcs:    newIDList[decompCtx](nDCs),
-		dps:    newIDList[decompPlain](nDPs),
-		memos:  newIDList[memoCtx](nMemos),
-	}
-	for _, q := range t.loads {
-		smIdx, wid := r.Int(), r.Int()
-		if smIdx >= 0 {
-			if smIdx >= len(sim.sms) || wid < 0 || wid >= len(sim.sms[smIdx].warps) {
-				return snapErrf("loadReq warp reference out of range")
-			}
-			q.warp = sim.sms[smIdx].warps[wid]
-		}
-		if r.Bool() {
-			pc := r.Int()
-			ops := sim.Kernel.Prog.Decoded().Ops
-			if pc < 0 || pc >= len(ops) {
-				return snapErrf("loadReq pc %d out of range", pc)
-			}
-			q.sop = &ops[pc]
-		}
-		q.linesPending = r.Int()
-		q.issued = r.U64()
-		n := r.Len(maxGPUSnapLen)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for i := 0; i < n; i++ {
-			q.todo = append(q.todo, r.U64())
-		}
-	}
-	for _, se := range t.stores {
-		se.lineAddr = r.U64()
-		se.coverage = r.U32()
-		se.warp = r.Int()
-		se.lastTouch = r.U64()
-		st := r.U8()
-		if st > uint8(sbQueued) {
-			return snapErrf("store-buffer state %d out of range", st)
-		}
-		se.state = storeState(st)
-		n := r.Len(maxGPUSnapLen)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for i := 0; i < n; i++ {
-			se.chain = append(se.chain, core.RoutineID(r.U64()))
-		}
-		se.chainPos = r.Int()
-		se.alg = compress.AlgID(r.U64())
-		se.released = r.Bool()
-		if se.chainPos < 0 || (len(se.chain) > 0 && se.chainPos > len(se.chain)) {
-			return snapErrf("compression chain position out of range")
-		}
-	}
-	for _, fc := range t.fills {
-		k := r.U8()
-		if k > uint8(fillRefetch) {
-			return snapErrf("fill kind %d out of range", k)
-		}
-		fc.kind = fillKind(k)
-		if fc.load, err = t.loads.dec(r); err != nil {
-			return err
-		}
-		if fc.se, err = t.stores.dec(r); err != nil {
-			return err
-		}
-		if fc.after, err = t.decCont(r); err != nil {
-			return err
-		}
-	}
-	for _, dc := range t.dcs {
-		dc.ln = r.U64()
-		dc.warp = r.Int()
-		dc.injected = r.Bool()
-		if dc.done, err = t.decCont(r); err != nil {
-			return err
-		}
-		buf := r.Bytes(maxGPUSnapLen)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if len(buf) != len(dc.buf) {
-			return snapErrf("decompression buffer length %d, want %d", len(buf), len(dc.buf))
-		}
-		copy(dc.buf[:], buf)
-	}
-	for _, dp := range t.dps {
-		dp.ln = r.U64()
-		if dp.done, err = t.decCont(r); err != nil {
-			return err
-		}
-	}
-	for _, mc := range t.memos {
-		smIdx, wid := r.Int(), r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if smIdx < 0 || smIdx >= len(sim.sms) || wid < 0 || wid >= len(sim.sms[smIdx].warps) {
-			return snapErrf("memoCtx warp reference out of range")
-		}
-		mc.w = sim.sms[smIdx].warps[wid]
-		pc := r.Int()
-		ops := sim.Kernel.Prog.Decoded().Ops
-		if pc < 0 || pc >= len(ops) {
-			return snapErrf("memoCtx pc %d out of range", pc)
-		}
-		mc.sop = &ops[pc]
-	}
-
-	// Memory system.
-	if err := sim.Sys.LoadState(r, t.decAction(sim), t.decUser); err != nil {
-		return err
-	}
-
-	// Event queue.
-	now := r.F64()
-	seq := r.U64()
-	n := r.Len(maxGPUSnapLen)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	dec := t.decAction(sim)
-	evs := make([]timing.Event, 0, n)
-	for i := 0; i < n; i++ {
-		var ev timing.Event
-		ev.Time = r.F64()
-		ev.Seq = r.U64()
-		if ev.Act, err = dec(r); err != nil {
-			return err
-		}
-		evs = append(evs, ev)
-	}
-	sim.Q.Restore(now, seq, evs)
-
-	// Per-SM sections.
-	for _, sm := range sim.sms {
-		if err := sm.load(r, t); err != nil {
-			return err
-		}
-	}
-
-	// Observability state (mirrors SaveState's section layout).
-	if sim.smp != nil {
-		if err := sim.smp.load(r); err != nil {
-			return err
-		}
-	}
-	if sim.Cfg.AttributeStalls {
-		for _, sm := range sim.sms {
-			if err := sm.attr.Load(r); err != nil {
-				return err
-			}
-		}
-	}
-
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if r.Remaining() != 0 {
-		return snapErrf("%d trailing bytes after snapshot payload", r.Remaining())
-	}
+	sim.Q.Restore(q.now, q.seq, q.evs)
 	// Open trace spans for every entity live in the restored state, so
 	// the resumed run's trace closes cleanly and validates.
 	sim.reopenTraceSpans()
 	sim.restored = true
 	return nil
-}
-
-// load restores one SM from its snapshot section.
-func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
-	k := sm.sim.Kernel
-
-	// Scalars.
-	sm.sfuFree = r.U64()
-	sm.lsuFree = r.U64()
-	greedyID := r.Int()
-	sm.lastGoodEnc = compress.BDIEncoding(r.U64())
-	sm.hasLastGood = r.Bool()
-	sm.compFailStreak = r.Int()
-	sm.compDisabled = r.Bool()
-	sm.qTry = r.Bool()
-	sm.cycle = r.U64()
-	if err := snapshot.DecodePlain(r, &sm.stat); err != nil {
-		return err
-	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if greedyID >= len(sm.warps) {
-		return snapErrf("greedy warp id out of range")
-	}
-	sm.greedy = nil
-	if greedyID >= 0 {
-		sm.greedy = sm.warps[greedyID]
-	}
-
-	// CTAs.
-	nCTA := r.Len(maxGPUSnapLen)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	sm.ctas = sm.ctas[:0]
-	sm.drainingCTAs = 0
-	for i := 0; i < nCTA; i++ {
-		cta := &ctaCtx{id: r.Int()}
-		cta.shared = append([]byte(nil), r.Bytes(maxGPUSnapLen)...)
-		cta.liveWarps = r.Int()
-		if cta.liveWarps == 0 {
-			sm.drainingCTAs++
-		}
-		cta.atBarrier = r.Int()
-		nw := r.Len(maxGPUSnapLen)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for j := 0; j < nw; j++ {
-			wid := r.Int()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if wid < 0 || wid >= len(sm.warps) {
-				return snapErrf("CTA warp id out of range")
-			}
-			cta.warps = append(cta.warps, sm.warps[wid])
-		}
-		sm.ctas = append(sm.ctas, cta)
-	}
-
-	// Warps. The scan masks restart from the restored residency: the
-	// verdicts are derived state and start empty (a clear bit claims
-	// nothing), and zeroing the warps zeroed their memo keys.
-	sm.scan = scanMasks{}
-	for _, wp := range sm.warps {
-		*wp = warpCtx{id: wp.id, lastIssueCycle: r.U64()}
-		valid := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if !valid {
-			continue
-		}
-		sm.scan.valid |= wp.bit()
-		ctaIdx := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if ctaIdx < 0 || ctaIdx >= len(sm.ctas) {
-			return snapErrf("warp CTA index out of range")
-		}
-		wp.cta = sm.ctas[ctaIdx]
-		var g [4]uint64
-		for i := range g {
-			g[i] = r.U64()
-		}
-		wp.sb.SetBits(g, r.U8())
-		wp.inFlight = r.Int()
-		wp.pendingLoads = r.Int()
-		var err error
-		if wp.replay, err = t.loads.dec(r); err != nil {
-			return err
-		}
-		wp.exec = core.NewExec(k.Prog, 0)
-		if err := wp.exec.Load(r, k.Prog, false); err != nil {
-			return err
-		}
-		wp.exec.Shared = wp.cta.shared
-		wp.exec.Mem = sm.sim.Mem
-	}
-
-	// Assist-warp controller.
-	if err := sm.awc.Load(r, func(r *snapshot.Reader, e *core.Entry) error {
-		if e.Warp >= len(sm.warps) {
-			return snapErrf("AWT entry parent warp %d out of range", e.Warp)
-		}
-		user, err := t.decUser(r)
-		if err != nil {
-			return err
-		}
-		if completionOf(user, e.Routine.ID) == noCompletion {
-			return snapErrf("AWT entry whose payload %T names no completion for routine %d", user, e.Routine.ID)
-		}
-		e.User = user
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	// L1 cache and MSHR.
-	if err := sm.l1.Load(r); err != nil {
-		return err
-	}
-	if err := sm.mshr.Load(r, t.decUser); err != nil {
-		return err
-	}
-
-	// Writeback ring.
-	ents := sm.awc.Entries()
-	nb := r.Len(maxGPUSnapLen)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if nb != len(sm.wbRing) {
-		return snapErrf("writeback ring size mismatch")
-	}
-	sm.wbPending = 0
-	for i := range sm.wbRing {
-		sm.wbRing[i] = sm.wbRing[i][:0]
-		nr := r.Len(maxGPUSnapLen)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for j := 0; j < nr; j++ {
-			var rec wbRec
-			kind := r.U8()
-			if kind > uint8(wbLoad) {
-				return snapErrf("writeback kind %d out of range", kind)
-			}
-			rec.kind = wbKind(kind)
-			pc := r.Int()
-			wid := r.Int()
-			eid := r.Int()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if wid >= len(sm.warps) || eid >= len(ents) {
-				return snapErrf("writeback reference out of range")
-			}
-			if wid >= 0 {
-				rec.w = sm.warps[wid]
-			}
-			if eid >= 0 {
-				rec.e = ents[eid]
-			}
-			// Re-resolve the superop against its owning program: the
-			// kernel's for warp records, the AWT entry's routine for
-			// assist records (entries were decoded above).
-			if pc >= 0 {
-				var ops []isa.Superop
-				switch {
-				case rec.e != nil:
-					ops = rec.e.Routine.Prog.Decoded().Ops
-				default:
-					ops = sm.sim.Kernel.Prog.Decoded().Ops
-				}
-				if pc >= len(ops) {
-					return snapErrf("writeback pc %d out of range", pc)
-				}
-				rec.sop = &ops[pc]
-			}
-			var err error
-			if rec.req, err = t.loads.dec(r); err != nil {
-				return err
-			}
-			sm.wbRing[i] = append(sm.wbRing[i], rec)
-			sm.wbPending++
-		}
-	}
-
-	// Retry queues and the store buffer.
-	nRetry := r.Len(maxGPUSnapLen)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	sm.decompRetry = sm.decompRetry[:0]
-	for i := 0; i < nRetry; i++ {
-		var pt pendingTrigger
-		kind := r.U8()
-		if kind > uint8(pendECC) {
-			return snapErrf("pending-trigger kind %d out of range", kind)
-		}
-		pt.kind = pendingKind(kind)
-		var err error
-		if pt.se, err = t.stores.dec(r); err != nil {
-			return err
-		}
-		pt.ln = r.U64()
-		pt.st = mem.LoadCompressed(r)
-		pt.warp = r.Int()
-		if pt.done, err = t.decCont(r); err != nil {
-			return err
-		}
-		if pt.dc, err = t.dcs.dec(r); err != nil {
-			return err
-		}
-		sm.decompRetry = append(sm.decompRetry, pt)
-	}
-	nReplay := r.Len(maxGPUSnapLen)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	sm.replayQ = sm.replayQ[:0]
-	for i := 0; i < nReplay; i++ {
-		q, err := t.loads.dec(r)
-		if err != nil {
-			return err
-		}
-		if q == nil {
-			return snapErrf("nil loadReq in replay queue")
-		}
-		sm.replayQ = append(sm.replayQ, q)
-	}
-	nStore := r.Len(maxGPUSnapLen)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	sm.storeBuf = sm.storeBuf[:0]
-	for i := 0; i < nStore; i++ {
-		se, err := t.stores.dec(r)
-		if err != nil {
-			return err
-		}
-		if se == nil {
-			return snapErrf("nil storeEntry in store buffer")
-		}
-		sm.storeBuf = append(sm.storeBuf, se)
-	}
-
-	// Use-case hardware.
-	if err := sm.loadUseCases(r); err != nil {
-		return err
-	}
-
-	// Scratch and caches rebuilt from scratch on the next tick;
-	// orderDirty rebuilds the GTO list.
-	sm.orderDirty = true
-	sm.issuedBuf = sm.issuedBuf[:0]
-	sm.qValid = false
-	// The retry gate is not serialized: rescan the restored queue once.
-	sm.retryArmed = true
-	return r.Err()
 }

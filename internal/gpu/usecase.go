@@ -418,81 +418,38 @@ func (sm *SM) tryMemoSave(w *warpCtx, key uint64) bool {
 	return sm.launchAssist(rt, host, ex, nil, "memo-update")
 }
 
-// --- Snapshot (appended to the SM section; layout gated by the hashed
-// Design, so saver and loader always agree) ---
-
-func (sm *SM) saveUseCases(w *snapshot.Writer) {
-	if sm.pf != nil {
-		p := sm.pf
+// snapUseCases codes the use-case hardware at the end of the SM's
+// snapshot section; the layout is gated by the hashed Design, so saver
+// and loader always agree on which tables are present.
+func (sm *SM) snapUseCases(c *snapshot.Codec) {
+	if p := sm.pf; p != nil {
 		for i := range p.tab {
 			e := &p.tab[i]
-			w.U64(e.tag)
-			w.U64(e.lastLine)
-			w.U64(uint64(e.stride))
-			w.U64(e.lastTrig)
-			w.U8(e.conf)
-			w.Bool(e.valid)
+			c.U64(&e.tag)
+			c.U64(&e.lastLine)
+			c.I64(&e.stride)
+			c.U64(&e.lastTrig)
+			c.U8(&e.conf)
+			c.Bool(&e.valid)
 		}
-		for _, ln := range p.ring {
-			w.U64(ln)
-		}
-		w.Int(p.pos)
-		w.Int(p.lines)
+		c.U64s(p.ring[:])
+		c.Int(&p.pos)
+		c.Int(&p.lines)
+		c.Check(p.pos >= 0 && p.pos < pfRingSize && p.lines >= 0, "prefetcher state out of range")
 	}
-	if sm.memo != nil {
-		m := sm.memo
+	if m := sm.memo; m != nil {
 		for i := range m.tags {
-			w.U64(m.tags[i])
-			w.Bool(m.used[i])
+			c.U64(&m.tags[i])
+			c.Bool(&m.used[i])
 		}
 		for i := range m.rr {
-			w.U8(m.rr[i])
-		}
-		for _, wp := range sm.warps {
-			w.Bool(wp.memoPending)
-		}
-	}
-}
-
-func (sm *SM) loadUseCases(r *snapshot.Reader) error {
-	if sm.pf != nil {
-		p := sm.pf
-		for i := range p.tab {
-			e := &p.tab[i]
-			e.tag = r.U64()
-			e.lastLine = r.U64()
-			e.stride = int64(r.U64())
-			e.lastTrig = r.U64()
-			e.conf = r.U8()
-			e.valid = r.Bool()
-		}
-		for i := range p.ring {
-			p.ring[i] = r.U64()
-		}
-		p.pos = r.Int()
-		p.lines = r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if p.pos < 0 || p.pos >= pfRingSize || p.lines < 0 {
-			return snapErrf("prefetcher state out of range")
-		}
-	}
-	if sm.memo != nil {
-		m := sm.memo
-		for i := range m.tags {
-			m.tags[i] = r.U64()
-			m.used[i] = r.Bool()
-		}
-		for i := range m.rr {
-			m.rr[i] = r.U8()
-			if m.rr[i] >= memoWays {
-				return snapErrf("result-cache replacement cursor out of range")
+			c.U8(&m.rr[i])
+			if !c.Check(m.rr[i] < memoWays, "result-cache replacement cursor out of range") {
+				return
 			}
 		}
 		for _, wp := range sm.warps {
-			wp.memoPending = r.Bool()
+			c.Bool(&wp.memoPending)
 		}
 	}
-	return r.Err()
 }

@@ -8,10 +8,6 @@ import (
 	"github.com/caba-sim/caba/internal/snapshot"
 )
 
-// maxAttrWarps bounds the warp-slot count a serialized Attr may claim,
-// so a corrupt snapshot cannot force a huge allocation.
-const maxAttrWarps = 1 << 16
-
 // Cause is the typed reason an issue slot went unfilled. Every cycle, for
 // every scheduler slot that fails to issue, exactly one (warp, Cause)
 // pair is charged, so summed over a run the attribution tables account
@@ -129,36 +125,14 @@ func (a *Attr) Totals() [NumCauses]uint64 {
 	return t
 }
 
-// Save serializes the table into a snapshot payload.
-func (a *Attr) Save(w *snapshot.Writer) {
-	w.Len(len(a.Counts))
+// Snap codes the table in a checkpoint. The row count must match the
+// decoding table's: the SM geometry is fixed by the config the snapshot
+// was sealed against.
+func (a *Attr) Snap(c *snapshot.Codec) {
+	c.Shape(len(a.Counts), "attr rows")
 	for i := range a.Counts {
-		for _, n := range a.Counts[i] {
-			w.U64(n)
-		}
+		c.U64s(a.Counts[i][:])
 	}
-}
-
-// Load restores a table saved by Save, replacing the receiver's
-// contents. The row count must match the receiver's (the SM geometry is
-// fixed by the config the snapshot was sealed against).
-func (a *Attr) Load(r *snapshot.Reader) error {
-	n := r.Len(maxAttrWarps + 1)
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("attr rows: %w", err)
-	}
-	if n != len(a.Counts) {
-		return fmt.Errorf("attr rows: snapshot has %d, machine has %d", n, len(a.Counts))
-	}
-	for i := range a.Counts {
-		for c := range a.Counts[i] {
-			a.Counts[i][c] = r.U64()
-		}
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("attr counters: %w", err)
-	}
-	return nil
 }
 
 // Attribution is the whole-machine stall-attribution report: one Attr

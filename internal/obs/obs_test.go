@@ -71,11 +71,12 @@ func TestSeriesSnapshotRoundTrip(t *testing.T) {
 	for _, r := range sampleRows() {
 		s.Append(r)
 	}
-	var w snapshot.Writer
-	s.Save(&w)
+	enc := snapshot.Encoder()
+	s.Snap(enc)
 	var got Series
-	if err := got.Load(snapshot.NewReader(w.Payload())); err != nil {
-		t.Fatal(err)
+	dec := snapshot.Decoder(enc.Payload())
+	if got.Snap(dec); dec.Err() != nil {
+		t.Fatal(dec.Err())
 	}
 	if !reflect.DeepEqual(&s, &got) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
@@ -85,10 +86,11 @@ func TestSeriesSnapshotRoundTrip(t *testing.T) {
 func TestSeriesLoadRejectsTruncated(t *testing.T) {
 	var s Series
 	s.Append(sampleRows()[0])
-	var w snapshot.Writer
-	s.Save(&w)
+	enc := snapshot.Encoder()
+	s.Snap(enc)
 	var got Series
-	if err := got.Load(snapshot.NewReader(w.Payload()[:len(w.Payload())-3])); err == nil {
+	dec := snapshot.Decoder(enc.Payload()[:len(enc.Payload())-3])
+	if got.Snap(dec); dec.Err() == nil {
 		t.Fatal("truncated payload loaded without error")
 	}
 }
@@ -114,17 +116,19 @@ func TestAttrSnapshotRoundTrip(t *testing.T) {
 	a := NewAttr(2)
 	a.Charge(1, CauseBarrier, 5)
 	a.Charge(-1, CauseEmpty, 1)
-	var w snapshot.Writer
-	a.Save(&w)
+	enc := snapshot.Encoder()
+	a.Snap(enc)
 	got := NewAttr(2)
-	if err := got.Load(snapshot.NewReader(w.Payload())); err != nil {
-		t.Fatal(err)
+	dec := snapshot.Decoder(enc.Payload())
+	if got.Snap(dec); dec.Err() != nil {
+		t.Fatal(dec.Err())
 	}
 	if !reflect.DeepEqual(a, got) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", a, got)
 	}
 	wrong := NewAttr(3)
-	if err := wrong.Load(snapshot.NewReader(w.Payload())); err == nil {
+	dec = snapshot.Decoder(enc.Payload())
+	if wrong.Snap(dec); dec.Err() == nil {
 		t.Fatal("geometry mismatch loaded without error")
 	}
 }

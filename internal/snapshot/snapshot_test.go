@@ -3,103 +3,189 @@ package snapshot
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
-func TestWriterReaderRoundTrip(t *testing.T) {
-	var w Writer
-	w.U8(0xab)
-	w.Bool(true)
-	w.Bool(false)
-	w.U32(0xdeadbeef)
-	w.U64(0x0123456789abcdef)
-	w.I64(-42)
-	w.Int(-7)
-	w.F64(math.Pi)
-	w.Len(3)
-	w.Bytes([]byte{1, 2, 3})
-	w.String("hello")
+// roundTrip encodes *in with f, then decodes the payload into *out with
+// the same f, and returns the decoder.
+func roundTrip[T any](in, out *T, f func(c *Codec, s *T)) *Codec {
+	enc := Encoder()
+	f(enc, in)
+	dec := Decoder(enc.Payload())
+	f(dec, out)
+	return dec
+}
 
-	r := NewReader(w.Payload())
-	if got := r.U8(); got != 0xab {
-		t.Errorf("U8 = %#x", got)
+func TestCodecRoundTrip(t *testing.T) {
+	type state struct {
+		u8    uint8
+		t, f  bool
+		u32   uint32
+		u64   uint64
+		i64   int64
+		i     int
+		f64   float64
+		n     int
+		b     []byte
+		fixed [3]byte
+		s     string
+		row   [2]uint64
+		kind  uint8
+		num   int16
+		list  []int
+		m     map[uint64]string
 	}
-	if !r.Bool() || r.Bool() {
-		t.Error("Bool round trip failed")
+	in := state{u8: 0xab, t: true, u32: 0xdeadbeef, u64: 0x0123456789abcdef,
+		i64: -42, i: -7, f64: math.Pi, n: 3, b: []byte{1, 2, 3}, fixed: [3]byte{4, 5, 6},
+		s: "hello", row: [2]uint64{9, 10}, kind: 2, num: -300, list: []int{-1, 0, 1},
+		m: map[uint64]string{7: "seven", 2: "two"}}
+	out := state{t: false, f: true, m: map[uint64]string{99: "stale"}}
+	dec := roundTrip(&in, &out, func(c *Codec, s *state) {
+		c.U8(&s.u8)
+		c.Bool(&s.t)
+		c.Bool(&s.f)
+		c.U32(&s.u32)
+		c.U64(&s.u64)
+		c.I64(&s.i64)
+		c.Int(&s.i)
+		c.F64(&s.f64)
+		c.Len(&s.n, 10)
+		c.Bytes(&s.b, 10)
+		c.Fixed(s.fixed[:])
+		c.String(&s.s, 10)
+		c.U64s(s.row[:])
+		Kind(c, &s.kind, 2)
+		Num(c, &s.num)
+		Slice(c, &s.list, 10, c.Int)
+		Map(c, s.m, 10, func(v *string) { c.String(v, 10) })
+	})
+	if err := dec.Err(); err != nil {
+		t.Fatalf("unexpected error: %v", err)
 	}
-	if got := r.U32(); got != 0xdeadbeef {
-		t.Errorf("U32 = %#x", got)
+	if dec.Remaining() != 0 {
+		t.Errorf("%d bytes left over", dec.Remaining())
 	}
-	if got := r.U64(); got != 0x0123456789abcdef {
-		t.Errorf("U64 = %#x", got)
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", out, in)
 	}
-	if got := r.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := r.Int(); got != -7 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := r.F64(); got != math.Pi {
-		t.Errorf("F64 = %v", got)
-	}
-	if got := r.Len(10); got != 3 {
-		t.Errorf("Len = %d", got)
-	}
-	if got := r.Bytes(10); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Bytes = %v", got)
-	}
-	if got := r.String(10); got != "hello" {
-		t.Errorf("String = %q", got)
-	}
-	if r.Err() != nil {
-		t.Fatalf("unexpected error: %v", r.Err())
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("%d bytes left over", r.Remaining())
+	clear(dec.Payload())
+	if string(out.b) != "\x01\x02\x03" || out.s != "hello" {
+		t.Error("decoded bytes alias the payload")
 	}
 }
 
 func TestReaderErrorLatches(t *testing.T) {
-	r := NewReader([]byte{1, 2})
-	_ = r.U64() // needs 8 bytes, only 2 available
-	if r.Err() == nil {
+	c := Decoder([]byte{1, 2})
+	v := uint64(5)
+	c.U64(&v) // needs 8 bytes, only 2 available
+	if c.Err() == nil {
 		t.Fatal("expected error after short read")
 	}
+	if v != 0 {
+		t.Errorf("failed U64 left %d", v)
+	}
 	var fe *FormatError
-	if !errors.As(r.Err(), &fe) {
-		t.Fatalf("error %T is not *FormatError", r.Err())
+	if !errors.As(c.Err(), &fe) {
+		t.Fatalf("error %T is not *FormatError", c.Err())
 	}
-	// Subsequent reads return zero values without touching the buffer.
-	if got := r.U8(); got != 0 {
-		t.Errorf("U8 after error = %d", got)
-	}
-	if got := r.Bytes(100); got != nil {
-		t.Errorf("Bytes after error = %v", got)
+	// Later primitives zero their values without touching the buffer.
+	b, u := []byte{9}, uint8(9)
+	c.U8(&u)
+	c.Bytes(&b, 100)
+	if u != 0 || len(b) != 0 || c.Remaining() != 2 {
+		t.Errorf("after error: U8 %d, Bytes %v, %d bytes left", u, b, c.Remaining())
 	}
 }
 
 func TestReaderRejectsBadValues(t *testing.T) {
-	// Boolean byte other than 0/1.
-	r := NewReader([]byte{2})
-	r.Bool()
-	if r.Err() == nil {
-		t.Error("Bool(2) accepted")
+	reject := func(name string, payload []byte, f func(c *Codec)) {
+		t.Helper()
+		c := Decoder(payload)
+		f(c)
+		if c.Err() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	// Length exceeding max.
-	var w Writer
-	w.Len(100)
-	r = NewReader(append(w.Payload(), make([]byte, 100)...))
-	r.Len(50)
-	if r.Err() == nil {
-		t.Error("length beyond max accepted")
+	encode := func(f func(c *Codec)) []byte {
+		c := Encoder()
+		f(c)
+		return c.Payload()
 	}
-	// Length exceeding remaining bytes (the giant-allocation guard).
-	var w2 Writer
-	w2.Len(1 << 40)
-	r = NewReader(w2.Payload())
-	r.Bytes(1 << 50)
-	if r.Err() == nil {
-		t.Error("length beyond remaining bytes accepted")
+	var b bool
+	reject("Bool(2)", []byte{2}, func(c *Codec) { c.Bool(&b) })
+	hundred := encode(func(c *Codec) { n := 100; c.Len(&n, 200) })
+	var n int
+	reject("length beyond max", append(hundred, make([]byte, 100)...), func(c *Codec) { c.Len(&n, 50) })
+	// A length beyond the remaining bytes is the giant-allocation guard.
+	huge := encode(func(c *Codec) { n := 1 << 40; c.Len(&n, 1<<50) })
+	var bs []byte
+	reject("length beyond remaining bytes", huge, func(c *Codec) { c.Bytes(&bs, 1<<50) })
+	var k uint8
+	reject("kind above max", []byte{3}, func(c *Codec) { Kind(c, &k, 2) })
+	three := encode(func(c *Codec) { c.Shape(3, "x") })
+	reject("shape mismatch", three, func(c *Codec) { c.Shape(4, "x") })
+	reject("fixed length mismatch", append(three, 1, 2, 3), func(c *Codec) { c.Fixed(make([]byte, 2)) })
+	dup := encode(func(c *Codec) {
+		n, k := 2, uint64(5)
+		c.Len(&n, 10)
+		c.U64(&k)
+		c.U64(&k)
+	})
+	reject("duplicate map key", dup, func(c *Codec) { Map(c, map[uint64]int{}, 10, func(*int) {}) })
+	reject("failed check", nil, func(c *Codec) { c.Check(false, "broken invariant") })
+}
+
+type plainInner struct {
+	Name  string
+	Vals  []uint64
+	Flag  bool
+	Ratio float64
+}
+
+type plainOuter struct {
+	A     int
+	B     uint32
+	Inner plainInner
+	Arr   [3]int16
+}
+
+func TestPlainCodecRoundTrip(t *testing.T) {
+	in := plainOuter{
+		A:     -99,
+		B:     77,
+		Inner: plainInner{Name: "x", Vals: []uint64{1, 2, 3}, Flag: true, Ratio: 0.5},
+		Arr:   [3]int16{-1, 0, 1},
+	}
+	var out plainOuter
+	dec := roundTrip(&in, &out, func(c *Codec, p *plainOuter) { c.Plain(p) })
+	if err := dec.Err(); err != nil {
+		t.Fatalf("Plain: %v", err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip mismatch: %+v", out)
+	}
+	if dec.Remaining() != 0 {
+		t.Errorf("%d bytes left over", dec.Remaining())
+	}
+	// Decoding checks that each integer fits its field.
+	big := Encoder()
+	v := struct{ N int64 }{1 << 20}
+	big.Plain(&v)
+	var small struct{ N int16 }
+	c := Decoder(big.Payload())
+	if c.Plain(&small); c.Err() == nil {
+		t.Error("overflowing integer accepted")
+	}
+}
+
+func TestPlainCodecRejectsPointers(t *testing.T) {
+	c := Encoder()
+	if c.Plain(&struct{ P *int }{}); c.Err() == nil {
+		t.Error("pointer field accepted")
+	}
+	if _, err := HashPlain(struct{ P *int }{}); err == nil {
+		t.Error("HashPlain accepted a pointer field")
 	}
 }
 
@@ -194,53 +280,6 @@ func TestInspect(t *testing.T) {
 	}
 }
 
-type plainInner struct {
-	Name  string
-	Vals  []uint64
-	Flag  bool
-	Ratio float64
-}
-
-type plainOuter struct {
-	A     int
-	B     uint32
-	Inner plainInner
-	Arr   [3]int16
-}
-
-func TestPlainCodecRoundTrip(t *testing.T) {
-	in := plainOuter{
-		A:     -99,
-		B:     77,
-		Inner: plainInner{Name: "x", Vals: []uint64{1, 2, 3}, Flag: true, Ratio: 0.5},
-		Arr:   [3]int16{-1, 0, 1},
-	}
-	var w Writer
-	if err := EncodePlain(&w, in); err != nil {
-		t.Fatalf("EncodePlain: %v", err)
-	}
-	var out plainOuter
-	r := NewReader(w.Payload())
-	if err := DecodePlain(r, &out); err != nil {
-		t.Fatalf("DecodePlain: %v", err)
-	}
-	if out.A != in.A || out.B != in.B || out.Inner.Name != in.Inner.Name ||
-		len(out.Inner.Vals) != 3 || out.Inner.Vals[2] != 3 ||
-		!out.Inner.Flag || out.Inner.Ratio != 0.5 || out.Arr != in.Arr {
-		t.Errorf("round trip mismatch: %+v", out)
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("%d bytes left over", r.Remaining())
-	}
-}
-
-func TestPlainCodecRejectsPointers(t *testing.T) {
-	var w Writer
-	if err := EncodePlain(&w, struct{ P *int }{}); err == nil {
-		t.Error("pointer field accepted")
-	}
-}
-
 func TestHashPlainStable(t *testing.T) {
 	a, err := HashPlain(plainOuter{A: 1}, "tag")
 	if err != nil {
@@ -288,27 +327,43 @@ func FuzzOpen(f *testing.F) {
 	})
 }
 
-// FuzzReader drives the bounds-checked primitives over arbitrary bytes;
-// they must never panic and must latch an error instead of over-reading.
+// FuzzReader drives the bounds-checked decoding primitives over
+// arbitrary bytes; they must never panic and must latch an error instead
+// of over-reading.
 func FuzzReader(f *testing.F) {
-	var w Writer
-	w.U64(1)
-	w.Bytes([]byte("abc"))
-	w.Bool(true)
-	f.Add(w.Payload())
+	c := Encoder()
+	one, abc, yes := uint64(1), []byte("abc"), true
+	c.U64(&one)
+	c.Bytes(&abc, 3)
+	c.Bool(&yes)
+	f.Add(c.Payload())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r := NewReader(b)
-		_ = r.U8()
-		_ = r.Bool()
-		_ = r.U32()
-		_ = r.U64()
-		_ = r.Int()
-		_ = r.F64()
-		_ = r.Bytes(1 << 16)
-		_ = r.String(1 << 16)
-		if r.Remaining() < 0 {
-			t.Fatal("reader over-read the buffer")
+		var (
+			u8  uint8
+			ok  bool
+			u32 uint32
+			u64 uint64
+			i   int
+			f64 float64
+			bs  []byte
+			s   string
+			row [3]uint64
+		)
+		c := Decoder(b)
+		c.U8(&u8)
+		c.Bool(&ok)
+		c.U32(&u32)
+		c.U64(&u64)
+		c.Int(&i)
+		c.F64(&f64)
+		c.Bytes(&bs, 1<<16)
+		c.String(&s, 1<<16)
+		c.U64s(row[:])
+		Slice(c, &bs, 1<<16, c.U8)
+		Map(c, map[uint64]int{}, 1<<16, c.Int)
+		if c.Remaining() < 0 {
+			t.Fatal("decoder over-read the buffer")
 		}
 	})
 }
