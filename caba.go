@@ -277,8 +277,9 @@ func prepareApp(cfg *Config, design Design, appName string, seed int64) (*gpu.Si
 // ckptPath+".crash".
 //
 // A resume snapshot that no longer decodes (torn file, version skew,
-// different simulated configuration) does not brick the run: it is
-// deleted and the run starts from cycle zero.
+// different simulated configuration, a payload the decoder rejects) does
+// not brick the run: it is deleted and the run starts from cycle zero on
+// a freshly prepared simulator.
 func RunCheckpointed(ctx context.Context, cfg Config, design Design, appName string, seed int64, ckptPath string) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -292,6 +293,11 @@ func RunCheckpointed(ctx context.Context, cfg Config, design Design, appName str
 	if blob, rerr := os.ReadFile(ckptPath); rerr == nil {
 		if lerr := sim.LoadState(blob); lerr != nil {
 			os.Remove(ckptPath)
+			// LoadState decodes in place, so a rejected blob may have
+			// overwritten part of sim: start over on a fresh one.
+			if sim, _, _, _, err = prepareApp(&cfg, design, appName, seed); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if cfg.CheckpointEvery > 0 {
@@ -321,9 +327,11 @@ func RunCheckpointed(ctx context.Context, cfg Config, design Design, appName str
 //
 // The returned resumedAt is the simulated cycle the run actually resumed
 // from: 0 when resume was empty or did not decode (torn, corrupted, or
-// bound to a different configuration — the run then starts from cycle
-// zero, mirroring RunCheckpointed's tolerance). A resumed run converges
-// to the bit-identical result of an uninterrupted one.
+// bound to a different configuration). The run then starts from cycle
+// zero on a freshly prepared simulator, since LoadState may have
+// overwritten part of the first, mirroring RunCheckpointed's tolerance.
+// A resumed run converges to the bit-identical result of an
+// uninterrupted one.
 //
 // RunCheckpointed is this function plus file persistence, crash reports
 // and checkpoint cleanup; workers that report to a coordinator instead of
@@ -341,6 +349,8 @@ func RunResumable(ctx context.Context, cfg Config, design Design, appName string
 	if len(resume) > 0 {
 		if lerr := sim.LoadState(resume); lerr == nil {
 			resumedAt = sim.Cycles()
+		} else if sim, _, _, _, err = prepareApp(&cfg, design, appName, seed); err != nil {
+			return nil, 0, err
 		}
 	}
 	if cfg.CheckpointEvery > 0 && save != nil {

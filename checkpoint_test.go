@@ -11,6 +11,7 @@ import (
 	"time"
 
 	caba "github.com/caba-sim/caba"
+	"github.com/caba-sim/caba/internal/snapshot"
 )
 
 func checkpointConfig() caba.Config {
@@ -116,4 +117,66 @@ func TestRunCheckpointedToleratesCorruptSnapshot(t *testing.T) {
 	if res.Cycles != straight.Cycles || !reflect.DeepEqual(res.Stats, straight.Stats) {
 		t.Error("run after dropping a corrupt snapshot differs from a clean run")
 	}
+}
+
+// TestRejectedResumeStartsFresh: a resume blob whose container verifies
+// (checksum, version, configuration hash) but whose payload the decoder
+// rejects has already been partly decoded into the prepared simulator.
+// Both entry points must then run a fresh simulator from cycle zero and
+// return the uninterrupted result, not spin a half-restored machine to
+// the cycle cap.
+func TestRejectedResumeStartsFresh(t *testing.T) {
+	cfg := caba.Baseline()
+	cfg.Scale = 0.03
+	cfg.CheckpointEvery = 1_000
+	straight, err := caba.Run(cfg, caba.CABABDI, "PVC", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mid []byte
+	if _, _, err := caba.RunResumable(context.Background(), cfg, caba.CABABDI, "PVC", 1, nil,
+		func(cycle uint64, blob []byte) error {
+			if mid == nil && cycle >= straight.Cycles/2 {
+				mid = blob
+			}
+			return nil
+		}); err != nil {
+		t.Fatal(err)
+	}
+	if mid == nil {
+		t.Fatal("no mid-run checkpoint")
+	}
+	// Re-seal the payload with one trailing byte: the container verifies,
+	// the decoder rejects it only after decoding the whole machine.
+	hash, payload, err := snapshot.Inspect(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := snapshot.Seal(hash, append(payload[:len(payload):len(payload)], 0))
+
+	same := func(what string, res *caba.Result) {
+		t.Helper()
+		if res.Cycles != straight.Cycles || !reflect.DeepEqual(res.Stats, straight.Stats) {
+			t.Errorf("%s: %d cycles, want the uninterrupted run's %d and its statistics", what, res.Cycles, straight.Cycles)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, resumedAt, err := caba.RunResumable(ctx, cfg, caba.CABABDI, "PVC", 1, bad, nil)
+	if err != nil {
+		t.Fatalf("RunResumable: %v", err)
+	}
+	if resumedAt != 0 {
+		t.Errorf("resumedAt = %d, want 0 for a rejected blob", resumedAt)
+	}
+	same("RunResumable", res)
+
+	ckpt := filepath.Join(t.TempDir(), "cell.ckpt")
+	if err := os.WriteFile(ckpt, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = caba.RunCheckpointed(ctx, cfg, caba.CABABDI, "PVC", 1, ckpt); err != nil {
+		t.Fatalf("RunCheckpointed: %v", err)
+	}
+	same("RunCheckpointed", res)
 }

@@ -53,7 +53,7 @@ func TestFig2NoSimulation(t *testing.T) {
 func TestTable1Rendering(t *testing.T) {
 	var buf bytes.Buffer
 	Table1(Defaults(&buf))
-	for _, want := range []string{"15 SMs", "GDDR5", "tCL=12", "48 warps/SM"} {
+	for _, want := range []string{"15 SMs", "32 threads/warp", "gto scheduler", "GDDR5", "tCL=12", "48 warps/SM"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("Table 1 output missing %q:\n%s", want, buf.String())
 		}

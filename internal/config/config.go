@@ -6,24 +6,8 @@ import (
 	"fmt"
 
 	"github.com/caba-sim/caba/internal/compress"
-	"github.com/caba-sim/caba/internal/core"
 	"github.com/caba-sim/caba/internal/faults"
 )
-
-// SchedPolicy selects the warp scheduling policy. Greedy-then-oldest is
-// the only one the simulator implements; Validate rejects other values.
-type SchedPolicy uint8
-
-// SchedGTO is greedy-then-oldest (baseline, Table 1).
-const SchedGTO SchedPolicy = 0
-
-// String returns the policy name.
-func (s SchedPolicy) String() string {
-	if s == SchedGTO {
-		return "gto"
-	}
-	return fmt.Sprintf("sched(%d)", uint8(s))
-}
 
 // DRAMTiming is the GDDR5 timing set (Table 1, in memory-clock cycles).
 type DRAMTiming struct {
@@ -43,26 +27,26 @@ func (t DRAMTiming) negative() bool {
 }
 
 // Config describes the simulated GPU. The zero value is not meaningful;
-// start from Baseline().
+// start from Baseline(). What Table 1 fixes and no run varies is a
+// constant instead: 32-thread warps (core.WarpSize), greedy-then-oldest
+// issue, 128 B lines (compress.LineSize) and 32 B DRAM bursts
+// (compress.BurstSize).
 type Config struct {
 	// Cores.
-	NumSMs          int         // streaming multiprocessors
-	WarpSize        int         // threads per warp
-	MaxWarpsPerSM   int         // hardware warp contexts per SM, at most 64 (the AWT's bitmask width)
-	MaxCTAsPerSM    int         // thread-block limit per SM
-	MaxThreadsPerSM int         // thread limit per SM
-	RegFilePerSM    int         // 32-bit registers per SM
-	SharedMemPerSM  int         // bytes of shared memory per SM
-	NumSchedulers   int         // warp schedulers per SM (issue width)
-	Scheduler       SchedPolicy // scheduling policy
+	NumSMs          int // streaming multiprocessors
+	MaxWarpsPerSM   int // hardware warp contexts per SM, at most 64 (the AWT's bitmask width)
+	MaxCTAsPerSM    int // thread-block limit per SM
+	MaxThreadsPerSM int // thread limit per SM
+	RegFilePerSM    int // 32-bit registers per SM
+	SharedMemPerSM  int // bytes of shared memory per SM
+	NumSchedulers   int // warp schedulers per SM (issue width)
 	CoreClockMHz    int
 
 	// Pipeline latencies (core cycles).
 	ALULatency int
 	SFULatency int
 
-	// Caches. Line size is shared across levels.
-	LineSize  int
+	// Caches.
 	L1Size    int
 	L1Assoc   int
 	L1MSHRs   int // outstanding misses per SM
@@ -79,9 +63,7 @@ type Config struct {
 	NumChannels     int // GDDR5 memory controllers
 	BanksPerChannel int
 	MemClockMHz     int // DRAM data-clock; one 32B burst per memory cycle
-	BurstSize       int // bytes per DRAM burst; must equal compress.BurstSize
 	Timing          DRAMTiming
-	MemQueueDepth   int // per-channel request queue
 
 	// BWScale scales peak off-chip bandwidth: 0.5, 1.0 or 2.0 in the
 	// paper's sensitivity studies. Implemented as a memory-clock scale.
@@ -177,18 +159,15 @@ type Config struct {
 func Baseline() Config {
 	return Config{
 		NumSMs:          15,
-		WarpSize:        32,
 		MaxWarpsPerSM:   48,
 		MaxCTAsPerSM:    8,
 		MaxThreadsPerSM: 1536,
 		RegFilePerSM:    32768, // 128KB of 4B registers
 		SharedMemPerSM:  32 << 10,
 		NumSchedulers:   2,
-		Scheduler:       SchedGTO,
 		CoreClockMHz:    1400,
 		ALULatency:      4,
 		SFULatency:      20,
-		LineSize:        compress.LineSize,
 		L1Size:          16 << 10,
 		L1Assoc:         4,
 		L1MSHRs:         64,
@@ -200,12 +179,10 @@ func Baseline() Config {
 		NumChannels:     6,
 		BanksPerChannel: 16,
 		MemClockMHz:     924, // 6 x 924MHz x 32B = 177.4 GB/s
-		BurstSize:       compress.BurstSize,
 		Timing: DRAMTiming{
 			TCL: 12, TRP: 12, TRC: 40, TRAS: 28,
 			TRCD: 12, TRRD: 6, TCCD: 5, TWR: 12,
 		},
-		MemQueueDepth:   32,
 		BWScale:         1.0,
 		MDCacheSize:     8 << 10,
 		MDCacheAssoc:    4,
@@ -280,32 +257,21 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: FlitSize must be positive")
 	case c.BanksPerChannel <= 0:
 		return fmt.Errorf("config: BanksPerChannel must be positive")
-	case c.MemQueueDepth <= 0:
-		return fmt.Errorf("config: MemQueueDepth must be positive")
 	case c.Timing.negative():
 		return fmt.Errorf("config: DRAM timings must be non-negative")
 	case c.MDCacheAssoc <= 0 || c.MDLinesPerEntry <= 0:
 		return fmt.Errorf("config: MDCacheAssoc and MDLinesPerEntry must be positive")
-	case c.WarpSize != core.WarpSize:
-		// The decoded core executes fixed 32-lane warps.
-		return fmt.Errorf("config: WarpSize %d must equal core.WarpSize %d", c.WarpSize, core.WarpSize)
 	case c.MaxWarpsPerSM <= 0:
 		return fmt.Errorf("config: MaxWarpsPerSM must be positive")
 	case c.MaxWarpsPerSM > 64:
 		// The assist-warp controller tracks warp slots and AWT entries
 		// in 64-bit masks (core.MaxWarps).
 		return fmt.Errorf("config: MaxWarpsPerSM %d exceeds 64", c.MaxWarpsPerSM)
-	case c.LineSize != compress.LineSize:
-		return fmt.Errorf("config: LineSize %d must equal compress.LineSize %d", c.LineSize, compress.LineSize)
-	case c.BurstSize != compress.BurstSize:
-		// The DRAM and compression models burst at the constant; only
-		// PeakBandwidthGBs reads the field.
-		return fmt.Errorf("config: BurstSize %d must equal compress.BurstSize %d", c.BurstSize, compress.BurstSize)
 	case c.NumChannels <= 0:
 		return fmt.Errorf("config: NumChannels must be positive")
-	case c.L1Assoc <= 0 || c.L1Size <= 0 || c.L1Size%(c.L1Assoc*c.LineSize) != 0:
+	case c.L1Assoc <= 0 || c.L1Size <= 0 || c.L1Size%(c.L1Assoc*compress.LineSize) != 0:
 		return fmt.Errorf("config: L1 geometry (%d/%d-way) not line-divisible", c.L1Size, c.L1Assoc)
-	case c.L2Assoc <= 0 || c.L2Size <= 0 || c.L2Size%(c.L2Assoc*c.LineSize*c.NumChannels) != 0:
+	case c.L2Assoc <= 0 || c.L2Size <= 0 || c.L2Size%(c.L2Assoc*compress.LineSize*c.NumChannels) != 0:
 		return fmt.Errorf("config: L2 geometry (%d/%d-way/%d parts) not line-divisible", c.L2Size, c.L2Assoc, c.NumChannels)
 	case c.BWScale <= 0:
 		return fmt.Errorf("config: BWScale must be positive")
@@ -313,8 +279,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: Scale %v out of (0,1]", c.Scale)
 	case c.NumSchedulers <= 0:
 		return fmt.Errorf("config: NumSchedulers must be positive")
-	case c.Scheduler != SchedGTO:
-		return fmt.Errorf("config: Scheduler %v unsupported; GTO is the only policy", c.Scheduler)
 	case c.FlightRecorderDepth < 0:
 		return fmt.Errorf("config: FlightRecorderDepth must be non-negative")
 	case c.MetricsFile != "" && c.SampleEvery == 0:
@@ -328,7 +292,7 @@ func (c *Config) Validate() error {
 
 // PeakBandwidthGBs returns the peak off-chip bandwidth in GB/s.
 func (c *Config) PeakBandwidthGBs() float64 {
-	return float64(c.NumChannels) * float64(c.MemClockMHz) * 1e6 * c.BWScale * float64(c.BurstSize) / 1e9
+	return float64(c.NumChannels) * float64(c.MemClockMHz) * 1e6 * c.BWScale * compress.BurstSize / 1e9
 }
 
 // MemCyclesPerCoreCycle returns the DRAM-clock to core-clock ratio,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/caba-sim/caba/internal/compress"
+	"github.com/caba-sim/caba/internal/core"
 )
 
 func TestBaselineMatchesTable1(t *testing.T) {
@@ -11,14 +12,16 @@ func TestBaselineMatchesTable1(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Table 1 values.
+	// Table 1 values. Warp, line and burst size are constants.
 	checks := []struct {
 		name string
 		got  int
 		want int
 	}{
 		{"SMs", c.NumSMs, 15},
-		{"warp size", c.WarpSize, 32},
+		{"warp size", core.WarpSize, 32},
+		{"line size", compress.LineSize, 128},
+		{"burst size", compress.BurstSize, 32},
 		{"channels", c.NumChannels, 6},
 		{"warps/SM", c.MaxWarpsPerSM, 48},
 		{"registers/SM", c.RegFilePerSM, 32768},
@@ -57,13 +60,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 	bad := []Config{
 		mk(func(c *Config) { c.NumSMs = 0 }),
-		mk(func(c *Config) { c.WarpSize = 0 }),
-		mk(func(c *Config) { c.WarpSize = 16 }), // the core runs 32-lane warps
-		mk(func(c *Config) { c.WarpSize = 48 }),
-		mk(func(c *Config) { c.Scheduler = 1 }),      // GTO is the only policy
 		mk(func(c *Config) { c.MaxWarpsPerSM = 65 }), // wider than the AWT bitmasks
-		mk(func(c *Config) { c.LineSize = 64 }),
-		mk(func(c *Config) { c.BurstSize = 0 }), // the models burst at compress.BurstSize
 		mk(func(c *Config) { c.L1Size = 1000 }),
 		mk(func(c *Config) { c.NumChannels = 0 }),
 		mk(func(c *Config) { c.BWScale = 0 }),
@@ -85,7 +82,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		mk(func(c *Config) { c.L2Size = 0 }),
 		mk(func(c *Config) { c.FlitSize = 0 }),
 		mk(func(c *Config) { c.BanksPerChannel = 0 }),
-		mk(func(c *Config) { c.MemQueueDepth = 0 }),
 		mk(func(c *Config) { c.MDCacheAssoc = 0 }),
 		mk(func(c *Config) { c.MDLinesPerEntry = 0 }),
 		mk(func(c *Config) { c.Timing.TCL = -1 }),
@@ -160,11 +156,5 @@ func TestMemClockRatio(t *testing.T) {
 	c.BWScale = 2
 	if c.MemCyclesPerCoreCycle() != 2*r {
 		t.Error("BWScale must scale the ratio")
-	}
-}
-
-func TestSchedPolicyNames(t *testing.T) {
-	if SchedGTO.String() != "gto" || SchedPolicy(1).String() != "sched(1)" {
-		t.Error("policy names wrong")
 	}
 }

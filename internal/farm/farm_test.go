@@ -148,7 +148,7 @@ func TestCellKeyStrategyInvariance(t *testing.T) {
 // be found. A change to the result-determining Config fields or to
 // Design re-pins it.
 func TestCellKeyPinned(t *testing.T) {
-	const want = 0x549e8fedc72e1408
+	const want = 0xc253f5e7a90ea368
 	got, err := testCell("PVC", caba.CABABDI.Name, 0.02, 11).Key()
 	if err != nil {
 		t.Fatal(err)

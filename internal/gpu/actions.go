@@ -76,7 +76,7 @@ func (a smEvent) Run() {
 	case akCompleteFill:
 		sm.completeFill(a.ln, a.fill)
 	case akHWDetect:
-		sm.stat.FaultsDetected++
+		sm.s.FaultsDetected++
 		sm.refetchRaw(a.ln, cont{kind: contCompleteFill, ln: a.ln, fill: a.fill})
 	}
 }

@@ -12,12 +12,12 @@ import (
 // Runtime invariant auditor and crash flight recorder.
 //
 // The auditor (Config.AuditEvery) walks the machine's bookkeeping at
-// cycle boundaries — writeback-ring conservation, scoreboard/in-flight
-// consistency, SIMT stack bounds, MSHR waiter balance, store-buffer
-// bounds, the trigger retry gate, the issue scan's verdicts — and fails
-// fast with an *audit.Violation naming the invariant, cycle and SM,
-// instead of letting corrupted state surface thousands of cycles later
-// as a wedge or silently wrong statistics.
+// cycle boundaries — the Figure 1 issue-slot identity, writeback-ring
+// conservation, scoreboard/in-flight consistency, SIMT stack bounds, MSHR
+// waiter balance, store-buffer bounds, the trigger retry gate, the issue
+// scan's verdicts — and fails fast with an *audit.Violation naming the
+// invariant, cycle and SM, instead of letting corrupted state surface
+// thousands of cycles later as a wedge or silently wrong statistics.
 //
 // The flight recorder (Config.FlightRecorderDepth) keeps a bounded ring
 // of recent notable events per SM plus one simulator-level ring; wedges
@@ -114,6 +114,16 @@ func (sim *Simulator) violation(inv string, smID int, format string, args ...any
 func (sim *Simulator) Audit() error {
 	if err := sim.Sys.Audit(); err != nil {
 		return sim.violation("mem-mshr", -1, "%v", err)
+	}
+	// Figure 1's identity: each elapsed cycle files every scheduler slot
+	// of every SM under exactly one outcome.
+	var slots uint64
+	for _, n := range sim.S.IssueSlots {
+		slots += n
+	}
+	if want := sim.cycle * uint64(sim.Cfg.NumSchedulers) * uint64(len(sim.sms)); slots != want {
+		return sim.violation("issue-slots", -1,
+			"%d issue slots counted, want cycle × schedulers × SMs = %d", slots, want)
 	}
 	progLen := len(sim.Kernel.Prog.Code)
 	for _, sm := range sim.sms {

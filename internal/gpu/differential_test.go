@@ -93,7 +93,7 @@ func simulate(t *testing.T, row diffRow, cfg config.Config, perCycle bool, maxCy
 // profiling gate that turns CABA compression off for compute-bound apps):
 // prepared with seed 1, or restored from resume into memory that was
 // never prepared.
-func build(t *testing.T, row diffRow, cfg config.Config, resume []byte) (*gpu.Simulator, *workloads.Instance) {
+func build(t testing.TB, row diffRow, cfg config.Config, resume []byte) (*gpu.Simulator, *workloads.Instance) {
 	t.Helper()
 	app := workloads.ByName(row.app)
 	if app == nil {

@@ -41,8 +41,8 @@ func (k *Kernel) Validate(cfg *config.Config) error {
 }
 
 // WarpsPerCTA returns the warps needed per block.
-func (k *Kernel) WarpsPerCTA(cfg *config.Config) int {
-	return (k.CTAThreads + cfg.WarpSize - 1) / cfg.WarpSize
+func (k *Kernel) WarpsPerCTA() int {
+	return (k.CTAThreads + core.WarpSize - 1) / core.WarpSize
 }
 
 // Occupancy describes the static resource allocation of a kernel on one SM
@@ -64,8 +64,8 @@ type Occupancy struct {
 // for assist-warp routines (0 for non-CABA designs); the paper adds this to
 // the per-block requirement (Section 3.2.2).
 func ComputeOccupancy(cfg *config.Config, k *Kernel, assistRegs int) Occupancy {
-	warpsPerCTA := k.WarpsPerCTA(cfg)
-	regsPerCTA := warpsPerCTA * cfg.WarpSize * (k.Prog.NumReg + assistRegs)
+	warpsPerCTA := k.WarpsPerCTA()
+	regsPerCTA := warpsPerCTA * core.WarpSize * (k.Prog.NumReg + assistRegs)
 
 	limit := cfg.MaxCTAsPerSM
 	by := "block limit"

@@ -233,9 +233,8 @@ func assistTraceCat(rt *core.Routine) string {
 
 // --- Metrics sampler ---
 
-// obsTotals is a cumulative snapshot of the counters the sampler
-// windows over. Totals fold sim.S (which holds the memory-side counters)
-// with every per-SM shard.
+// obsTotals is a cumulative snapshot of the sim.S counters the sampler
+// windows over.
 type obsTotals struct {
 	instrs   uint64
 	issue    [stats.NumStallKinds]uint64
@@ -258,9 +257,9 @@ type sampler struct {
 	series    obs.Series
 }
 
-// gather folds the current cumulative counters.
+// gather reads the current cumulative counters.
 func (sim *Simulator) gather() obsTotals {
-	t := obsTotals{
+	return obsTotals{
 		instrs:   sim.S.ThreadInstrs,
 		issue:    sim.S.IssueSlots,
 		l1h:      sim.S.L1Hits,
@@ -269,15 +268,6 @@ func (sim *Simulator) gather() obsTotals {
 		l2m:      sim.S.L2Misses,
 		dramBusy: sim.S.DRAMBusyCycles,
 	}
-	for _, sm := range sim.sms {
-		t.instrs += sm.stat.ThreadInstrs
-		for k := range t.issue {
-			t.issue[k] += sm.stat.IssueSlots[k]
-		}
-		t.l1h += sm.stat.L1Hits
-		t.l1m += sm.stat.L1Misses
-	}
-	return t
 }
 
 // sample closes the window ending at cycle boundary t and appends the

@@ -66,6 +66,10 @@ type Simulator struct {
 	// restored marks a simulator populated by LoadState: Run then resumes
 	// from the snapshot cycle instead of dispatching the grid from zero.
 	restored bool
+	// snapSize is the payload length of the last checkpoint saved or
+	// loaded; SaveState sizes its encoder from it (with an eighth spare),
+	// so a checkpoint is written once instead of copied at every doubling.
+	snapSize int
 	// Maintenance schedule (checkpoints and invariant audits). nextMaint
 	// is min(nextCkpt, nextAudit) so the run loop pays a single compare
 	// per iteration; all three are never when the knobs are off.
@@ -85,10 +89,10 @@ type Simulator struct {
 	smp *sampler
 	tr  *obs.Trace
 
-	// Debug instrumentation (enabled by tests).
-	dbgFetch    map[uint64]uint64
-	dbgFetchLat uint64
-	dbgFetchN   uint64
+	// decompMismatches counts assist-warp decompressions whose output no
+	// longer matched the backing store. It is not a stats.Sim field, so
+	// the Stats JSON keeps its shape.
+	decompMismatches uint64
 }
 
 // Interrupt asks a running Run to stop at the next poll point (every
@@ -138,7 +142,7 @@ func New(cfg *config.Config, design config.Design, k *Kernel) (*Simulator, error
 	awtEntries := cfg.MaxWarpsPerSM
 	if assistRegs > 0 {
 		unallocated := cfg.RegFilePerSM - sim.occ.RegsAllocated
-		byRegs := unallocated / (assistRegs * cfg.WarpSize)
+		byRegs := unallocated / (assistRegs * core.WarpSize)
 		// Register-tight kernels still get a minimum assist-warp pool;
 		// the compiler covers the shortfall with spills (Section 3.2.2).
 		// The pool must roughly match the MSHR depth or decompression
@@ -215,19 +219,12 @@ func (sim *Simulator) Occupancy() Occupancy { return sim.occ }
 func (sim *Simulator) FastForwardStats() (skips, cycles uint64) { return 0, 0 }
 
 // DecompMismatches returns the racing-write counter (tests assert zero).
-// The count lives in the per-SM shards, which survive the end-of-run fold.
-func (sim *Simulator) DecompMismatches() uint64 {
-	var n uint64
-	for _, sm := range sim.sms {
-		n += sm.stat.DecompMismatches
-	}
-	return n
-}
+func (sim *Simulator) DecompMismatches() uint64 { return sim.decompMismatches }
 
 // dispatch fills sm with CTAs while resources allow.
 func (sim *Simulator) dispatch(sm *SM) {
 	k := sim.Kernel
-	warpsPer := k.WarpsPerCTA(sim.Cfg)
+	warpsPer := k.WarpsPerCTA()
 	for sim.nextCTA < k.GridCTAs &&
 		len(sm.ctas) < sim.occ.CTAsPerSM &&
 		sm.freeWarps() >= warpsPer {
@@ -262,15 +259,6 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 			sim.dispatch(sm)
 		}
 	}
-	// The per-SM stat shards are folded into S exactly once, on every exit
-	// path — success, error, or recovered panic (DecompMismatches stays
-	// shard-resident). Declared before the recover defer so the fold still
-	// runs while a panic unwinds.
-	defer func() {
-		for _, sm := range sim.sms {
-			sim.S.AddShard(&sm.stat)
-		}
-	}()
 	// Backstop for panics: a simulator bug must surface as a structured
 	// error, never escape caba.Run. A panic inside an SM tick becomes that
 	// SM's fatal error, and the run returns the lowest-indexed SM's, as
@@ -369,7 +357,6 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 		return err
 	}
 	sim.Sys.FinishStats(sim.cycle)
-	sim.S.L1Evictions = sim.l1Evictions()
 	return nil
 }
 
@@ -436,14 +423,6 @@ func (sim *Simulator) allWedged() bool {
 		}
 	}
 	return true
-}
-
-func (sim *Simulator) l1Evictions() uint64 {
-	var n uint64
-	for _, sm := range sim.sms {
-		n += sm.l1.Evictions
-	}
-	return n
 }
 
 // Cycles returns the completed cycle count.

@@ -110,9 +110,8 @@ type SM struct {
 	pf   *prefetcher
 	memo *memoCache
 
-	// stat is this SM's shard of the run counters; folded into sim.S at
-	// the end of the run.
-	stat stats.Shard
+	// s is the run's counters (sim.S), which every SM increments.
+	s *stats.Sim
 
 	// execPool recycles assist-warp execution contexts (registers +
 	// staging buffers) across triggers; the assist-warp request path is
@@ -216,8 +215,8 @@ type SM struct {
 	fr *flightRing
 
 	// attr is this SM's per-warp stall attribution table (nil when
-	// Config.AttributeStalls is off). Like stat and fr, it is written
-	// only by its owning SM.
+	// Config.AttributeStalls is off). Like fr, it is written only by its
+	// owning SM.
 	attr *obs.Attr
 	// qBlameW/qBlameC cache the attribution target alongside the
 	// quiescence verdict (qKind): the tick fast path charges the cached
@@ -294,8 +293,9 @@ func newSM(id int, sim *Simulator) *SM {
 	sm := &SM{
 		id:    id,
 		sim:   sim,
+		s:     sim.S,
 		warps: make([]*warpCtx, cfg.MaxWarpsPerSM),
-		l1:    mem.NewCache(cfg.L1Size, cfg.L1Assoc, cfg.LineSize, 1, sim.Design.L1TagMult),
+		l1:    mem.NewCache(cfg.L1Size, cfg.L1Assoc, compress.LineSize, 1, sim.Design.L1TagMult),
 		mshr:  mem.NewMSHR(cfg.L1MSHRs),
 		fr:    newFlightRing(cfg.FlightRecorderDepth),
 	}
@@ -410,8 +410,7 @@ func (sm *SM) wbNext(from uint64) (uint64, bool) {
 func (sm *SM) placeCTA(ctaID int) {
 	sm.orderDirty = true
 	k := sm.sim.Kernel
-	cfg := sm.sim.Cfg
-	warpsNeeded := k.WarpsPerCTA(cfg)
+	warpsNeeded := k.WarpsPerCTA()
 	cta := &ctaCtx{
 		id:     ctaID,
 		shared: make([]byte, k.SharedMem),
@@ -424,9 +423,9 @@ func (sm *SM) placeCTA(ctaID int) {
 		if sm.resident(w) {
 			continue
 		}
-		threadsLeft := k.CTAThreads - placed*cfg.WarpSize
+		threadsLeft := k.CTAThreads - placed*core.WarpSize
 		mask := core.FullMask
-		if threadsLeft < cfg.WarpSize {
+		if threadsLeft < core.WarpSize {
 			mask = (1 << threadsLeft) - 1
 		}
 		var ex *core.Exec
@@ -439,8 +438,8 @@ func (sm *SM) placeCTA(ctaID int) {
 		}
 		ex.Mem = sm.sim.Mem
 		ex.Shared = cta.shared
-		for lane := 0; lane < cfg.WarpSize; lane++ {
-			tid := placed*cfg.WarpSize + lane
+		for lane := 0; lane < core.WarpSize; lane++ {
+			tid := placed*core.WarpSize + lane
 			ex.SetLaneSpecial(lane, isa.RegTid, uint64(tid))
 			ex.SetLaneSpecial(lane, isa.RegGtid, uint64(ctaID*k.CTAThreads+tid))
 		}
@@ -549,7 +548,7 @@ func (sm *SM) tick(cycle uint64) {
 			if cycle < sm.qHorizon {
 				sm.cycle = cycle
 				sched := sm.sim.Cfg.NumSchedulers
-				sm.stat.IssueSlots[sm.qKind] += uint64(sched)
+				sm.s.IssueSlots[sm.qKind] += uint64(sched)
 				if sm.attr != nil {
 					sm.attr.Charge(sm.qBlameW, sm.qBlameC, uint64(sched))
 				}
@@ -592,7 +591,7 @@ func (sm *SM) tick(cycle uint64) {
 			idle = false
 		}
 		sm.awc.NoteIssueSlot(kind == stats.Active)
-		sm.stat.IssueSlots[kind]++
+		sm.s.IssueSlots[kind]++
 	}
 	sm.qTry = idle
 
@@ -1097,8 +1096,8 @@ func (sm *SM) issueRegular(w *warpCtx, in *isa.Superop) {
 		return
 	}
 	sm.stepped(w)
-	sm.stat.WarpInstrs++
-	sm.stat.ThreadInstrs += uint64(popcount32(info.ExecMask))
+	sm.s.WarpInstrs++
+	sm.s.ThreadInstrs += uint64(popcount32(info.ExecMask))
 	sm.countClass(in)
 
 	switch in.Class {
@@ -1109,10 +1108,10 @@ func (sm *SM) issueRegular(w *warpCtx, in *isa.Superop) {
 		sm.sfuFree = sm.cycle + 4 // initiation interval
 		sm.finishAfter(w, in, uint64(sm.sim.Cfg.SFULatency))
 		if memoMiss {
-			sm.stat.MemoMisses++
+			sm.s.MemoMisses++
 			if sm.tryMemoSave(w, memoKey) {
 				sm.memo.insert(memoKey)
-				sm.stat.MemoUpdates++
+				sm.s.MemoUpdates++
 			}
 		}
 	case isa.ClassMem:
@@ -1177,7 +1176,7 @@ func (sm *SM) issueMemory(w *warpCtx, in *isa.Superop, info *core.StepInfo) {
 		sm.finishAfter(w, in, uint64(sm.sim.Cfg.L1Latency))
 		return
 	}
-	lines := coalesceInto(&sm.lineBuf, &info.Addrs, info.ExecMask, sm.sim.Cfg.LineSize)
+	lines := coalesceInto(&sm.lineBuf, &info.Addrs, info.ExecMask)
 	sm.lsuFree = sm.cycle + uint64(len(lines)) // coalescer throughput
 
 	if in.Op == isa.OpStGlobal || in.Op == isa.OpAtomAdd {
@@ -1197,7 +1196,7 @@ func (sm *SM) issueMemory(w *warpCtx, in *isa.Superop, info *core.StepInfo) {
 			}
 			// Miss (or atomic, which bypasses L1).
 			req.linesPending++
-			sm.stat.L1Misses++
+			sm.s.L1Misses++
 			// The stride unit trains on the access's first missing line
 			// (divergent accesses would otherwise feed it intra-access
 			// deltas instead of the stream's stride).
@@ -1230,15 +1229,15 @@ func (sm *SM) l1Lookup(ln uint64, req *loadReq) bool {
 	if !sm.l1.Lookup(ln, false) {
 		return false
 	}
-	sm.stat.L1Hits++
+	sm.s.L1Hits++
 	if sm.pf != nil && sm.pf.noteHit(ln) {
-		sm.stat.PrefetchUseful++
+		sm.s.PrefetchUseful++
 	}
 	lat := uint64(sm.sim.Cfg.L1Latency)
 	// Figure 13: L1-resident compressed lines pay decompression on every
 	// hit.
 	if sm.sim.Design.L1TagMult > 1 {
-		if st := sm.sim.Dom.State(ln); st.IsCompressed() && sm.l1.LineSizeOf(ln) < sm.sim.Cfg.LineSize {
+		if st := sm.sim.Dom.State(ln); st.IsCompressed() && sm.l1.LineSizeOf(ln) < compress.LineSize {
 			switch sm.sim.Design.Decomp {
 			case config.DecompHW:
 				d, _ := compress.HWLatency(sm.sim.Design.Alg)
@@ -1316,19 +1315,19 @@ func (sm *SM) loadLineDone(req *loadReq) {
 	sm.scan.dep &^= w.bit()
 	w.inFlight--
 	w.pendingLoads--
-	sm.stat.LoadCount++
-	sm.stat.LoadLatTotal += sm.cycle - req.issued
+	sm.s.LoadCount++
+	sm.s.LoadLatTotal += sm.cycle - req.issued
 }
 
 // coalesceInto merges per-lane addresses into unique cache lines using
 // the caller's scratch buffer.
-func coalesceInto(buf *[]uint64, addrs *[core.WarpSize]uint64, mask uint32, lineSize int) []uint64 {
+func coalesceInto(buf *[]uint64, addrs *[core.WarpSize]uint64, mask uint32) []uint64 {
 	lines := (*buf)[:0]
 	for lane := 0; lane < core.WarpSize; lane++ {
 		if mask&(1<<lane) == 0 {
 			continue
 		}
-		la := addrs[lane] &^ uint64(lineSize-1)
+		la := mem.LineAddr(addrs[lane])
 		found := false
 		for _, x := range lines {
 			if x == la {
@@ -1362,10 +1361,10 @@ func (sm *SM) storeToBuffer(w *warpCtx, ln uint64, info *core.StepInfo) {
 		if info.ExecMask&(1<<lane) == 0 {
 			continue
 		}
-		if info.Addrs[lane]&^uint64(sm.sim.Cfg.LineSize-1) != ln {
+		if mem.LineAddr(info.Addrs[lane]) != ln {
 			continue
 		}
-		word := (info.Addrs[lane] % uint64(sm.sim.Cfg.LineSize)) / 4
+		word := (info.Addrs[lane] % compress.LineSize) / 4
 		se.coverage |= 1 << word
 		if info.Width == 8 && word < 31 {
 			se.coverage |= 1 << (word + 1)
@@ -1383,7 +1382,7 @@ func (sm *SM) evictOldestStore() {
 		se.released = true // abandon any queued compression chain
 		sm.retryArmed = true
 		sm.storeBuf = append(sm.storeBuf[:i], sm.storeBuf[i+1:]...)
-		sm.stat.StoreBufferFlushes++
+		sm.s.StoreBufferFlushes++
 		if sm.sim.Design.Scope == config.ScopeL2 {
 			sm.sim.Dom.SetRaw(se.lineAddr)
 		}
@@ -1560,7 +1559,7 @@ func (sm *SM) launchAssist(rt *core.Routine, host int, ex *core.Exec, user any, 
 		sm.releaseAssistExec(ex)
 		return false
 	}
-	sm.stat.AssistWarps++
+	sm.s.AssistWarps++
 	if sm.tr != nil {
 		sm.traceAssistBegin(e, span)
 	}
@@ -1620,7 +1619,7 @@ func (sm *SM) finishAssist(e *core.Entry) {
 		// complete — exactly the pre-fault-framework flow.
 		u := e.User.(*decompPlain)
 		sm.verifyDecompression(u.ln, e.Exec)
-		sm.stat.LinesDecompressed++
+		sm.s.LinesDecompressed++
 		sm.runCont(u.done)
 	case completeMemo:
 		sm.finishMemoProbe(e.User.(*memoCtx))
@@ -1668,7 +1667,7 @@ func (sm *SM) finishCompressionStep(se *storeEntry, e *core.Entry) {
 				Data: append([]byte(nil), ex.StageOut[:size]...)}
 			sm.compFailStreak = 0
 			sm.sim.Dom.SetCompressed(se.lineAddr, st)
-			sm.stat.LinesCompressed++
+			sm.s.LinesCompressed++
 			sm.releaseStore(se)
 			return
 		}
@@ -1685,7 +1684,7 @@ func (sm *SM) installCompressed(se *storeEntry, enc compress.BDIEncoding, ex *co
 	st := compress.Compressed{Alg: compress.AlgBDI, Enc: uint8(enc),
 		Data: append([]byte(nil), ex.StageOut[:size]...)}
 	sm.sim.Dom.SetCompressed(se.lineAddr, st)
-	sm.stat.LinesCompressed++
+	sm.s.LinesCompressed++
 	sm.releaseStore(se)
 }
 
@@ -1785,7 +1784,7 @@ func (sm *SM) verifyDecompression(ln uint64, ex *core.Exec) {
 	var truth [compress.LineSize]byte
 	sm.sim.Dom.ReadRaw(ln, truth[:])
 	if !bytes.Equal(ex.StageOut[:compress.LineSize], truth[:]) {
-		sm.stat.DecompMismatches++
+		sm.sim.decompMismatches++
 	}
 }
 
@@ -1798,14 +1797,14 @@ func (sm *SM) finishDecompression(dc *decompCtx, ex *core.Exec) {
 		if dc.injected {
 			// The corrupted payload tripped the routine itself (e.g. an
 			// out-of-range stage store from a mangled size field).
-			sm.stat.FaultsDetected++
+			sm.s.FaultsDetected++
 			sm.refetchRaw(dc.ln, dc.done)
 			return
 		}
 		sm.fail(fmt.Errorf("gpu: decompression routine failed: %w", ex.Err))
 		return
 	}
-	sm.stat.LinesDecompressed++
+	sm.s.LinesDecompressed++
 	copy(dc.buf[:], ex.StageOut[:compress.LineSize])
 	sm.startECCCheck(dc)
 }
@@ -1849,11 +1848,11 @@ func (sm *SM) finishECCCheck(dc *decompCtx, ex *core.Exec) {
 		return
 	}
 	if dc.injected {
-		sm.stat.FaultsDetected++
+		sm.s.FaultsDetected++
 		sm.refetchRaw(dc.ln, dc.done)
 		return
 	}
-	sm.stat.DecompMismatches++
+	sm.sim.decompMismatches++
 	sm.runCont(dc.done)
 }
 
@@ -1890,7 +1889,7 @@ func (sm *SM) tryIssueAssist(e *core.Entry) (ok, dep, memS, compS bool) {
 	// the fault-detection path for injected corruption, a fatal error
 	// otherwise. No special handling is needed here.
 	sm.awc.Consumed(e)
-	sm.stat.AssistInstrs++
+	sm.s.AssistInstrs++
 	sm.countClass(in)
 
 	lat := uint64(sm.sim.Cfg.ALULatency)
@@ -1907,12 +1906,12 @@ func (sm *SM) tryIssueAssist(e *core.Entry) (ok, dep, memS, compS bool) {
 			// Assist-warp global access (prefetch routine): goes through
 			// the normal memory path without blocking the assist warp's
 			// completion on the fill.
-			for _, ln := range coalesceInto(&sm.awLineBuf, &info.Addrs, info.ExecMask, sm.sim.Cfg.LineSize) {
+			for _, ln := range coalesceInto(&sm.awLineBuf, &info.Addrs, info.ExecMask) {
 				if sm.l1.Lookup(ln, false) {
-					sm.stat.L1Hits++
+					sm.s.L1Hits++
 					continue
 				}
-				sm.stat.L1Misses++
+				sm.s.L1Misses++
 				primary, _ := sm.mshr.Add(ln, (*loadReq)(nil))
 				if primary {
 					if sm.tr != nil {
@@ -1937,13 +1936,13 @@ func (sm *SM) tryIssueAssist(e *core.Entry) (ok, dep, memS, compS bool) {
 func (sm *SM) countClass(in *isa.Superop) {
 	switch in.Class {
 	case isa.ClassALU:
-		sm.stat.ALUInstrs++
+		sm.s.ALUInstrs++
 	case isa.ClassSFU:
-		sm.stat.SFUInstrs++
+		sm.s.SFUInstrs++
 	case isa.ClassMem:
-		sm.stat.MemInstrs++
+		sm.s.MemInstrs++
 	case isa.ClassCtrl:
-		sm.stat.CtrlInstrs++
+		sm.s.CtrlInstrs++
 	}
 }
 
@@ -1972,16 +1971,9 @@ func (sm *SM) onFill(ln uint64, user any) {
 	if ctx.kind == fillRefetch {
 		// The uncompressed recovery copy arrived: the fault is repaired
 		// and the original fill's continuation resumes with clean data.
-		sm.stat.FaultsRecovered++
+		sm.s.FaultsRecovered++
 		sm.runCont(ctx.after)
 		return
-	}
-	if sm.sim.dbgFetch != nil && ctx.kind == fillLoad {
-		if t0, ok := sm.sim.dbgFetch[ln]; ok {
-			sm.sim.dbgFetchLat += sm.cycle - t0
-			sm.sim.dbgFetchN++
-			delete(sm.sim.dbgFetch, ln)
-		}
 	}
 	st := sm.sim.Sys.ArrivesCompressed(ln)
 	proceed := cont{kind: contCompleteFill, ln: ln, fill: ctx}
@@ -1999,7 +1991,7 @@ func (sm *SM) onFill(ln uint64, user any) {
 		(sm.sim.Design.Decomp == config.DecompHW || sm.sim.Design.Decomp == config.DecompCABA) &&
 		inj.BitFlip() {
 		injected = true
-		sm.stat.FaultsInjected++
+		sm.s.FaultsInjected++
 		st.Data = inj.Corrupt(st.Data)
 	}
 	switch sm.sim.Design.Decomp {
@@ -2032,13 +2024,13 @@ func (sm *SM) onFill(ln uint64, user any) {
 func (sm *SM) completeFill(ln uint64, ctx *fillCtx) {
 	switch ctx.kind {
 	case fillLoad:
-		size := sm.sim.Cfg.LineSize
+		size := compress.LineSize
 		if sm.sim.Design.L1TagMult > 1 {
 			if st := sm.sim.Dom.State(ln); st.IsCompressed() {
 				size = st.Size()
 			}
 		}
-		sm.l1.Insert(ln, size, false)
+		sm.s.L1Evictions += uint64(len(sm.l1.Insert(ln, size, false)))
 		if sm.tr != nil {
 			sm.traceMSHREnd(ln)
 		}
@@ -2050,7 +2042,7 @@ func (sm *SM) completeFill(ln uint64, ctx *fillCtx) {
 	case fillRMW:
 		sm.compressAndWrite(ctx.se)
 	case fillAssist:
-		sm.l1.Insert(ln, sm.sim.Cfg.LineSize, false)
+		sm.s.L1Evictions += uint64(len(sm.l1.Insert(ln, compress.LineSize, false)))
 		if sm.tr != nil {
 			sm.traceMSHREnd(ln)
 		}

@@ -487,6 +487,7 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 		return nil, err
 	}
 	c := snapshot.Encoder()
+	c.Grow(sim.snapSize + sim.snapSize/8)
 	if sim.snap(c, t, &q); c.Err() != nil {
 		return nil, c.Err()
 	}
@@ -494,7 +495,8 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return snapshot.Seal(hash, c.Payload()), nil
+	sim.snapSize = len(c.Payload())
+	return c.Seal(hash), nil
 }
 
 // snap codes the whole simulator: t holds the collected object tables
@@ -505,6 +507,7 @@ func (sim *Simulator) snap(c *snapshot.Codec, t *objTables, q *queued) {
 	c.Int(&sim.nextCTA)
 	c.Int(&sim.idleStreak)
 	c.Plain(sim.S)
+	c.U64(&sim.decompMismatches)
 	c.Check(sim.nextCTA >= 0 && sim.nextCTA <= sim.Kernel.GridCTAs, "dispatch cursor out of range")
 
 	// Backing memory and compression domain.
@@ -591,7 +594,6 @@ func (sm *SM) snap(c *snapshot.Codec, t *objTables) {
 	c.Bool(&sm.compDisabled)
 	c.Bool(&sm.qTry)
 	c.U64(&sm.cycle)
-	c.Plain(&sm.stat)
 
 	// CTAs, then warps (warps reference CTAs by index).
 	snapshot.Slice(c, &sm.ctas, maxGPUSnapLen, func(p **ctaCtx) {
@@ -808,6 +810,7 @@ func (sim *Simulator) LoadState(blob []byte) (err error) {
 	if c.Remaining() != 0 {
 		return snapErrf("%d trailing bytes after snapshot payload", c.Remaining())
 	}
+	sim.snapSize = len(payload)
 	sim.Q.Restore(q.now, q.seq, q.evs)
 	// Open trace spans for every entity live in the restored state, so
 	// the resumed run's trace closes cleanly and validates.

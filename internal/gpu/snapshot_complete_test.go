@@ -30,6 +30,7 @@ var notRestored = map[string]string{
 
 	"gpu.Simulator.OnCheckpoint": "the caller's checkpoint sink, not machine state",
 	"gpu.Simulator.restored":     "marks a simulator LoadState populated",
+	"gpu.Simulator.snapSize":     "encoder sizing hint from the last checkpoint saved or loaded",
 	"gpu.Simulator.nextCkpt":     "maintenance schedule, rebuilt by Run from the cycle and the cadence knobs",
 	"gpu.Simulator.nextAudit":    "maintenance schedule, rebuilt by Run from the cycle and the cadence knobs",
 	"gpu.Simulator.nextMaint":    "maintenance schedule, rebuilt by Run from the cycle and the cadence knobs",
@@ -150,6 +151,30 @@ func atSplit50(t *testing.T, row diffRow, f func(saver *gpu.Simulator, cfg confi
 	}
 }
 
+// BenchmarkSaveState times SaveState on PVC/CABA-BDI at scale 0.25
+// stopped at cycle 20,000, as a farm worker's checkpoint hook calls it:
+// each iteration encodes and seals the whole machine (about 9.4 MB).
+func BenchmarkSaveState(b *testing.B) {
+	row := diffRow{app: "PVC", design: config.DesignCABABDI}
+	cfg := row.config()
+	cfg.Scale = 0.25
+	cfg.CheckpointEvery = 20_000
+	sim, inst := build(b, row, cfg, nil)
+	sim.OnCheckpoint = func(uint64, []byte) error { return errSplitDone }
+	if err := sim.Run(inst.MaxCycles()); !errors.Is(err, errSplitDone) {
+		b.Fatalf("run: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		blob, err := sim.SaveState()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(blob)))
+	}
+}
+
 // restoreAndWalk compares the saving machine at row's split-50 checkpoint
 // with its restored copy, and runs the row's splitCheck on the saver.
 func restoreAndWalk(t *testing.T, row diffRow) *walker {
@@ -175,9 +200,9 @@ func restoreAndWalk(t *testing.T, row diffRow) *walker {
 // moves a byte fails here; a change that moves simulated results (ROADMAP
 // items 6 and 9) re-pins them together with TestSnapshotEncodingPinned.
 var sectionPins = map[string]string{
-	"TBL_CABA-Memo":              "f90f0e7d34dc96e4c17572233210f2d830a7d39201fa40e01c150e6eca268895",
-	"STRD_CABA-Combined":         "c355048a84b44ee37f1645c7ecd1fbb100e6f57464a2f29c660bd2f4fe25519f",
-	"PVC_CABA-BDI_BW0.25_faults": "29ce3e66f764fcdec33a6ae73fca792206ef183f117405819b8880733d398637",
+	"TBL_CABA-Memo":              "b7da9dbd4a4da346bd154dd771244cbdebc9a00693c09406622175cc9527654e",
+	"STRD_CABA-Combined":         "abd4f09f5bc50f49b9b9520ea8e3ad33a62ddc7d8dd690b2a4f4bfa8a11c7f43",
+	"PVC_CABA-BDI_BW0.25_faults": "c60e20b619306ca79498b64a2a1424b8c7d95eae8e935af6077647e9531848f7",
 }
 
 // TestSnapshotSectionsPinned pins the bytes of the sectionPins rows'

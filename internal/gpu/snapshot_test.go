@@ -13,6 +13,7 @@ import (
 	"github.com/caba-sim/caba/internal/core"
 	"github.com/caba-sim/caba/internal/isa"
 	"github.com/caba-sim/caba/internal/snapshot"
+	"github.com/caba-sim/caba/internal/stats"
 )
 
 // newSnapSim builds one CABA-design simulator for the snapshot tests:
@@ -264,6 +265,33 @@ func TestAuditCatchesMSHRLeak(t *testing.T) {
 	}
 }
 
+// TestAuditCatchesIssueSlotDrift: every elapsed cycle fills each
+// scheduler slot of every SM with one Figure 1 outcome, so the issue-slot
+// counters sum to cycle × NumSchedulers × NumSMs. One slot too many must
+// fail the issue-slots invariant.
+func TestAuditCatchesIssueSlotDrift(t *testing.T) {
+	cfg := config.TestConfig()
+	k := &Kernel{Prog: vecScaleKernel(), GridCTAs: 2, CTAThreads: 64,
+		Params: [4]uint64{inBase, outBase}}
+	sim, err := New(&cfg, config.DesignBase, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillInput(sim, 128, true)
+	if err := sim.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Audit(); err != nil {
+		t.Fatalf("clean machine must audit clean: %v", err)
+	}
+	sim.S.IssueSlots[stats.IdleCycle]++
+	err = sim.Audit()
+	var v *audit.Violation
+	if !errors.As(err, &v) || v.Invariant != "issue-slots" {
+		t.Fatalf("audit = %v, want an issue-slots violation", err)
+	}
+}
+
 // TestAuditCatchesUnarmedRetry: a queued assist-warp trigger that could
 // land now, on an SM whose retry scan is not armed, would wait until some
 // unrelated retirement re-armed the scan. The auditor must name the
@@ -475,8 +503,8 @@ func TestSnapshotBlobWellFormed(t *testing.T) {
 // bump, since older checkpoints and farm blobs would no longer restore.
 func TestSnapshotEncodingPinned(t *testing.T) {
 	want := map[uint64]string{
-		1000: "68bca281aa100d9dfbf4482bfa7404b22c09f19bca069b2ae5ab03c85e113efa",
-		8500: "7cec1aaa40a78b8c472ef09314c85ce3d385cdaa88bd89b571130d5308672c3d",
+		1000: "a9de441c4b751ea1c6b321563a8e3d3a166463ff832550cbbff0e8d62cfd3555",
+		8500: "6ea324676f64d4a897ce785f0398dbb970d224ada2a39fd1e198c2694bf82d4a",
 	}
 	const threads, iters = 1536, 8
 	cfg := config.TestConfig()

@@ -295,13 +295,13 @@ func (sm *SM) pfTrain(w *warpCtx, pc int32, ln uint64) {
 	if sm.awc.LowPriorityThrottled() ||
 		sm.pf.lines >= mshrs/4 ||
 		sm.mshr.Outstanding()+2*core.PrefetchDegree > mshrs {
-		sm.stat.PrefetchThrottled++
+		sm.s.PrefetchThrottled++
 		return
 	}
 	rt := sm.sim.AWS.MustGet(core.RtPrefetch)
 	host := sm.findAssistHost(rt.Priority, w.id)
 	if host < 0 {
-		sm.stat.PrefetchThrottled++
+		sm.s.PrefetchThrottled++
 		return
 	}
 	ex := sm.newAssistExec(rt)
@@ -310,11 +310,11 @@ func (sm *SM) pfTrain(w *warpCtx, pc int32, ln uint64) {
 		ex.SetReg(lane, 3, uint64(stride))
 	}
 	if !sm.launchAssist(rt, host, ex, nil, "prefetch") {
-		sm.stat.PrefetchThrottled++
+		sm.s.PrefetchThrottled++
 		return
 	}
 	sm.pf.markTriggered(tag, base)
-	sm.stat.PrefetchTriggers++
+	sm.s.PrefetchTriggers++
 }
 
 // memoSlotOff maps a content hash to its shared-scratch LUT byte offset
@@ -345,7 +345,7 @@ func (sm *SM) tryMemoProbe(w *warpCtx, in *isa.Superop, key uint64) bool {
 	w.sb.MarkSop(in)
 	w.inFlight++
 	w.memoPending = true
-	sm.stat.MemoHits++
+	sm.s.MemoHits++
 	return true
 }
 
@@ -374,7 +374,7 @@ func (sm *SM) tryMemoIssue(w *warpCtx, in *isa.Superop) bool {
 		return false
 	}
 	if !sm.tryMemoProbe(w, in, key) {
-		sm.stat.MemoNoSlot++ // hit, but no AWT slot: wait for the port
+		sm.s.MemoNoSlot++ // hit, but no AWT slot: wait for the port
 		return false
 	}
 	// The probe is in flight; the instruction itself retires through it.
@@ -389,8 +389,8 @@ func (sm *SM) tryMemoIssue(w *warpCtx, in *isa.Superop) bool {
 		return true
 	}
 	sm.stepped(w)
-	sm.stat.WarpInstrs++
-	sm.stat.ThreadInstrs += uint64(popcount32(info.ExecMask))
+	sm.s.WarpInstrs++
+	sm.s.ThreadInstrs += uint64(popcount32(info.ExecMask))
 	sm.countClass(in)
 	if w.exec.Done {
 		sm.noteWarpDone(w)

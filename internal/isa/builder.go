@@ -48,20 +48,6 @@ func (b *Builder) Label(name string) *Builder {
 	return b
 }
 
-// Guard returns a copy of the builder state that predicates the next
-// emitted instruction. Implemented by mutating the last instruction is
-// error-prone; instead callers use the explicit *P variants below or
-// GuardNext.
-func (b *Builder) GuardNext(p Pred, neg bool) func(*Builder) *Builder {
-	return func(bb *Builder) *Builder {
-		if len(bb.code) > 0 {
-			last := &bb.code[len(bb.code)-1]
-			last.Guard, last.GuardNeg = p, neg
-		}
-		return bb
-	}
-}
-
 // WithGuard predicates the most recently emitted instruction.
 func (b *Builder) WithGuard(p Pred, neg bool) *Builder {
 	if len(b.code) == 0 {

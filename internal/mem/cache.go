@@ -17,9 +17,6 @@ type Cache struct {
 	setBytes int // data capacity per set
 	indexDiv int // line-number divisor applied before set indexing
 	tick     uint64
-
-	// Counters (the owner mirrors these into stats.Sim).
-	Hits, Misses, Evictions uint64
 }
 
 type cacheLine struct {
@@ -81,15 +78,13 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
 			if write {
 				set[i].dirty = true
 			}
-			c.Hits++
 			return true
 		}
 	}
-	c.Misses++
 	return false
 }
 
-// Contains probes without touching LRU or counters.
+// Contains probes without touching LRU state.
 func (c *Cache) Contains(lineAddr uint64) bool {
 	set := c.setOf(lineAddr)
 	for i := range set {
@@ -186,7 +181,6 @@ func (c *Cache) lruVictim(set []cacheLine, keep uint64) int {
 func (c *Cache) evict(set []cacheLine, i int) Evicted {
 	e := Evicted{LineAddr: set[i].lineAddr, Dirty: set[i].dirty, Size: set[i].size}
 	set[i].valid = false
-	c.Evictions++
 	return e
 }
 

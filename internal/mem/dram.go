@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"github.com/caba-sim/caba/internal/compress"
 	"github.com/caba-sim/caba/internal/config"
 	"github.com/caba-sim/caba/internal/faults"
 	"github.com/caba-sim/caba/internal/obs"
@@ -17,7 +18,6 @@ type MDCache struct {
 	c *Cache
 	// linesPerEntry is how many data lines one MD entry covers.
 	linesPerEntry uint64
-	Hits, Misses  uint64
 }
 
 // NewMDCache builds the per-channel MD cache from the configuration. The
@@ -35,13 +35,11 @@ func NewMDCache(cfg *config.Config) *MDCache {
 
 // Access probes the MD cache for the metadata covering lineAddr, inserting
 // it on miss. It reports whether the access hit.
-func (m *MDCache) Access(lineAddr uint64, lineSize int) bool {
-	key := lineAddr / uint64(lineSize) / m.linesPerEntry * 32
+func (m *MDCache) Access(lineAddr uint64) bool {
+	key := lineAddr / compress.LineSize / m.linesPerEntry * 32
 	if m.c.Lookup(key, false) {
-		m.Hits++
 		return true
 	}
-	m.Misses++
 	m.c.Insert(key, 32, false)
 	return false
 }
@@ -100,7 +98,7 @@ func NewChannel(id int, cfg *config.Config, q *timing.Queue, s *stats.Sim, md *M
 		coresPerMem:    float64(cfg.CoreClockMHz) / (float64(cfg.MemClockMHz) * cfg.BWScale),
 		coresPerMemLat: float64(cfg.CoreClockMHz) / float64(cfg.MemClockMHz),
 		banks:          make([]bank, cfg.BanksPerChannel),
-		linesPerRow:    2048 / uint64(cfg.LineSize), // 2KB rows
+		linesPerRow:    2048 / compress.LineSize, // 2KB rows
 	}
 	for i := range ch.banks {
 		ch.banks[i].openRow = -1
@@ -110,7 +108,7 @@ func NewChannel(id int, cfg *config.Config, q *timing.Queue, s *stats.Sim, md *M
 
 // bankAndRow maps a line address to this channel's bank and row.
 func (ch *Channel) bankAndRow(lineAddr uint64) (int, int64) {
-	local := lineAddr / uint64(ch.cfg.LineSize) / uint64(ch.cfg.NumChannels)
+	local := lineAddr / compress.LineSize / uint64(ch.cfg.NumChannels)
 	colGroup := local / ch.linesPerRow
 	b := int(colGroup % uint64(len(ch.banks)))
 	row := int64(colGroup / uint64(len(ch.banks)))
@@ -135,7 +133,7 @@ func (ch *Channel) Enqueue(lineAddr uint64, write bool, bursts int, done timing.
 	if ch.md != nil {
 		// A MD-cache miss costs one extra metadata burst from the
 		// metadata region (Section 4.3.2: 8MB reserved in DRAM).
-		r.mdMiss = !ch.md.Access(lineAddr, ch.cfg.LineSize)
+		r.mdMiss = !ch.md.Access(lineAddr)
 		if r.mdMiss {
 			ch.s.MDMisses++
 		} else {

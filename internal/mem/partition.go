@@ -30,7 +30,7 @@ func newPartition(id int, sys *System) *Partition {
 	return &Partition{
 		id:  id,
 		sys: sys,
-		cache: NewCache(cfg.L2Size/cfg.NumChannels, cfg.L2Assoc, cfg.LineSize,
+		cache: NewCache(cfg.L2Size/cfg.NumChannels, cfg.L2Assoc, compress.LineSize,
 			cfg.NumChannels, sys.Design.L2TagMult),
 		mshr: NewMSHR(0),
 		ch:   NewChannel(id, cfg, sys.Q, sys.S, md, sys.Inj),
@@ -76,7 +76,7 @@ func (p *Partition) residentSize(lineAddr uint64) int {
 			return st.Size()
 		}
 	}
-	return p.sys.Cfg.LineSize
+	return compress.LineSize
 }
 
 // handleWrite runs when a full-line write packet arrives.

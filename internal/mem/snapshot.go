@@ -23,15 +23,12 @@ const maxMemSnapLen = 1 << 24
 
 // --- Cache ---
 
-// Snap codes tags, metadata and counters. Geometry is checked, not
+// Snap codes tags and line metadata. Geometry is checked, not
 // restored: the owner rebuilds the cache from configuration.
 func (c *Cache) Snap(cd *snapshot.Codec) {
 	cd.Shape(c.numSets, "cache set count")
 	cd.Shape(len(c.sets[0]), "cache associativity")
 	cd.U64(&c.tick)
-	cd.U64(&c.Hits)
-	cd.U64(&c.Misses)
-	cd.U64(&c.Evictions)
 	for _, set := range c.sets {
 		for i := range set {
 			l := &set[i]
@@ -96,14 +93,7 @@ func (d *Domain) Snap(c *snapshot.Codec) {
 	snapshot.Map(c, d.lines, maxMemSnapLen, func(v *compress.Compressed) { SnapCompressed(c, v) })
 }
 
-// --- MD cache / DRAM channel ---
-
-// snap codes the metadata cache.
-func (m *MDCache) snap(c *snapshot.Codec) {
-	m.c.Snap(c)
-	c.U64(&m.Hits)
-	c.U64(&m.Misses)
-}
+// --- DRAM channel ---
 
 // snap codes the channel's timing state and request queue; action codes
 // each request's completion action.
@@ -130,7 +120,7 @@ func (ch *Channel) snap(c *snapshot.Codec, action func(*snapshot.Codec, *timing.
 	hasMD := ch.md != nil
 	c.Bool(&hasMD)
 	if c.Check(hasMD == (ch.md != nil), "MD cache presence mismatch") && hasMD {
-		ch.md.snap(c)
+		ch.md.c.Snap(c)
 	}
 }
 

@@ -63,7 +63,7 @@ func NewSystem(cfg *config.Config, design config.Design, q *timing.Queue, s *sta
 
 // PartitionOf maps a line address to its memory partition.
 func (sys *System) PartitionOf(lineAddr uint64) int {
-	return int(lineAddr / uint64(sys.Cfg.LineSize) % uint64(sys.Cfg.NumChannels))
+	return int(lineAddr / compress.LineSize % uint64(sys.Cfg.NumChannels))
 }
 
 // ReadLine requests a line on behalf of SM sm. user is returned untouched
@@ -97,7 +97,7 @@ func (sys *System) WriteLine(sm int, lineAddr uint64) {
 
 // payloadFlits returns the data flits a line occupies on the interconnect.
 func (sys *System) payloadFlits(lineAddr uint64) int {
-	size := sys.Cfg.LineSize
+	size := compress.LineSize
 	if sys.Design.Scope == config.ScopeL2 {
 		if st := sys.Dom.State(lineAddr); st.IsCompressed() {
 			size = st.Size()
@@ -117,7 +117,7 @@ func (sys *System) respFlits(lineAddr uint64) int {
 
 // rawFlits is the response packet size for an uncompressed line.
 func (sys *System) rawFlits() int {
-	return 1 + (sys.Cfg.LineSize+sys.Cfg.FlitSize-1)/sys.Cfg.FlitSize
+	return 1 + (compress.LineSize+sys.Cfg.FlitSize-1)/sys.Cfg.FlitSize
 }
 
 // ArrivesCompressed reports the compression state a line has when it

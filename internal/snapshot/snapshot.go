@@ -21,7 +21,7 @@ import (
 
 // Version is the current snapshot format version. Bump on any encoding
 // change; Open rejects blobs from other versions.
-const Version uint32 = 3
+const Version uint32 = 4
 
 // magic identifies a snapshot blob ("CABASNAP").
 const magic uint64 = 0x43414241534e4150
@@ -60,14 +60,22 @@ func errf(format string, args ...any) *FormatError {
 // values zero and read nothing, so a type's method need only check Err
 // (or Check's result) before it indexes with a decoded value.
 type Codec struct {
-	buf  []byte // encoding: the payload so far; decoding: the payload
-	off  int    // decoding: bytes consumed
+	// buf is, encoding, the reserved container header and the payload so
+	// far; decoding, the payload.
+	buf  []byte
+	off  int // decoding: bytes consumed
 	load bool
 	err  error
 }
 
-// Encoder returns a codec that appends to an empty payload.
-func Encoder() *Codec { return &Codec{} }
+// Encoder returns a codec that appends to an empty payload. Its buffer
+// reserves the container header ahead of the payload, so Seal finishes
+// the blob in place.
+func Encoder() *Codec { return &Codec{buf: make([]byte, headerSize)} }
+
+// Grow reserves room for n more payload bytes and the checksum, so an
+// encoder sized from an earlier payload writes each byte once.
+func (c *Codec) Grow(n int) { c.buf = slices.Grow(c.buf, n+4) }
 
 // Decoder returns a codec that reads payload.
 func Decoder(payload []byte) *Codec { return &Codec{buf: payload, load: true} }
@@ -84,14 +92,19 @@ func (c *Codec) Err() error { return c.err }
 func (c *Codec) Remaining() int { return len(c.buf) - c.off }
 
 // Payload returns the bytes encoded so far, or those being decoded.
-func (c *Codec) Payload() []byte { return c.buf }
+func (c *Codec) Payload() []byte {
+	if c.load {
+		return c.buf
+	}
+	return c.buf[headerSize:]
+}
 
 // Failf latches a *FormatError at the current offset.
 func (c *Codec) Failf(format string, args ...any) {
 	if c.err == nil {
 		off := c.off
 		if !c.load {
-			off = len(c.buf)
+			off = len(c.buf) - headerSize
 		}
 		c.err = &FormatError{Off: off, Msg: fmt.Sprintf(format, args...)}
 	}
@@ -384,14 +397,22 @@ const headerSize = 8 + 4 + 8 + 8
 
 // Seal wraps a payload into a self-describing blob bound to configHash.
 func Seal(configHash uint64, payload []byte) []byte {
-	out := make([]byte, 0, headerSize+len(payload)+4)
-	out = binary.LittleEndian.AppendUint64(out, magic)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, configHash)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return out
+	c := Encoder()
+	c.Grow(len(payload))
+	c.buf = append(c.buf, payload...)
+	return c.Seal(configHash)
+}
+
+// Seal finishes the encoded payload into a blob bound to configHash: it
+// fills the reserved header and appends the checksum in place, so the
+// blob shares the encoder's buffer and the encoder is spent.
+func (c *Codec) Seal(configHash uint64) []byte {
+	payload := c.buf[headerSize:]
+	binary.LittleEndian.PutUint64(c.buf, magic)
+	binary.LittleEndian.PutUint32(c.buf[8:], Version)
+	binary.LittleEndian.PutUint64(c.buf[12:], configHash)
+	binary.LittleEndian.PutUint64(c.buf[20:], uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(c.buf, crc32.ChecksumIEEE(payload))
 }
 
 // Open validates a blob's container (magic, version, configuration hash,
@@ -565,7 +586,7 @@ func HashPlain(vs ...any) (uint64, error) {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, b := range c.buf {
+	for _, b := range c.Payload() {
 		h ^= uint64(b)
 		h *= prime64
 	}

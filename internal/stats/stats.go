@@ -202,87 +202,6 @@ func (s *Sim) AvgPowerW(coreClockMHz int) float64 {
 	return s.TotalEnergy() * 1e-9 / seconds
 }
 
-// Shard is the per-SM slice of the counters the SM tick path increments.
-// Each SM bumps its own shard and the simulator folds the shards into the
-// run's Sim once at the end; every field is a commutative sum, so the
-// fold is order-independent. Memory-system counters (flits, DRAM, L2, MD
-// cache) stay on Sim itself.
-type Shard struct {
-	WarpInstrs   uint64
-	ThreadInstrs uint64
-	AssistInstrs uint64
-	AssistWarps  uint64
-
-	ALUInstrs  uint64
-	SFUInstrs  uint64
-	MemInstrs  uint64
-	CtrlInstrs uint64
-
-	IssueSlots [NumStallKinds]uint64
-
-	L1Hits, L1Misses   uint64
-	StoreBufferFlushes uint64
-
-	LinesCompressed   uint64
-	LinesDecompressed uint64
-
-	LoadCount    uint64
-	LoadLatTotal uint64
-
-	// Assist-warp use-case counters (all SM-resident state).
-	PrefetchTriggers  uint64
-	PrefetchThrottled uint64
-	PrefetchUseful    uint64
-	MemoHits          uint64
-	MemoMisses        uint64
-	MemoNoSlot        uint64
-	MemoUpdates       uint64
-
-	// Fault counters for injection/detection/recovery events that happen
-	// on the SM fill path (shard-resident to keep every SM counter on one
-	// write path).
-	FaultsInjected  uint64
-	FaultsDetected  uint64
-	FaultsRecovered uint64
-
-	// DecompMismatches mirrors the simulator's racing-write counter; it is
-	// not a Sim field, so AddShard leaves it to the caller.
-	DecompMismatches uint64
-}
-
-// AddShard folds one SM's shard into the run totals (DecompMismatches
-// excluded; see Shard).
-func (s *Sim) AddShard(sh *Shard) {
-	s.WarpInstrs += sh.WarpInstrs
-	s.ThreadInstrs += sh.ThreadInstrs
-	s.AssistInstrs += sh.AssistInstrs
-	s.AssistWarps += sh.AssistWarps
-	s.ALUInstrs += sh.ALUInstrs
-	s.SFUInstrs += sh.SFUInstrs
-	s.MemInstrs += sh.MemInstrs
-	s.CtrlInstrs += sh.CtrlInstrs
-	for i := range sh.IssueSlots {
-		s.IssueSlots[i] += sh.IssueSlots[i]
-	}
-	s.L1Hits += sh.L1Hits
-	s.L1Misses += sh.L1Misses
-	s.StoreBufferFlushes += sh.StoreBufferFlushes
-	s.LinesCompressed += sh.LinesCompressed
-	s.LinesDecompressed += sh.LinesDecompressed
-	s.LoadCount += sh.LoadCount
-	s.LoadLatTotal += sh.LoadLatTotal
-	s.PrefetchTriggers += sh.PrefetchTriggers
-	s.PrefetchThrottled += sh.PrefetchThrottled
-	s.PrefetchUseful += sh.PrefetchUseful
-	s.MemoHits += sh.MemoHits
-	s.MemoMisses += sh.MemoMisses
-	s.MemoNoSlot += sh.MemoNoSlot
-	s.MemoUpdates += sh.MemoUpdates
-	s.FaultsInjected += sh.FaultsInjected
-	s.FaultsDetected += sh.FaultsDetected
-	s.FaultsRecovered += sh.FaultsRecovered
-}
-
 // Diff compares every field of two runs and returns a human-readable
 // line per mismatch (empty when identical). The equivalence tests use it
 // so a divergence names the counter that moved instead of dumping two
